@@ -39,5 +39,4 @@ from .pipeline import (  # noqa: F401
     evaluate,
     run_grid,
     run_two_step,
-    split_dataset,
 )

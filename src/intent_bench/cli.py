@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataset, pipeline
-from .dataset import Direction, SynthConfig, TaskShape
+from .dataset import SynthConfig, TaskShape
 from .errors import IntentBenchError, InvalidConfig, IoError
 from .features import SetupId, export_features_csv
 from .pipeline import GridConfig, TrainParams, TwoStepConfig
@@ -40,21 +41,8 @@ CONFIG_KEYS = {
     "run.two_step": (bool, True),
     "run.direction_setup": (str, "D6"),
     "features.mmav2_positive_tail": (bool, False),
-    "train.mlp_epochs": (int, 50),
-    "train.mlp_batch": (int, 32),
-    "train.mlp_lr": (float, 0.001),
-    "train.lstm_epochs": (int, 50),
-    "train.lstm_batch": (int, 32),
-    "train.lstm_lr": (float, 0.001),
-    "train.lstm_l2": (float, 0.01),
-    "train.lstm_hidden": (int, 50),
-    "train.lstm_layers": (int, 2),
-    "train.window_len": (int, 5),
-    "train.lstm_mode": (str, "windowed"),
-    "train.baseline_epochs": (int, 200),
-    "train.knn_k": (int, 5),
-    "train.svm_lambda": (float, 0.01),
-    "train.logreg_lr": (float, 0.1),
+    # one train.<field> key per TrainParams field, with its type and default
+    **{f"train.{f.name}": (type(f.default), f.default) for f in fields(TrainParams)},
 }
 
 
@@ -149,23 +137,7 @@ def _synth_config(cfg) -> SynthConfig:
 
 
 def _train_params(cfg) -> TrainParams:
-    return TrainParams(
-        mlp_epochs=cfg["train.mlp_epochs"],
-        mlp_batch=cfg["train.mlp_batch"],
-        mlp_lr=cfg["train.mlp_lr"],
-        lstm_epochs=cfg["train.lstm_epochs"],
-        lstm_batch=cfg["train.lstm_batch"],
-        lstm_lr=cfg["train.lstm_lr"],
-        lstm_l2=cfg["train.lstm_l2"],
-        lstm_hidden=cfg["train.lstm_hidden"],
-        lstm_layers=cfg["train.lstm_layers"],
-        window_len=cfg["train.window_len"],
-        lstm_mode=cfg["train.lstm_mode"],
-        baseline_epochs=cfg["train.baseline_epochs"],
-        knn_k=cfg["train.knn_k"],
-        svm_lambda=cfg["train.svm_lambda"],
-        logreg_lr=cfg["train.logreg_lr"],
-    )
+    return TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)})
 
 
 def _load_records(cfg):
@@ -176,14 +148,7 @@ def _load_records(cfg):
 
 def cmd_synth(cfg) -> int:
     """Write resistance/hits/gaze/participants CSVs for a synthetic cohort."""
-    synth_cfg = _synth_config(cfg)
-    tasks = []
-    for i in range(cfg["data.participants"]):
-        pid = f"p{i:02d}"
-        direction = Direction.CW if i % 2 == 0 else Direction.CCW
-        for shape in (TaskShape.DIAMOND, TaskShape.CIRCLE):
-            trace, events, gaze = dataset.synth_trace(cfg["seed"] + i, pid, shape, direction, synth_cfg)
-            tasks.append((pid, shape, direction, trace, events, gaze))
+    tasks = dataset.synth_tasks(cfg["seed"], cfg["data.participants"], _synth_config(cfg), _shapes(cfg))
     paths = dataset.write_dataset_csvs(tasks, cfg["out"])
     for name, path in sorted(paths.items()):
         print(f"wrote {name}: {path}")
@@ -208,7 +173,13 @@ def cmd_run(cfg) -> int:
     """Run the two-step pipeline and/or the experiment grid, then write the report."""
     records = _load_records(cfg)
     shapes = _shapes(cfg)
-    train = _train_params(cfg)
+    common = dict(
+        seed=cfg["seed"],
+        train_fraction=cfg["split.train_fraction"],
+        stratify_by=cfg["split.stratify"],
+        train=_train_params(cfg),
+        mmav2_positive_tail=cfg["features.mmav2_positive_tail"],
+    )
 
     two_step_results = []
     if cfg["run.two_step"]:
@@ -216,14 +187,7 @@ def cmd_run(cfg) -> int:
             setup = SetupId(cfg["run.direction_setup"])
         except ValueError:
             raise InvalidConfig(f"unknown direction setup '{cfg['run.direction_setup']}'") from None
-        ts_cfg = TwoStepConfig(
-            seed=cfg["seed"],
-            train_fraction=cfg["split.train_fraction"],
-            stratify_by=cfg["split.stratify"],
-            direction_setup=setup,
-            train=train,
-            mmav2_positive_tail=cfg["features.mmav2_positive_tail"],
-        )
+        ts_cfg = TwoStepConfig(direction_setup=setup, **common)
         for shape in shapes:
             result = pipeline.run_two_step(records, shape, ts_cfg)
             two_step_results.append(result)
@@ -235,15 +199,7 @@ def cmd_run(cfg) -> int:
     report = None
     notes = None
     if cfg["grid.steps"]:
-        grid_cfg = GridConfig(
-            seed=cfg["seed"],
-            steps=cfg["grid.steps"],
-            shapes=shapes,
-            train_fraction=cfg["split.train_fraction"],
-            stratify_by=cfg["split.stratify"],
-            train=train,
-            mmav2_positive_tail=cfg["features.mmav2_positive_tail"],
-        )
+        grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, **common)
         report = pipeline.run_grid(records, grid_cfg)
         notes = pipeline.reference_ordering_notes(report)
         for note in notes:
@@ -251,7 +207,7 @@ def cmd_run(cfg) -> int:
 
     run_meta = {
         "root_seed": cfg["seed"],
-        "config_hash": pipeline.config_hash(cfg),
+        "config_hash": pipeline.config_hash({k: v for k, v in cfg.items() if k != "out"}),
         "data_source": cfg["data.source"],
         "shapes": [s.value for s in shapes],
     }
@@ -261,12 +217,15 @@ def cmd_run(cfg) -> int:
 
 
 def cmd_report(cfg) -> int:
-    """Re-render report.txt from an existing report.csv in the output directory."""
-    csv_path = Path(cfg["out"]) / "report.csv"
-    if not csv_path.exists():
-        raise IoError(f"no report.csv in {cfg['out']}")
-    report = pipeline.parse_report_csv(csv_path)
-    text = pipeline.render_text(report)
+    """Re-render report.txt from the report.csv and run.json of an earlier run."""
+    for name in ("report.csv", "run.json"):
+        if not (Path(cfg["out"]) / name).exists():
+            raise IoError(f"no {name} in {cfg['out']}")
+    try:
+        report, two_step = pipeline.read_run_outputs(cfg["out"])
+    except (KeyError, ValueError) as exc:
+        raise IoError(f"{cfg['out']} does not hold the outputs of a run of this version: {exc}") from exc
+    text = pipeline.report_text(report, two_step)
     (Path(cfg["out"]) / "report.txt").write_text(text, encoding="utf-8")
     print(text)
     return 0
@@ -279,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("synth", "generate synthetic dataset CSVs"),
         ("features", "export window-level feature tables"),
         ("run", "run the two-step pipeline and/or the grid"),
-        ("report", "re-render report.txt from report.csv"),
+        ("report", "re-render report.txt from report.csv and run.json"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key-value config file")

@@ -265,6 +265,23 @@ def synth_participant(
     return build_record(pid, shape, direction, trace, events, gaze)
 
 
+def synth_tasks(
+    seed: int, participants: int, cfg: SynthConfig, shapes: tuple[TaskShape, ...]
+) -> list[tuple[str, TaskShape, Direction, ResistanceTrace, list[HitEvent], np.ndarray]]:
+    """(participant, shape, direction, trace, hit events, gaze) per participant and shape.
+
+    Participants are p00, p01, ... with directions alternating cw/ccw; participant i
+    uses seed + i.
+    """
+    tasks = []
+    for i in range(participants):
+        pid = f"p{i:02d}"
+        direction = Direction.CW if i % 2 == 0 else Direction.CCW
+        for shape in shapes:
+            tasks.append((pid, shape, direction, *synth_trace(seed + i, pid, shape, direction, cfg)))
+    return tasks
+
+
 def synth_cohort(
     seed: int,
     participants: int = 16,
@@ -272,14 +289,7 @@ def synth_cohort(
     shapes: tuple[TaskShape, ...] = (TaskShape.DIAMOND, TaskShape.CIRCLE),
 ) -> list[ParticipantRecord]:
     """Cohort of `participants` across the given shapes, directions alternating cw/ccw."""
-    cfg = cfg or SynthConfig()
-    records = []
-    for i in range(participants):
-        pid = f"p{i:02d}"
-        direction = Direction.CW if i % 2 == 0 else Direction.CCW
-        for shape in shapes:
-            records.append(synth_participant(seed + i, shape, direction, cfg, participant_id=pid))
-    return records
+    return [build_record(*task) for task in synth_tasks(seed, participants, cfg or SynthConfig(), shapes)]
 
 
 # --- CSV interchange ----------------------------------------------------
@@ -303,6 +313,20 @@ def _header_index(header: list[str], required: tuple[str, ...], path: Path) -> d
         if name not in idx:
             raise MissingColumn(f"{path}: missing column '{name}'")
     return idx
+
+
+def _csv_rows(path: Path, required: tuple[str, ...]):
+    """(file row number, row, column index by name) of each data row; the header is row 1."""
+    with _open_rows(path) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise MissingColumn(f"{path}: empty file")
+        idx = _header_index(header, required, path)
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) < len(header):
+                raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
+            yield row_no, row, idx
 
 
 def _parse_float(raw: str, row: int) -> float:
@@ -332,24 +356,16 @@ def load_resistance_csv(path, hit_events=None) -> list[ResistanceTrace]:
     """
     path = Path(path)
     grouped: dict[tuple[str, TaskShape], tuple[list[float], list[float]]] = {}
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(f"{path}: empty file")
-        idx = _header_index(header, RESISTANCE_COLUMNS, path)
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) < len(header):
-                raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
-            pid = row[idx["participant_id"]]
-            shape = _parse_shape(row[idx["shape"]], row_no)
-            t = _parse_float(row[idx["timestamp_ms"]], row_no)
-            r = _parse_float(row[idx["resistance_ohm"]], row_no)
-            times, values = grouped.setdefault((pid, shape), ([], []))
-            if times and t < times[-1]:
-                raise NonMonotonicTimestamp(row_no)
-            times.append(t)
-            values.append(r)
+    for row_no, row, idx in _csv_rows(path, RESISTANCE_COLUMNS):
+        pid = row[idx["participant_id"]]
+        shape = _parse_shape(row[idx["shape"]], row_no)
+        t = _parse_float(row[idx["timestamp_ms"]], row_no)
+        r = _parse_float(row[idx["resistance_ohm"]], row_no)
+        times, values = grouped.setdefault((pid, shape), ([], []))
+        if times and t < times[-1]:
+            raise NonMonotonicTimestamp(row_no)
+        times.append(t)
+        values.append(r)
 
     traces = [
         ResistanceTrace(pid, shape, np.asarray(ts), np.asarray(vs))
@@ -366,20 +382,12 @@ def load_resistance_csv(path, hit_events=None) -> list[ResistanceTrace]:
 def load_hits_csv(path) -> dict[tuple[str, TaskShape], list[HitEvent]]:
     path = Path(path)
     grouped: dict[tuple[str, TaskShape], list[HitEvent]] = {}
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(f"{path}: empty file")
-        idx = _header_index(header, HITS_COLUMNS, path)
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) < len(header):
-                raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
-            pid = row[idx["participant_id"]]
-            shape = _parse_shape(row[idx["shape"]], row_no)
-            hit = int(_parse_float(row[idx["hit_index"]], row_no))
-            t = _parse_float(row[idx["timestamp_ms"]], row_no)
-            grouped.setdefault((pid, shape), []).append(HitEvent(hit, t))
+    for row_no, row, idx in _csv_rows(path, HITS_COLUMNS):
+        pid = row[idx["participant_id"]]
+        shape = _parse_shape(row[idx["shape"]], row_no)
+        hit = int(_parse_float(row[idx["hit_index"]], row_no))
+        t = _parse_float(row[idx["timestamp_ms"]], row_no)
+        grouped.setdefault((pid, shape), []).append(HitEvent(hit, t))
     for key, events in grouped.items():
         events.sort(key=lambda ev: ev.hit_index)
         _check_events(events)
@@ -425,22 +433,14 @@ def load_gaze_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
 def load_participants_csv(path) -> dict[str, Direction]:
     path = Path(path)
     directions = {}
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(f"{path}: empty file")
-        idx = _header_index(header, PARTICIPANTS_COLUMNS, path)
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) < len(header):
-                raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
-            pid = row[idx["participant_id"]]
-            try:
-                directions[pid] = Direction(row[idx["direction"]])
-            except ValueError:
-                raise NonNumericValue(
-                    row_no, f"unknown direction '{row[idx['direction']]}' at file row {row_no}"
-                ) from None
+    for row_no, row, idx in _csv_rows(path, PARTICIPANTS_COLUMNS):
+        pid = row[idx["participant_id"]]
+        try:
+            directions[pid] = Direction(row[idx["direction"]])
+        except ValueError:
+            raise NonNumericValue(
+                row_no, f"unknown direction '{row[idx['direction']]}' at file row {row_no}"
+            ) from None
     return directions
 
 

@@ -126,9 +126,6 @@ class Scaler:
     mins: np.ndarray
     maxs: np.ndarray
 
-    def invert(self, scaled: np.ndarray) -> np.ndarray:
-        return scaled * (self.maxs - self.mins) + self.mins
-
 
 def fit_scaler(matrix) -> Scaler:
     m = np.asarray(matrix, dtype=float)

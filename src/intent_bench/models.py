@@ -128,10 +128,6 @@ def train_mlp(x: np.ndarray, y: np.ndarray, cfg: MlpConfig) -> MlpModel:
     return MlpModel(params=params, cfg=cfg, meta={"seed": cfg.seed, "final_loss": final_loss})
 
 
-def predict_mlp(model: MlpModel, x) -> np.ndarray:
-    return model.predict_proba(x)
-
-
 # --- direction LSTM ----------------------------------------------------------
 
 
@@ -192,9 +188,8 @@ def lstm_init(rng: np.random.Generator, cfg: LstmConfig) -> nn.Params:
         params[f"lstm{layer}_w"] = cell.w_gates
         params[f"lstm{layer}_b"] = cell.b_gates
         n_in = cfg.hidden_size
-    head = nn.DenseLayer.init(rng, cfg.hidden_size, cfg.output)
-    params["head_w"] = head.weights
-    params["head_b"] = head.bias
+    params["head_w"] = nn.glorot_uniform(rng, cfg.hidden_size, cfg.output, (cfg.output, cfg.hidden_size))
+    params["head_b"] = np.zeros(cfg.output)
     return params
 
 
@@ -328,14 +323,9 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
 
     if cfg.mode == "windowed":
         wx, wy, wtrain = make_windows(seqs, cfg.window_len)
-        tx, ty = wx[wtrain], wy[wtrain]
-        if tx.shape[0] == 0:
+        x, y, mask = wx[wtrain], wy[wtrain], None  # the loss reads the last step of each window
+        if x.shape[0] == 0:
             raise EmptyTrainingSet("no training windows")
-        for _ in range(cfg.epochs):
-            for idx in _batches(rng, tx.shape[0], cfg.batch_size):
-                _, grads = lstm_loss_grad(params, cfg, tx[idx], ty[idx])
-                params = nn.adam_step(state, params, grads, l2=cfg.l2, decay_masks=decay)
-        final_loss, _ = lstm_loss_grad(params, cfg, tx, ty)
     else:
         lengths = {seq.x.shape[0] for seq in seqs}
         if len(lengths) != 1:
@@ -345,17 +335,13 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
         mask = np.stack([seq.train_mask for seq in seqs])
         if not mask.any():
             raise EmptyTrainingSet("no training timesteps")
-        for _ in range(cfg.epochs):
-            for idx in _batches(rng, x.shape[0], cfg.batch_size):
-                _, grads = lstm_loss_grad(params, cfg, x[idx], y[idx], mask[idx])
-                params = nn.adam_step(state, params, grads, l2=cfg.l2, decay_masks=decay)
-        final_loss, _ = lstm_loss_grad(params, cfg, x, y, mask)
+    for _ in range(cfg.epochs):
+        for idx in _batches(rng, x.shape[0], cfg.batch_size):
+            _, grads = lstm_loss_grad(params, cfg, x[idx], y[idx], None if mask is None else mask[idx])
+            params = nn.adam_step(state, params, grads, l2=cfg.l2, decay_masks=decay)
+    final_loss, _ = lstm_loss_grad(params, cfg, x, y, mask)
 
     return LstmModel(params=params, cfg=cfg, meta={"seed": cfg.seed, "final_loss": final_loss})
-
-
-def predict_lstm(model: LstmModel, window) -> np.ndarray:
-    return model.predict_proba(window)
 
 
 # --- baselines ---------------------------------------------------------------
@@ -363,7 +349,7 @@ def predict_lstm(model: LstmModel, window) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BaselineKind:
-    name: str  # knn | svm | logreg | random
+    name: str  # knn | svm | logreg
     k: int = 5
     lam: float = 0.01
     lr: float = 0.1
@@ -371,7 +357,7 @@ class BaselineKind:
     batch_size: int = 32
 
     def validate(self):
-        if self.name not in ("knn", "svm", "logreg", "random"):
+        if self.name not in ("knn", "svm", "logreg"):
             raise InvalidConfig(f"unknown baseline '{self.name}'")
         if self.k <= 0 or self.lam <= 0 or self.lr <= 0 or self.epochs <= 0:
             raise InvalidConfig("baseline hyperparameters must be positive")
@@ -467,20 +453,6 @@ def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> L
     return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="logreg", meta={"seed": seed})
 
 
-@dataclass
-class RandomGuessModel:
-    class_probs: np.ndarray  # empirical training label distribution
-    seed: int
-    kind: str = "random"
-    meta: dict = field(default_factory=dict)
-
-    def predict(self, x) -> np.ndarray:
-        n = 1 if np.asarray(x).ndim == 1 else np.asarray(x).shape[0]
-        rng = np.random.default_rng(self.seed)
-        draws = rng.choice(self.class_probs.shape[0], size=n, p=self.class_probs)
-        return draws[0] if np.asarray(x).ndim == 1 else draws
-
-
 def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
     """Dispatch to the requested baseline trainer."""
     kind.validate()
@@ -494,10 +466,7 @@ def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
         return KnnModel(train_x=x.copy(), train_y=y.copy(), num_classes=num_classes, k=kind.k)
     if kind.name == "svm":
         return train_svm(x, y, num_classes, kind, seed)
-    if kind.name == "logreg":
-        return train_logreg(x, y, num_classes, kind, seed)
-    counts = np.bincount(y, minlength=num_classes).astype(float)
-    return RandomGuessModel(class_probs=counts / counts.sum(), seed=seed)
+    return train_logreg(x, y, num_classes, kind, seed)
 
 
 def random_guess_accuracy(labels, num_classes: int, seed: int = 0, draws: int = 100_000) -> float:
@@ -514,47 +483,44 @@ def random_guess_accuracy(labels, num_classes: int, seed: int = 0, draws: int = 
 # --- serialization -------------------------------------------------------------
 
 
+_LINEAR_CONTAINER = (
+    lambda m: ({"weights": m.weights, "bias": m.bias}, {"num_classes": m.num_classes}),
+    lambda p, meta: LinearModel(p["weights"], p["bias"], meta["num_classes"], kind=meta["kind"]),
+)
+
+# model kind -> (model to (params, meta), (params, meta) to model)
+_CONTAINERS = {
+    "mlp": (
+        lambda m: (m.params, {"cfg": vars(m.cfg) | {"hidden": list(m.cfg.hidden)}, **m.meta}),
+        lambda p, meta: MlpModel(p, MlpConfig(**(meta["cfg"] | {"hidden": tuple(meta["cfg"]["hidden"])}))),
+    ),
+    "lstm": (
+        lambda m: (m.params, {"cfg": vars(m.cfg), **m.meta}),
+        lambda p, meta: LstmModel(p, LstmConfig(**meta["cfg"])),
+    ),
+    "knn": (
+        lambda m: (
+            {"train_x": m.train_x, "train_y": m.train_y.astype(float)},
+            {"k": m.k, "num_classes": m.num_classes},
+        ),
+        lambda p, meta: KnnModel(p["train_x"], p["train_y"].astype(int), meta["num_classes"], meta["k"]),
+    ),
+    "svm": _LINEAR_CONTAINER,
+    "logreg": _LINEAR_CONTAINER,
+}
+
+
 def save_model(model, path) -> None:
     """Round-trip any trained model through the shared parameter container."""
-    if model.kind == "mlp":
-        meta = {"kind": "mlp", "cfg": vars(model.cfg) | {"hidden": list(model.cfg.hidden)}, **model.meta}
-        nn.save_params(path, model.params, meta)
-    elif model.kind == "lstm":
-        meta = {"kind": "lstm", "cfg": vars(model.cfg), **model.meta}
-        nn.save_params(path, model.params, meta)
-    elif model.kind == "knn":
-        meta = {"kind": "knn", "k": model.k, "num_classes": model.num_classes}
-        nn.save_params(path, {"train_x": model.train_x, "train_y": model.train_y.astype(float)}, meta)
-    elif model.kind in ("svm", "logreg"):
-        meta = {"kind": model.kind, "num_classes": model.num_classes}
-        nn.save_params(path, {"weights": model.weights, "bias": model.bias}, meta)
-    elif model.kind == "random":
-        meta = {"kind": "random", "seed": model.seed}
-        nn.save_params(path, {"class_probs": model.class_probs}, meta)
-    else:
+    if model.kind not in _CONTAINERS:
         raise IoError(f"cannot serialize model kind '{model.kind}'")
+    params, meta = _CONTAINERS[model.kind][0](model)
+    nn.save_params(path, params, {"kind": model.kind, **meta})
 
 
 def load_model(path):
     params, meta = nn.load_params(path)
     kind = meta.get("kind")
-    if kind == "mlp":
-        cfg_doc = dict(meta["cfg"])
-        cfg_doc["hidden"] = tuple(cfg_doc["hidden"])
-        return MlpModel(params=params, cfg=MlpConfig(**cfg_doc))
-    if kind == "lstm":
-        return LstmModel(params=params, cfg=LstmConfig(**meta["cfg"]))
-    if kind == "knn":
-        return KnnModel(
-            train_x=params["train_x"],
-            train_y=params["train_y"].astype(int),
-            num_classes=meta["num_classes"],
-            k=meta["k"],
-        )
-    if kind in ("svm", "logreg"):
-        return LinearModel(
-            weights=params["weights"], bias=params["bias"], num_classes=meta["num_classes"], kind=kind
-        )
-    if kind == "random":
-        return RandomGuessModel(class_probs=params["class_probs"], seed=meta["seed"])
-    raise IoError(f"unknown model kind '{kind}' in {path}")
+    if kind not in _CONTAINERS:
+        raise IoError(f"unknown model kind '{kind}' in {path}")
+    return _CONTAINERS[kind][1](params, meta)

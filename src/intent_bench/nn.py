@@ -1,7 +1,7 @@
 """Minimal deterministic neural-network kernel in double precision.
 
-Dense and LSTM layers with hand-written backpropagation, softmax
-cross-entropy, Adam with optional L2 weight decay, central-difference
+LSTM layers with hand-written backpropagation through time, batched softmax
+cross-entropy, Adam with optional masked L2 weight decay, central-difference
 gradient verification, and a versioned JSON parameter container. All
 randomness flows through numpy Generators seeded by the caller.
 """
@@ -42,44 +42,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class DenseLayer:
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, n_in: int, n_out: int) -> "DenseLayer":
-        return cls(weights=glorot_uniform(rng, n_in, n_out, (n_out, n_in)), bias=np.zeros(n_out))
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """y = Wx + b; accepts a single vector or a (n, in) batch."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != layer.weights.shape[1]:
-        raise ShapeMismatch(
-            f"input width {x.shape[-1]} does not match layer width {layer.weights.shape[1]}"
-        )
-    return x @ layer.weights.T + layer.bias
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Stable softmax CE for one logit vector: loss and gradient wrt logits."""
-    logits = np.asarray(logits, dtype=float)
-    if not 0 <= target < logits.shape[0]:
-        raise BadTarget(f"target {target} outside 0..{logits.shape[0] - 1}")
-    z = logits - np.max(logits)
-    lse = math.log(np.sum(np.exp(z)))
-    p = np.exp(z - lse)
-    loss = lse - z[target]
-    grad = p.copy()
-    grad[target] -= 1.0
-    return float(loss), grad
 
 
 def batch_softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -230,14 +196,13 @@ def adam_step(
     params: Params,
     grads: Params,
     l2: float = 0.0,
-    decay_keys=frozenset(),
     decay_masks: dict | None = None,
 ) -> Params:
     """One bias-corrected Adam update with L2 folded into the gradient.
 
-    The effective gradient is g + l2 * theta on the parameters named in
-    `decay_keys`; `decay_masks` (name -> 0/1 array) restricts the decay to a
-    subset of each tensor, e.g. input-kernel columns of a recurrent layer.
+    The effective gradient is g + l2 * mask * theta on the parameters named in
+    `decay_masks` (name -> 0/1 array), so the decay can cover a subset of a
+    tensor, e.g. the input-kernel columns of a recurrent layer.
     Mutates `state` (moment accumulators and step count) and returns the new
     parameter dict. Deterministic: iteration follows sorted parameter names.
     """
@@ -248,11 +213,8 @@ def adam_step(
         g = grads[name]
         if g.shape != theta.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {theta.shape} for '{name}'")
-        if l2 > 0.0:
-            if decay_masks is not None and name in decay_masks:
-                g = g + l2 * decay_masks[name] * theta
-            elif name in decay_keys:
-                g = g + l2 * theta
+        if l2 > 0.0 and decay_masks is not None and name in decay_masks:
+            g = g + l2 * decay_masks[name] * theta
         m = state.m.get(name, np.zeros_like(theta))
         v = state.v.get(name, np.zeros_like(theta))
         m = state.beta1 * m + (1.0 - state.beta1) * g

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,9 @@ from .models import (
     BaselineKind,
     LstmConfig,
     MlpConfig,
+    MlpModel,
     SequenceData,
+    make_windows,
     random_guess_accuracy,
     train_baseline,
     train_lstm,
@@ -116,16 +118,6 @@ def split_indices(n: int, spec: SplitSpec, strat_labels=None) -> tuple[np.ndarra
     return train, np.flatnonzero(~mask)
 
 
-def split_dataset(dm: DataMatrix, spec: SplitSpec) -> tuple[DataMatrix, DataMatrix]:
-    labels = None
-    if spec.stratify_by == "segment":
-        labels = dm.segment
-    elif spec.stratify_by == "direction":
-        labels = dm.direction
-    train_idx, test_idx = split_indices(dm.n_rows, spec, labels)
-    return dm.take(train_idx), dm.take(test_idx)
-
-
 # --- metrics -----------------------------------------------------------------
 
 
@@ -142,11 +134,18 @@ def evaluate(predictions, labels, num_classes: int) -> Metrics:
     labels = np.asarray(labels)
     if predictions.shape[0] != labels.shape[0]:
         raise LengthMismatch(f"{predictions.shape[0]} predictions for {labels.shape[0]} labels")
+    if labels.shape[0] == 0:
+        raise TooFewRows("cannot score zero rows")
     cm = np.zeros((num_classes, num_classes), dtype=int)
     for t, p in zip(labels, predictions):
         cm[int(t), int(p)] += 1
-    total = cm.sum()
-    accuracy = 100.0 * np.trace(cm) / total
+    return metrics_from_confusion(cm)
+
+
+def metrics_from_confusion(cm: np.ndarray) -> Metrics:
+    """Metrics of a confusion matrix whose rows are true classes and columns predictions."""
+    num_classes = cm.shape[0]
+    accuracy = 100.0 * np.trace(cm) / cm.sum()
     f1s = []
     for c in range(num_classes):
         tp = cm[c, c]
@@ -166,51 +165,36 @@ def records_for_shape(records: list[ParticipantRecord], shape: TaskShape) -> lis
     return subset
 
 
+def _row_labels(records: list[ParticipantRecord], hits: list[np.ndarray]) -> dict:
+    """DataMatrix label columns for one row per (record, hit index in that record's `hits`)."""
+    return dict(
+        segment=np.concatenate([[assign_segment_label(h) for h in rec_hits] for rec_hits in hits]),
+        direction=np.concatenate([np.full(h.size, rec.direction.label) for rec, h in zip(records, hits)]),
+        participant=np.concatenate(
+            [np.full(h.size, rec.participant_id, dtype=object) for rec, h in zip(records, hits)]
+        ),
+        hit=np.concatenate(hits),
+        shape=records[0].shape,
+    )
+
+
 def window_tables(
     records: list[ParticipantRecord], mmav2_positive_tail: bool = False
 ) -> tuple[DataMatrix, DataMatrix]:
     """Window-level feature and gaze tables: one row per (participant, dest hit)."""
-    feats, gaze_rows, seg, direction, pid, hit = [], [], [], [], [], []
-    shape = records[0].shape
-    for rec in records:
-        feats.append(feature_matrix(rec.windows, mmav2_positive_tail))
-        dest = np.array([w.dest_hit for w in rec.windows])
-        gaze_rows.append(rec.gaze[dest - 1])
-        seg.append([assign_segment_label(d) for d in dest])
-        direction.append(np.full(dest.size, rec.direction.label))
-        pid.append(np.full(dest.size, rec.participant_id, dtype=object))
-        hit.append(dest)
-    labels = dict(
-        segment=np.concatenate(seg),
-        direction=np.concatenate(direction),
-        participant=np.concatenate(pid),
-        hit=np.concatenate(hit),
-        shape=shape,
-    )
+    dests = [np.array([w.dest_hit for w in rec.windows]) for rec in records]
+    labels = _row_labels(records, dests)
+    feats = [feature_matrix(rec.windows, mmav2_positive_tail) for rec in records]
     features_dm = DataMatrix(values=np.vstack(feats), **labels)
-    gaze_dm = DataMatrix(values=np.vstack(gaze_rows), **labels)
+    gaze_dm = DataMatrix(values=np.vstack([rec.gaze[d - 1] for rec, d in zip(records, dests)]), **labels)
     return features_dm, gaze_dm
 
 
 def raw_table(records: list[ParticipantRecord]) -> DataMatrix:
     """Hit-level raw-resistance table: one row per (participant, hit)."""
-    shape = records[0].shape
-    hits = np.arange(1, HITS_PER_TASK + 1)
-    values, seg, direction, pid, hit = [], [], [], [], []
-    for rec in records:
-        values.append(rec.hit_values[:, None])
-        seg.append([assign_segment_label(h) for h in hits])
-        direction.append(np.full(hits.size, rec.direction.label))
-        pid.append(np.full(hits.size, rec.participant_id, dtype=object))
-        hit.append(hits)
-    return DataMatrix(
-        values=np.vstack(values),
-        segment=np.concatenate(seg),
-        direction=np.concatenate(direction),
-        participant=np.concatenate(pid),
-        hit=np.concatenate(hit),
-        shape=shape,
-    )
+    hits = [np.arange(1, HITS_PER_TASK + 1)] * len(records)
+    values = np.vstack([rec.hit_values[:, None] for rec in records])
+    return DataMatrix(values=values, **_row_labels(records, hits))
 
 
 def scale_on_train(dm: DataMatrix, train_idx: np.ndarray) -> DataMatrix:
@@ -285,13 +269,11 @@ def _lstm_config(width: int, params: TrainParams, seed: int) -> LstmConfig:
     )
 
 
-def fit_eval_lstm(dm: DataMatrix, train_idx, test_idx, cfg: LstmConfig):
+def fit_eval_lstm(dm: DataMatrix, train_idx, cfg: LstmConfig):
     """Train the direction LSTM on a setup matrix and score the held-out side."""
     seqs = sequences_from_matrix(dm, train_idx)
     model = train_lstm(seqs, cfg)
     if cfg.mode == "windowed":
-        from .models import make_windows
-
         wx, wy, wtrain = make_windows(seqs, cfg.window_len)
         preds = model.predict(wx[~wtrain])
         metrics = evaluate(preds, wy[~wtrain], DIRECTION_CLASSES)
@@ -306,26 +288,27 @@ def fit_eval_lstm(dm: DataMatrix, train_idx, test_idx, cfg: LstmConfig):
     return model, metrics
 
 
+# row model name -> trainer(x, y, num_classes, params, seed); train_mlp and train_baseline
+# are looked up when a cell trains, not when this table is built
+_ROW_TRAINERS = {
+    "NN": lambda x, y, k, p, seed: train_mlp(x, y, replace(_mlp_config(x.shape[1], p, seed), output=k)),
+    "KNN": lambda x, y, k, p, seed: train_baseline(BaselineKind("knn", k=p.knn_k), x, y, k, seed),
+    "SVM": lambda x, y, k, p, seed: train_baseline(
+        BaselineKind("svm", lam=p.svm_lambda, epochs=p.baseline_epochs), x, y, k, seed
+    ),
+    "LR": lambda x, y, k, p, seed: train_baseline(
+        BaselineKind("logreg", lr=p.logreg_lr, epochs=p.baseline_epochs), x, y, k, seed
+    ),
+}
+
+
 def fit_eval_rows(model_name: str, dm: DataMatrix, train_idx, test_idx, labels: np.ndarray,
                   num_classes: int, params: TrainParams, seed: int):
     """Train a per-row classifier (NN or baseline) and score the held-out rows."""
-    x_train, y_train = dm.values[train_idx], labels[train_idx]
-    x_test, y_test = dm.values[test_idx], labels[test_idx]
-    if model_name == "NN":
-        cfg = _mlp_config(dm.values.shape[1], params, seed)
-        cfg = MlpConfig(**{**vars(cfg), "output": num_classes})
-        model = train_mlp(x_train, y_train, cfg)
-    elif model_name == "KNN":
-        model = train_baseline(BaselineKind("knn", k=params.knn_k), x_train, y_train, num_classes, seed)
-    elif model_name == "SVM":
-        kind = BaselineKind("svm", lam=params.svm_lambda, epochs=params.baseline_epochs)
-        model = train_baseline(kind, x_train, y_train, num_classes, seed)
-    elif model_name == "LR":
-        kind = BaselineKind("logreg", lr=params.logreg_lr, epochs=params.baseline_epochs)
-        model = train_baseline(kind, x_train, y_train, num_classes, seed)
-    else:
+    if model_name not in _ROW_TRAINERS:
         raise InvalidCell(f"unknown row model '{model_name}'")
-    return model, evaluate(model.predict(x_test), y_test, num_classes)
+    model = _ROW_TRAINERS[model_name](dm.values[train_idx], labels[train_idx], num_classes, params, seed)
+    return model, evaluate(model.predict(dm.values[test_idx]), labels[test_idx], num_classes)
 
 
 # --- two-step pipeline ------------------------------------------------------------
@@ -351,72 +334,78 @@ class PipelineResult:
     config_hash: str
 
 
-def _prepare_shape(records, shape, seed, train_fraction, stratify_by, mmav2_positive_tail, train_params):
-    """Shared per-shape state: tables, partitions, scaled blocks, step-1 model."""
+def _split(dm: DataMatrix, cfg, name: str) -> tuple[np.ndarray, np.ndarray]:
+    spec = SplitSpec(cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value), cfg.stratify_by)
+    labels = {"segment": dm.segment, "direction": dm.direction}.get(cfg.stratify_by)
+    return split_indices(dm.n_rows, spec, labels)
+
+
+@dataclass(frozen=True)
+class ShapeState:
+    """Scaled per-shape tables, their partitions, and the step-1 model and probabilities."""
+
+    features: DataMatrix
+    gaze: DataMatrix
+    raw: DataMatrix
+    train_idx: np.ndarray  # window partition, shared by D2..D8
+    test_idx: np.ndarray
+    raw_train: np.ndarray  # hit partition of the raw table (D1)
+    raw_test: np.ndarray
+    step1_seed: int
+    step1_model: MlpModel | None  # None when no setup of the run reads the probabilities
+    probs: np.ndarray | None
+
+    def setup_matrix(self, setup: SetupId) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
+        """A setup's matrix with the train and test indices of the partition it is scored on."""
+        dm = assemble_setup(setup, features=self.features, gaze=self.gaze, probs=self.probs, raw=self.raw)
+        if setup is SetupId.D1:
+            return dm, self.raw_train, self.raw_test
+        return dm, self.train_idx, self.test_idx
+
+
+def _prepare_shape(records, shape: TaskShape, cfg, step1: bool = True) -> ShapeState:
+    """Shared per-shape state of a TwoStepConfig or GridConfig run; `step1` trains the segment MLP."""
     subset = records_for_shape(records, shape)
-    feats_dm, gaze_dm = window_tables(subset, mmav2_positive_tail)
+    feats_dm, gaze_dm = window_tables(subset, cfg.mmav2_positive_tail)
     raw_dm = raw_table(subset)
-
-    win_split = SplitSpec(train_fraction, derive_seed(seed, "split", shape.value), stratify_by)
-    strat = {"none": None, "segment": feats_dm.segment, "direction": feats_dm.direction}[stratify_by]
-    train_idx, test_idx = split_indices(feats_dm.n_rows, win_split, strat)
-
-    raw_split = SplitSpec(train_fraction, derive_seed(seed, "raw-split", shape.value), stratify_by)
-    raw_strat = {"none": None, "segment": raw_dm.segment, "direction": raw_dm.direction}[stratify_by]
-    raw_train, raw_test = split_indices(raw_dm.n_rows, raw_split, raw_strat)
-
-    feats_scaled = scale_on_train(feats_dm, train_idx)
+    train_idx, test_idx = _split(feats_dm, cfg, "split")
+    raw_train, raw_test = _split(raw_dm, cfg, "raw-split")
     gaze_scaled = scale_on_train(gaze_dm, train_idx)
-    raw_scaled = scale_on_train(raw_dm, raw_train)
 
-    step1_seed = derive_seed(seed, "step1", shape.value)
-    step1_cfg = _mlp_config(gaze_scaled.values.shape[1], train_params, step1_seed)
-    step1 = train_mlp(gaze_scaled.values[train_idx], gaze_scaled.segment[train_idx], step1_cfg)
-    probs = step1.predict_proba(gaze_scaled.values)
+    step1_seed = derive_seed(cfg.seed, "step1", shape.value)
+    step1_model = probs = None
+    if step1:
+        step1_cfg = _mlp_config(gaze_scaled.values.shape[1], cfg.train, step1_seed)
+        step1_model = train_mlp(gaze_scaled.values[train_idx], gaze_scaled.segment[train_idx], step1_cfg)
+        probs = step1_model.predict_proba(gaze_scaled.values)
 
-    return {
-        "records": subset,
-        "features": feats_scaled,
-        "gaze": gaze_scaled,
-        "raw": raw_scaled,
-        "train_idx": train_idx,
-        "test_idx": test_idx,
-        "raw_train": raw_train,
-        "raw_test": raw_test,
-        "step1_model": step1,
-        "step1_seed": step1_seed,
-        "probs": probs,
-    }
-
-
-def _setup_matrix(state, setup: SetupId) -> DataMatrix:
-    return assemble_setup(
-        setup,
-        features=state["features"],
-        gaze=state["gaze"],
-        probs=state["probs"],
-        raw=state["raw"],
+    return ShapeState(
+        features=scale_on_train(feats_dm, train_idx),
+        gaze=gaze_scaled,
+        raw=scale_on_train(raw_dm, raw_train),
+        train_idx=train_idx,
+        test_idx=test_idx,
+        raw_train=raw_train,
+        raw_test=raw_test,
+        step1_seed=step1_seed,
+        step1_model=step1_model,
+        probs=probs,
     )
 
 
 def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoStepConfig) -> PipelineResult:
     """Step 1: gaze -> segment probabilities. Step 2: direction LSTM on the chosen setup."""
-    state = _prepare_shape(
-        records, shape, cfg.seed, cfg.train_fraction, cfg.stratify_by,
-        cfg.mmav2_positive_tail, cfg.train,
-    )
+    state = _prepare_shape(records, shape, cfg)
     step1_metrics = evaluate(
-        state["step1_model"].predict(state["gaze"].values[state["test_idx"]]),
-        state["gaze"].segment[state["test_idx"]],
+        state.step1_model.predict(state.gaze.values[state.test_idx]),
+        state.gaze.segment[state.test_idx],
         SEGMENT_COUNT,
     )
 
-    setup_dm = _setup_matrix(state, cfg.direction_setup)
-    train_idx = state["raw_train"] if cfg.direction_setup is SetupId.D1 else state["train_idx"]
-    test_idx = state["raw_test"] if cfg.direction_setup is SetupId.D1 else state["test_idx"]
+    setup_dm, train_idx, _test_idx = state.setup_matrix(cfg.direction_setup)
     lstm_seed = derive_seed(cfg.seed, "step2", shape.value, cfg.direction_setup.value)
     lstm_cfg = _lstm_config(setup_dm.values.shape[1], cfg.train, lstm_seed)
-    _, step2_metrics = fit_eval_lstm(setup_dm, train_idx, test_idx, lstm_cfg)
+    _, step2_metrics = fit_eval_lstm(setup_dm, train_idx, lstm_cfg)
 
     doc = asdict(cfg) | {"shape": shape.value}
     return PipelineResult(
@@ -424,7 +413,7 @@ def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoSte
         step1=step1_metrics,
         step2=step2_metrics,
         direction_setup=cfg.direction_setup,
-        seeds={"root": cfg.seed, "step1": state["step1_seed"], "step2": lstm_seed},
+        seeds={"root": cfg.seed, "step1": state.step1_seed, "step2": lstm_seed},
         config_hash=config_hash(doc),
     )
 
@@ -464,6 +453,8 @@ class GridReport:
     random_guess: dict  # (step, shape value) -> accuracy %
     root_seed: int
     config_hash: str
+    # (step, shape) -> (model, setup) of the best cell, as flagged in a parsed report.csv
+    best: dict = field(default_factory=dict)
 
     def cell(self, step: str, shape: str, model: str, setup: str) -> CellResult | None:
         for c in self.cells:
@@ -478,32 +469,27 @@ def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
     cells: list[CellResult] = []
     random_guess: dict = {}
     for shape in cfg.shapes:
-        state = _prepare_shape(
-            records, shape, cfg.seed, cfg.train_fraction, cfg.stratify_by,
-            cfg.mmav2_positive_tail, cfg.train,
-        )
+        # segment setups (D1, D2, D3, D5) never read the step-1 probabilities
+        state = _prepare_shape(records, shape, cfg, step1=cfg.steps != "segment")
         steps = ("segment", "direction") if cfg.steps == "all" else (cfg.steps,)
         for step in steps:
             if step == "segment":
                 setups, model_names, num_classes = SEGMENT_SETUPS, SEGMENT_MODELS, SEGMENT_COUNT
             else:
                 setups, model_names, num_classes = DIRECTION_SETUPS, DIRECTION_MODELS, DIRECTION_CLASSES
-            guess_labels = state["raw"].segment if step == "segment" else state["raw"].direction
+            guess_labels = state.raw.segment if step == "segment" else state.raw.direction
             random_guess[(step, shape.value)] = random_guess_accuracy(
                 guess_labels, num_classes, seed=derive_seed(cfg.seed, "guess", step, shape.value)
             )
             for setup in setups:
-                dm = _setup_matrix(state, setup)
-                is_raw = setup is SetupId.D1
-                train_idx = state["raw_train"] if is_raw else state["train_idx"]
-                test_idx = state["raw_test"] if is_raw else state["test_idx"]
+                dm, train_idx, test_idx = state.setup_matrix(setup)
                 labels = dm.segment if step == "segment" else dm.direction
                 for model_name in model_names:
                     cell_seed = derive_seed(cfg.seed, "cell", step, shape.value, model_name, setup.value)
                     started = time.perf_counter()
                     if model_name == "LSTM":
                         lstm_cfg = _lstm_config(dm.values.shape[1], cfg.train, cell_seed)
-                        _, metrics = fit_eval_lstm(dm, train_idx, test_idx, lstm_cfg)
+                        _, metrics = fit_eval_lstm(dm, train_idx, lstm_cfg)
                     else:
                         _, metrics = fit_eval_rows(
                             model_name, dm, train_idx, test_idx, labels, num_classes, cfg.train, cell_seed
@@ -556,9 +542,11 @@ def _table_cells(report: GridReport, step: str, shape: str) -> dict:
     return written
 
 
-def _best_key(cells: dict):
+def _best_key(report: GridReport, step: str, shape: str, cells: dict):
     if not cells:
         return None
+    if (step, shape) in report.best:  # the rounded values of a parsed report can tie
+        return report.best[(step, shape)]
     return max(cells, key=lambda k: (cells[k].metrics.accuracy, cells[k].metrics.macro_f1))
 
 
@@ -578,28 +566,21 @@ def render_text(report: GridReport) -> str:
             if not cells:
                 continue
             models_, setups = _TABLE_LAYOUT[step]
-            best = _best_key(cells)
+            best = _best_key(report, step, shape, cells)
+            # segment tables list the models down the side, direction tables the setups
+            by_model = step == "segment"
+            rows, columns = (models_, setups) if by_model else (setups, models_)
             lines.append(f"== {step} prediction - {shape} (accuracy % [macro F1]) ==")
-            if step == "segment":
-                lines.append("model".ljust(8) + "".join(s.ljust(20) for s in setups))
-                for model in models_:
-                    row = [model.ljust(8)]
-                    for setup in setups:
-                        text = format_cell(cells[(model, setup)].metrics)
-                        if (model, setup) == best:
-                            text = f"**{text}**"
-                        row.append(text.ljust(20))
-                    lines.append("".join(row).rstrip())
-            else:
-                lines.append("setup".ljust(8) + "".join(m.ljust(20) for m in models_))
-                for setup in setups:
-                    row = [setup.ljust(8)]
-                    for model in models_:
-                        text = format_cell(cells[(model, setup)].metrics)
-                        if (model, setup) == best:
-                            text = f"**{text}**"
-                        row.append(text.ljust(20))
-                    lines.append("".join(row).rstrip())
+            lines.append(("model" if by_model else "setup").ljust(8) + "".join(c.ljust(20) for c in columns))
+            for r in rows:
+                row = [r.ljust(8)]
+                for c in columns:
+                    key = (r, c) if by_model else (c, r)
+                    text = format_cell(cells[key].metrics)
+                    if key == best:
+                        text = f"**{text}**"
+                    row.append(text.ljust(20))
+                lines.append("".join(row).rstrip())
             lines.append("")
     if report.random_guess:
         lines.append("== random-guess baselines (accuracy %) ==")
@@ -617,7 +598,7 @@ def render_csv(report: GridReport) -> str:
         for shape in sorted({c.shape for c in report.cells}):
             cells = _table_cells(report, step, shape)
             if cells:
-                bests[(step, shape)] = _best_key(cells)
+                bests[(step, shape)] = _best_key(report, step, shape, cells)
     for c in sorted(report.cells, key=lambda c: (c.step, c.shape, c.setup, c.model)):
         flag = int(bests.get((c.step, c.shape)) == (c.model, c.setup))
         lines.append(
@@ -640,12 +621,15 @@ def parse_report_csv(path) -> GridReport:
     """Rebuild a renderable report from the flat CSV (confusions are not recoverable)."""
     cells = []
     random_guess = {}
+    best = {}
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     for line in text[1:]:
-        step, shape, model, setup, acc, f1, _best = line.split(",")
+        step, shape, model, setup, acc, f1, flag = line.split(",")
         if model == "RANDOM":
             random_guess[(step, shape)] = float(acc)
             continue
+        if flag == "1":
+            best[(step, shape)] = (model, setup)
         cells.append(
             CellResult(
                 step=step,
@@ -657,7 +641,27 @@ def parse_report_csv(path) -> GridReport:
                 wall_time=0.0,
             )
         )
-    return GridReport(cells=cells, random_guess=random_guess, root_seed=0, config_hash="")
+    return GridReport(cells=cells, random_guess=random_guess, root_seed=0, config_hash="", best=best)
+
+
+def read_run_outputs(outdir) -> tuple[GridReport, list[PipelineResult]]:
+    """Rebuild the grid report and two-step results from a run's report.csv and run.json."""
+    outdir = Path(outdir)
+    report = parse_report_csv(outdir / "report.csv")
+    meta = json.loads((outdir / "run.json").read_text(encoding="utf-8"))
+    report.root_seed, report.config_hash = meta["root_seed"], meta["grid_config_hash"]
+    two_step = [
+        PipelineResult(
+            shape=TaskShape(r["shape"]),
+            step1=metrics_from_confusion(np.array(r["step1_confusion"])),
+            step2=metrics_from_confusion(np.array(r["step2_confusion"])),
+            direction_setup=SetupId(r["setup"]),
+            seeds=r["seeds"],
+            config_hash=r["config_hash"],
+        )
+        for r in meta["two_step"]
+    ]
+    return report, two_step
 
 
 def reference_ordering_notes(report: GridReport) -> list[str]:
@@ -703,6 +707,20 @@ def reference_ordering_notes(report: GridReport) -> list[str]:
     return notes
 
 
+def report_text(report: GridReport | None, two_step: list[PipelineResult]) -> str:
+    """report.txt: the grid tables, if any, followed by the two-step results."""
+    lines = [
+        f"two-step ({r.shape.value}, setup {r.direction_setup.value}): "
+        f"step-1 segment {format_cell(r.step1)} | step-2 direction {format_cell(r.step2)}"
+        for r in two_step
+    ]
+    if report is None:
+        return "\n".join(lines) + "\n"
+    if not lines:
+        return render_text(report)
+    return render_text(report) + "== two-step pipeline ==\n" + "\n".join(lines) + "\n"
+
+
 def write_run_outputs(
     outdir,
     report: GridReport | None,
@@ -713,21 +731,9 @@ def write_run_outputs(
     """Write report.txt/report.csv, per-cell confusions, provenance, and notes."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    lines = []
-    for result in two_step:
-        lines.append(
-            f"two-step ({result.shape.value}, setup {result.direction_setup.value}): "
-            f"step-1 segment {format_cell(result.step1)} | "
-            f"step-2 direction {format_cell(result.step2)}"
-        )
-    two_step_text = "\n".join(lines)
+    (outdir / "report.txt").write_text(report_text(report, two_step), encoding="utf-8")
 
     if report is not None:
-        text = render_text(report)
-        if two_step_text:
-            text = text + "== two-step pipeline ==\n" + two_step_text + "\n"
-        (outdir / "report.txt").write_text(text, encoding="utf-8")
         (outdir / "report.csv").write_text(render_csv(report), encoding="utf-8")
         confusion_dir = outdir / "confusions"
         confusion_dir.mkdir(exist_ok=True)
@@ -735,11 +741,10 @@ def write_run_outputs(
             name = f"{c.step}_{c.shape}_{c.model}_{c.setup}.csv"
             rows = "\n".join(",".join(str(v) for v in row) for row in c.metrics.confusion)
             (confusion_dir / name).write_text(rows + "\n", encoding="utf-8")
-    else:
-        (outdir / "report.txt").write_text(two_step_text + "\n", encoding="utf-8")
 
     meta = dict(run_meta)
     if report is not None:
+        meta["grid_config_hash"] = report.config_hash
         meta["cells"] = [
             {
                 "step": c.step,
@@ -759,6 +764,8 @@ def write_run_outputs(
             "step2_accuracy": r.step2.accuracy,
             "seeds": r.seeds,
             "config_hash": r.config_hash,
+            "step1_confusion": r.step1.confusion.tolist(),
+            "step2_confusion": r.step2.confusion.tolist(),
         }
         for r in two_step
     ]

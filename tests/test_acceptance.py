@@ -27,10 +27,8 @@ from intent_bench.models import (
     train_mlp,
 )
 from intent_bench.pipeline import (
-    TrainParams,
     TwoStepConfig,
     _prepare_shape,
-    _setup_matrix,
     evaluate,
     run_two_step,
     sequences_from_matrix,
@@ -199,9 +197,9 @@ def test_criterion_7_run_determinism(tmp_path):
 
 def test_criterion_8_chance_floor(cohort4):
     started = time.perf_counter()
-    state = _prepare_shape(cohort4, TaskShape.DIAMOND, 5, 0.8, "none", False, TrainParams())
-    gaze = state["gaze"]
-    d6 = _setup_matrix(state, SetupId.D6)
+    state = _prepare_shape(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=5))
+    gaze = state.gaze
+    d6, _train_idx, _test_idx = state.setup_matrix(SetupId.D6)
     accs = {name: [] for name in ("NN", "KNN", "SVM", "LR", "LSTM")}
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)

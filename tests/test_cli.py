@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from intent_bench.cli import load_config_file, main, resolve_config
@@ -101,6 +103,14 @@ class TestSynthCommand:
         for name in ("resistance", "hits", "gaze", "participants"):
             assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
 
+    def test_shape_filter(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["synth", "--seed", "1", "--participants", "2", "--shape", "diamond", "--out", str(out)]) == 0
+        for name in ("resistance", "hits", "gaze"):
+            rows = (out / f"{name}.csv").read_text().splitlines()[1:]
+            assert rows and all(row.split(",")[1] == "diamond" for row in rows)
+        assert len((out / "participants.csv").read_text().splitlines()) == 3
+
     def test_default_cohort_hit_rows(self, tmp_path):
         out = tmp_path / "data"
         main(["synth", "--seed", "1", "--out", str(out)])  # default 16 participants
@@ -145,8 +155,18 @@ class TestRunCommand:
         assert (out / "run.json").exists()
         assert not (out / "report.csv").exists()  # no grid requested
 
+    def test_config_hash_ignores_out(self, tmp_path):
+        cfgfile = write_config(tmp_path)
+        hashes = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            args = ["run", "--synthetic", "--seed", "2", "--participants", "4", "--shape", "circle"]
+            assert main(args + ["--config", cfgfile, "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "run.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
+
     def test_grid_and_report_roundtrip(self, tmp_path, capsys):
-        cfgfile = write_config(tmp_path, "[run]\ntwo_step = false\n")
+        cfgfile = write_config(tmp_path)
         out = tmp_path / "run"
         code = main(
             [
@@ -159,9 +179,13 @@ class TestRunCommand:
         assert lines[0] == "step,shape,model,setup,accuracy,f1,best"
         cells = [line for line in lines[1:] if ",RANDOM," not in line]
         assert len(cells) == 32  # 4 models x 4 setups x 2 shapes
+        written = (out / "report.txt").read_bytes()
+        assert b"== two-step pipeline ==" in written
+        (out / "report.txt").unlink()
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 0
         assert "segment prediction - diamond" in capsys.readouterr().out
+        assert (out / "report.txt").read_bytes() == written
 
     def test_bad_config_key_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -171,6 +195,12 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error[InvalidConfig]")
         assert "grid.stepz" in err
+
+    def test_unknown_stratify_exits_nonzero(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, '[split]\nstratify = "bogus"\n')
+        code = main(["run", "--synthetic", "--participants", "2", "--config", cfgfile, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[InvalidConfig]")
 
     def test_csv_source_without_dir(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"

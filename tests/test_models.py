@@ -18,15 +18,13 @@ from intent_bench.models import (
     load_model,
     make_windows,
     mlp_init,
-    predict_lstm,
-    predict_mlp,
     random_guess_accuracy,
     save_model,
     train_baseline,
     train_lstm,
     train_mlp,
 )
-from intent_bench.pipeline import TrainParams, _lstm_config, _prepare_shape, _setup_matrix, sequences_from_matrix
+from intent_bench.pipeline import TrainParams, TwoStepConfig, _lstm_config, _prepare_shape, sequences_from_matrix
 
 
 def four_blobs(seed=0, rows=500, dims=24):
@@ -52,7 +50,7 @@ class TestMlp:
     def test_probabilities_are_simplex(self):
         x, y = four_blobs(rows=64)
         model = train_mlp(x, y, MlpConfig(input_width=24, epochs=2, seed=1))
-        probs = predict_mlp(model, x)
+        probs = model.predict_proba(x)
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -85,12 +83,11 @@ class TestMlp:
 
 @pytest.fixture(scope="module")
 def diamond_state(cohort8):
-    return _prepare_shape(cohort8, TaskShape.DIAMOND, 11, 0.8, "none", False, TrainParams())
+    return _prepare_shape(cohort8, TaskShape.DIAMOND, TwoStepConfig(seed=11))
 
 
 def _setup_sequences(state, setup):
-    dm = _setup_matrix(state, setup)
-    train_idx = state["raw_train"] if setup is SetupId.D1 else state["train_idx"]
+    dm, train_idx, _test_idx = state.setup_matrix(setup)
     return dm, sequences_from_matrix(dm, train_idx)
 
 
@@ -132,7 +129,7 @@ class TestLstm:
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
         cfg = LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0)
         model = train_lstm(seqs, cfg)
-        probs = predict_lstm(model, seqs[0].x[:5])
+        probs = model.predict_proba(seqs[0].x[:5])
         assert probs.shape == (2,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -246,7 +243,7 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.weights, model.weights)
 
     def test_lstm_round_trip(self, tmp_path, cohort8):
-        state = _prepare_shape(cohort8, TaskShape.DIAMOND, 11, 0.8, "none", False, TrainParams())
+        state = _prepare_shape(cohort8, TaskShape.DIAMOND, TwoStepConfig(seed=11))
         _dm, seqs = _setup_sequences(state, SetupId.D2)
         model = train_lstm(seqs, LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0))
         path = tmp_path / "lstm.json"

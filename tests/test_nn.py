@@ -7,22 +7,25 @@ from hypothesis import given, settings, strategies as st
 
 from intent_bench import nn
 from intent_bench.errors import BadTarget, IoError, ShapeMismatch
+from intent_bench.models import MlpConfig, MlpModel, mlp_forward
 
 
 class TestDense:
+    """A one-layer MLP is a single dense layer y = Wx + b."""
+
     def test_identity(self):
-        layer = nn.DenseLayer(weights=np.eye(3), bias=np.zeros(3))
         x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(nn.dense_forward(layer, x), x)
+        np.testing.assert_array_equal(mlp_forward({"w1": np.eye(3), "b1": np.zeros(3)}, x), x)
 
     def test_affine_value(self):
-        layer = nn.DenseLayer(weights=np.array([[1.0, 2.0]]), bias=np.array([3.0]))
-        assert nn.dense_forward(layer, np.array([1.0, 1.0]))[0] == 6.0
+        params = {"w1": np.array([[1.0, 2.0]]), "b1": np.array([3.0])}
+        assert mlp_forward(params, np.array([1.0, 1.0]))[0] == 6.0
 
     def test_shape_mismatch(self):
-        layer = nn.DenseLayer(weights=np.ones((2, 3)), bias=np.zeros(2))
+        params = {"w1": np.ones((2, 3)), "b1": np.zeros(2)}
+        model = MlpModel(params=params, cfg=MlpConfig(input_width=3, hidden=(), output=2))
         with pytest.raises(ShapeMismatch):
-            nn.dense_forward(layer, np.ones(4))
+            model.predict_proba(np.ones(4))
 
 
 class TestRelu:
@@ -37,25 +40,31 @@ class TestRelu:
         np.testing.assert_array_equal(nn.relu(x), x)
 
 
+def one_row_ce(logits, target):
+    """Loss and logit gradient of a single example through the batched cross-entropy."""
+    loss, grad = nn.batch_softmax_cross_entropy(np.asarray(logits, dtype=float)[None, :], np.array([target]))
+    return loss, grad[0]
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = nn.softmax_cross_entropy(np.zeros(4), 2)
+        loss, _ = one_row_ce(np.zeros(4), 2)
         assert loss == pytest.approx(math.log(4), rel=1e-12)
 
     def test_extreme_logits_stable(self):
-        loss, grad = nn.softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+        loss, grad = one_row_ce(np.array([1000.0, 0.0]), 0)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.isfinite(grad))
 
     def test_bad_target(self):
         with pytest.raises(BadTarget):
-            nn.softmax_cross_entropy(np.zeros(3), 3)
+            one_row_ce(np.zeros(3), 3)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
     def test_grad_sums_to_zero_and_simplex(self, logits):
         logits = np.asarray(logits)
-        loss, grad = nn.softmax_cross_entropy(logits, 0)
+        loss, grad = one_row_ce(logits, 0)
         assert abs(grad.sum()) < 1e-12
         p = nn.softmax(logits)
         assert np.all(p >= 0)
@@ -112,8 +121,9 @@ class TestAdam:
         grads = {"w": np.array([0.3, -0.7])}
         s1 = nn.AdamState(t=3, m={"w": np.array([0.1, 0.1])}, v={"w": np.array([0.2, 0.2])})
         s2 = copy.deepcopy(s1)
-        out1 = nn.adam_step(s1, params, grads, l2=0.01, decay_keys={"w"})
-        out2 = nn.adam_step(s2, params, grads, l2=0.01, decay_keys={"w"})
+        decay = {"w": np.ones(2)}
+        out1 = nn.adam_step(s1, params, grads, l2=0.01, decay_masks=decay)
+        out2 = nn.adam_step(s2, params, grads, l2=0.01, decay_masks=decay)
         np.testing.assert_array_equal(out1["w"], out2["w"])
 
     def test_decay_mask_limits_l2(self):

@@ -102,6 +102,10 @@ class TestEvaluate:
         with pytest.raises(LengthMismatch):
             evaluate([0, 1], [0], 2)
 
+    def test_empty_input(self):
+        with pytest.raises(TooFewRows):
+            evaluate(np.array([], int), np.array([], int), 2)
+
 
 class TestTables:
     def test_window_table_shapes(self, cohort4):
@@ -136,8 +140,8 @@ class TestTwoStep:
     def test_probs_are_simplex(self, cohort4):
         from intent_bench.pipeline import _prepare_shape
 
-        state = _prepare_shape(cohort4, TaskShape.CIRCLE, 5, 0.8, "none", False, FAST)
-        probs = state["probs"]
+        state = _prepare_shape(cohort4, TaskShape.CIRCLE, TwoStepConfig(seed=5, train=FAST))
+        probs = state.probs
         assert probs.shape == (156, 4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -160,6 +164,20 @@ class TestGrid:
     def test_cells_have_unique_seeds(self, segment_report):
         seeds = [c.seed for c in segment_report.cells]
         assert len(set(seeds)) == len(seeds)
+
+    def test_segment_grid_trains_mlp_for_nn_cells_only(self, cohort4, monkeypatch):
+        import intent_bench.pipeline as pipeline
+
+        calls = []
+        original = pipeline.train_mlp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_mlp", counting)
+        run_grid(cohort4, GridConfig(seed=3, steps="segment", train=FAST))
+        assert len(calls) == 8  # NN x D1/D2/D3/D5 per shape; no setup reads step-1 probabilities
 
     def test_grid_determinism(self, cohort4, segment_report):
         again = run_grid(cohort4, GridConfig(seed=3, steps="segment", shapes=(TaskShape.DIAMOND,), train=FAST))
@@ -205,6 +223,16 @@ class TestRendering:
         path.write_text(csv_text)
         parsed = parse_report_csv(path)
         assert render_csv(parsed) == csv_text
+
+    def test_parsed_report_keeps_best_flag_on_rounded_tie(self, tmp_path):
+        report = self._tiny_report()
+        report.cells[0].metrics = Metrics(70.001, 0.5, np.eye(4, dtype=int))
+        report.cells[1].metrics = Metrics(70.004, 0.5, np.eye(4, dtype=int))  # the best; both print 70.00
+        path = tmp_path / "report.csv"
+        path.write_text(render_csv(report))
+        parsed = parse_report_csv(path)
+        parsed.root_seed, parsed.config_hash = report.root_seed, report.config_hash  # run.json holds these
+        assert render_text(parsed) == render_text(report)
 
     def test_render_report_dispatch(self):
         report = self._tiny_report()

@@ -217,10 +217,9 @@ def cmd_run(cfg) -> int:
 
 
 def cmd_report(cfg) -> int:
-    """Re-render report.txt from the report.csv and run.json of an earlier run."""
-    for name in ("report.csv", "run.json"):
-        if not (Path(cfg["out"]) / name).exists():
-            raise IoError(f"no {name} in {cfg['out']}")
+    """Re-render report.txt from the run.json of an earlier run."""
+    if not (Path(cfg["out"]) / "run.json").exists():
+        raise IoError(f"no run.json in {cfg['out']}")
     try:
         report, two_step = pipeline.read_run_outputs(cfg["out"])
     except (KeyError, ValueError) as exc:
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("synth", "generate synthetic dataset CSVs"),
         ("features", "export window-level feature tables"),
         ("run", "run the two-step pipeline and/or the grid"),
-        ("report", "re-render report.txt from report.csv and run.json"),
+        ("report", "re-render report.txt from run.json"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key-value config file")

@@ -38,6 +38,18 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int):
         yield order[start : start + batch_size]
 
 
+def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, n: int, **decay):
+    """Seeded mini-batch Adam over n rows; `loss_grad(params, idx)` scores the rows idx.
+
+    Returns the trained parameters and their loss on all n rows.
+    """
+    state = nn.AdamState(alpha=cfg.lr)
+    for _ in range(cfg.epochs):
+        for idx in _batches(rng, n, cfg.batch_size):
+            params = nn.adam_step(state, params, loss_grad(params, idx)[1], **decay)
+    return params, loss_grad(params, slice(None))[0]
+
+
 # --- segment MLP ------------------------------------------------------------
 
 
@@ -61,22 +73,22 @@ def mlp_init(rng: np.random.Generator, cfg: MlpConfig) -> nn.Params:
     return params
 
 
-def mlp_forward(params: nn.Params, x: np.ndarray) -> np.ndarray:
+def _mlp_layers(params: nn.Params, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The input of every layer and the output logits."""
     depth = len(params) // 2
-    a = x
+    acts = [x]
     for i in range(1, depth):
-        a = nn.relu(a @ params[f"w{i}"].T + params[f"b{i}"])
-    return a @ params[f"w{depth}"].T + params[f"b{depth}"]
+        acts.append(nn.relu(acts[-1] @ params[f"w{i}"].T + params[f"b{i}"]))
+    return acts, acts[-1] @ params[f"w{depth}"].T + params[f"b{depth}"]
+
+
+def mlp_forward(params: nn.Params, x: np.ndarray) -> np.ndarray:
+    return _mlp_layers(params, x)[1]
 
 
 def mlp_loss_grad(params: nn.Params, x: np.ndarray, y: np.ndarray):
     depth = len(params) // 2
-    acts = [x]
-    a = x
-    for i in range(1, depth):
-        a = nn.relu(a @ params[f"w{i}"].T + params[f"b{i}"])
-        acts.append(a)
-    logits = a @ params[f"w{depth}"].T + params[f"b{depth}"]
+    acts, logits = _mlp_layers(params, x)
     loss, dlogits = nn.batch_softmax_cross_entropy(logits, y)
 
     grads = {}
@@ -118,13 +130,9 @@ def train_mlp(x: np.ndarray, y: np.ndarray, cfg: MlpConfig) -> MlpModel:
     if x.shape[1] != cfg.input_width:
         raise ShapeMismatch(f"data width {x.shape[1]} != cfg.input_width {cfg.input_width}")
     rng = np.random.default_rng(cfg.seed)
-    params = mlp_init(rng, cfg)
-    state = nn.AdamState(alpha=cfg.lr)
-    for _ in range(cfg.epochs):
-        for idx in _batches(rng, x.shape[0], cfg.batch_size):
-            _, grads = mlp_loss_grad(params, x[idx], y[idx])
-            params = nn.adam_step(state, params, grads)
-    final_loss, _ = mlp_loss_grad(params, x, y)
+    params, final_loss = _adam_fit(
+        rng, mlp_init(rng, cfg), cfg, lambda p, idx: mlp_loss_grad(p, x[idx], y[idx]), x.shape[0]
+    )
     return MlpModel(params=params, cfg=cfg, meta={"seed": cfg.seed, "final_loss": final_loss})
 
 
@@ -162,22 +170,39 @@ class SequenceData:
     participant: str = ""
 
 
-def make_windows(seqs: list[SequenceData], window_len: int):
-    """Sliding windows of length W, stride 1; label and split come from the last step."""
-    xs, ys, train = [], [], []
+def _windows(seqs: list[SequenceData], window_len: int):
+    """Sliding windows of length W, stride 1, of each sequence's inputs, labels and split flags."""
     width = seqs[0].x.shape[1]
     for seq in seqs:
-        steps = seq.x.shape[0]
         if seq.x.shape[1] != width:
             raise ShapeMismatch(f"sequence width {seq.x.shape[1]} != {width}")
-        if steps < window_len:
-            raise SequenceTooShort(f"sequence of length {steps} shorter than window {window_len}")
-        for start in range(steps - window_len + 1):
-            end = start + window_len
-            xs.append(seq.x[start:end])
-            ys.append(seq.labels[end - 1])
-            train.append(seq.train_mask[end - 1])
-    return np.stack(xs), np.asarray(ys), np.asarray(train, dtype=bool)
+        if seq.x.shape[0] < window_len:
+            raise SequenceTooShort(f"sequence of length {seq.x.shape[0]} shorter than window {window_len}")
+    spans = [(seq, slice(t, t + window_len)) for seq in seqs for t in range(seq.x.shape[0] - window_len + 1)]
+    return [np.stack([getattr(seq, name)[span] for seq, span in spans]) for name in ("x", "labels", "train_mask")]
+
+
+def make_windows(seqs: list[SequenceData], window_len: int):
+    """Sliding windows of length W, stride 1; label and split come from the last step."""
+    x, labels, train = _windows(seqs, window_len)
+    return x, labels[:, -1], train[:, -1]
+
+
+def lstm_rows(seqs: list[SequenceData], cfg: LstmConfig):
+    """Inputs (N, T, d), per-step labels (N, T), and masks of the steps scored in training and held out.
+
+    In windowed mode each window is a row that scores its last step; in full
+    mode each sequence is a row that scores every step.
+    """
+    if cfg.mode == "windowed":
+        x, labels, train = _windows(seqs, cfg.window_len)
+        last = np.arange(cfg.window_len) == cfg.window_len - 1
+        return x, labels, train & last, ~train & last
+    lengths = {seq.x.shape[0] for seq in seqs}
+    if len(lengths) != 1:
+        raise ShapeMismatch(f"full-sequence mode needs equal lengths, got {sorted(lengths)}")
+    train = np.stack([seq.train_mask for seq in seqs])
+    return np.stack([seq.x for seq in seqs]), np.stack([seq.labels for seq in seqs]), train, ~train
 
 
 def lstm_init(rng: np.random.Generator, cfg: LstmConfig) -> nn.Params:
@@ -222,12 +247,10 @@ def lstm_loss_grad(params: nn.Params, cfg: LstmConfig, x: np.ndarray, y: np.ndar
     """
     logits, caches = lstm_forward(params, cfg, x)
     batch, steps, out = logits.shape
+    targets_seq = np.asarray(y)
     if mask is None:
-        mask = np.zeros((batch, steps), dtype=bool)
-        mask[:, -1] = True
-        targets_seq = np.repeat(np.asarray(y)[:, None], steps, axis=1)
-    else:
-        targets_seq = np.asarray(y)
+        mask = np.broadcast_to(np.arange(steps) == steps - 1, (batch, steps))
+        targets_seq = np.repeat(targets_seq[:, None], steps, axis=1)
     flat_mask = mask.reshape(-1)
     if not flat_mask.any():
         raise EmptyTrainingSet("loss mask selects no timesteps")
@@ -263,29 +286,23 @@ class LstmModel:
     meta: dict = field(default_factory=dict)
     kind: str = "lstm"
 
-    def predict_proba(self, window) -> np.ndarray:
-        w = np.asarray(window, dtype=float)
-        single = w.ndim == 2
+    def predict_proba(self, x) -> np.ndarray:
+        """Probabilities at every step of a (T, d) sequence or a (B, T, d) batch of them."""
+        xb = np.asarray(x, dtype=float)
+        single = xb.ndim == 2
         if single:
-            w = w[None, ...]
-        if w.shape[-1] != self.cfg.input_width:
-            raise ShapeMismatch(f"window width {w.shape[-1]}, model expects {self.cfg.input_width}")
-        if self.cfg.mode == "windowed" and w.shape[1] != self.cfg.window_len:
-            raise ShapeMismatch(f"window length {w.shape[1]}, model expects {self.cfg.window_len}")
-        logits, _ = lstm_forward(self.params, self.cfg, w)
-        probs = nn.softmax(logits[:, -1, :])
+            xb = xb[None, ...]
+        if xb.shape[-1] != self.cfg.input_width:
+            raise ShapeMismatch(f"window width {xb.shape[-1]}, model expects {self.cfg.input_width}")
+        if self.cfg.mode == "windowed" and xb.shape[1] != self.cfg.window_len:
+            raise ShapeMismatch(f"window length {xb.shape[1]}, model expects {self.cfg.window_len}")
+        logits, _ = lstm_forward(self.params, self.cfg, xb)
+        probs = nn.softmax(logits)
         return probs[0] if single else probs
 
-    def predict(self, window) -> np.ndarray:
-        return np.argmax(self.predict_proba(window), axis=-1)
-
-    def predict_sequence_proba(self, x) -> np.ndarray:
-        """Per-timestep probabilities over one (T, d) sequence (full-sequence regime)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.cfg.input_width:
-            raise ShapeMismatch(f"sequence width {x.shape[-1]}, model expects {self.cfg.input_width}")
-        logits, _ = lstm_forward(self.params, self.cfg, x[None, ...])
-        return nn.softmax(logits[0])
+    def predict(self, x) -> np.ndarray:
+        """The class at the last step."""
+        return np.argmax(self.predict_proba(x)[..., -1, :], axis=-1)
 
     def parameter_count(self) -> int:
         return sum(arr.size for arr in self.params.values())
@@ -318,29 +335,15 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
         raise ShapeMismatch(f"sequence width {seqs[0].x.shape[1]} != cfg.input_width {cfg.input_width}")
     rng = np.random.default_rng(cfg.seed)
     params = lstm_init(rng, cfg)
-    state = nn.AdamState(alpha=cfg.lr)
-    decay = _decay_masks(params, cfg)
-
-    if cfg.mode == "windowed":
-        wx, wy, wtrain = make_windows(seqs, cfg.window_len)
-        x, y, mask = wx[wtrain], wy[wtrain], None  # the loss reads the last step of each window
-        if x.shape[0] == 0:
-            raise EmptyTrainingSet("no training windows")
-    else:
-        lengths = {seq.x.shape[0] for seq in seqs}
-        if len(lengths) != 1:
-            raise ShapeMismatch(f"full-sequence mode needs equal lengths, got {sorted(lengths)}")
-        x = np.stack([seq.x for seq in seqs])
-        y = np.stack([seq.labels for seq in seqs])
-        mask = np.stack([seq.train_mask for seq in seqs])
-        if not mask.any():
-            raise EmptyTrainingSet("no training timesteps")
-    for _ in range(cfg.epochs):
-        for idx in _batches(rng, x.shape[0], cfg.batch_size):
-            _, grads = lstm_loss_grad(params, cfg, x[idx], y[idx], None if mask is None else mask[idx])
-            params = nn.adam_step(state, params, grads, l2=cfg.l2, decay_masks=decay)
-    final_loss, _ = lstm_loss_grad(params, cfg, x, y, mask)
-
+    x, y, train, _ = lstm_rows(seqs, cfg)
+    rows = train.any(axis=1)  # a row trains when it scores at least one training step
+    if not rows.any():
+        raise EmptyTrainingSet("no training steps")
+    x, y, train = x[rows], y[rows], train[rows]
+    params, final_loss = _adam_fit(
+        rng, params, cfg, lambda p, idx: lstm_loss_grad(p, cfg, x[idx], y[idx], train[idx]), x.shape[0],
+        l2=cfg.l2, decay_masks=_decay_masks(params, cfg),
+    )
     return LstmModel(params=params, cfg=cfg, meta={"seed": cfg.seed, "final_loss": final_loss})
 
 

@@ -215,10 +215,10 @@ def adam_step(
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {theta.shape} for '{name}'")
         if l2 > 0.0 and decay_masks is not None and name in decay_masks:
             g = g + l2 * decay_masks[name] * theta
-        m = state.m.get(name, np.zeros_like(theta))
-        v = state.v.get(name, np.zeros_like(theta))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(theta), np.zeros_like(theta)
+        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
         state.m[name] = m
         state.v[name] = v
         m_hat = m / (1.0 - state.beta1 ** state.t)

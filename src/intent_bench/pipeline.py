@@ -45,7 +45,7 @@ from .models import (
     MlpConfig,
     MlpModel,
     SequenceData,
-    make_windows,
+    lstm_rows,
     random_guess_accuracy,
     train_baseline,
     train_lstm,
@@ -273,19 +273,11 @@ def fit_eval_lstm(dm: DataMatrix, train_idx, cfg: LstmConfig):
     """Train the direction LSTM on a setup matrix and score the held-out side."""
     seqs = sequences_from_matrix(dm, train_idx)
     model = train_lstm(seqs, cfg)
-    if cfg.mode == "windowed":
-        wx, wy, wtrain = make_windows(seqs, cfg.window_len)
-        preds = model.predict(wx[~wtrain])
-        metrics = evaluate(preds, wy[~wtrain], DIRECTION_CLASSES)
-    else:
-        preds, labels = [], []
-        for seq in seqs:
-            probs = model.predict_sequence_proba(seq.x)
-            holdout = ~seq.train_mask
-            preds.append(np.argmax(probs[holdout], axis=-1))
-            labels.append(seq.labels[holdout])
-        metrics = evaluate(np.concatenate(preds), np.concatenate(labels), DIRECTION_CLASSES)
-    return model, metrics
+    x, labels, _train, test = lstm_rows(seqs, cfg)
+    rows = test.any(axis=1)
+    probs = model.predict_proba(x[rows])
+    held = test[rows]
+    return model, evaluate(np.argmax(probs[held], axis=-1), labels[rows][held], DIRECTION_CLASSES)
 
 
 # row model name -> trainer(x, y, num_classes, params, seed); train_mlp and train_baseline
@@ -453,8 +445,6 @@ class GridReport:
     random_guess: dict  # (step, shape value) -> accuracy %
     root_seed: int
     config_hash: str
-    # (step, shape) -> (model, setup) of the best cell, as flagged in a parsed report.csv
-    best: dict = field(default_factory=dict)
 
     def cell(self, step: str, shape: str, model: str, setup: str) -> CellResult | None:
         for c in self.cells:
@@ -542,12 +532,14 @@ def _table_cells(report: GridReport, step: str, shape: str) -> dict:
     return written
 
 
-def _best_key(report: GridReport, step: str, shape: str, cells: dict):
-    if not cells:
-        return None
-    if (step, shape) in report.best:  # the rounded values of a parsed report can tie
-        return report.best[(step, shape)]
-    return max(cells, key=lambda k: (cells[k].metrics.accuracy, cells[k].metrics.macro_f1))
+def _tables(report: GridReport):
+    """(step, shape, cells, key of the best cell) of every table that has cells."""
+    for step in ("segment", "direction"):
+        for shape in sorted({c.shape for c in report.cells}):
+            cells = _table_cells(report, step, shape)
+            if cells:
+                best = max(cells, key=lambda k: (cells[k].metrics.accuracy, cells[k].metrics.macro_f1))
+                yield step, shape, cells, best
 
 
 def render_text(report: GridReport) -> str:
@@ -559,29 +551,23 @@ def render_text(report: GridReport) -> str:
         "(within-participant information reuse is part of the protocol).",
         "",
     ]
-    shapes = sorted({c.shape for c in report.cells}) or ["diamond", "circle"]
-    for step in ("segment", "direction"):
-        for shape in shapes:
-            cells = _table_cells(report, step, shape)
-            if not cells:
-                continue
-            models_, setups = _TABLE_LAYOUT[step]
-            best = _best_key(report, step, shape, cells)
-            # segment tables list the models down the side, direction tables the setups
-            by_model = step == "segment"
-            rows, columns = (models_, setups) if by_model else (setups, models_)
-            lines.append(f"== {step} prediction - {shape} (accuracy % [macro F1]) ==")
-            lines.append(("model" if by_model else "setup").ljust(8) + "".join(c.ljust(20) for c in columns))
-            for r in rows:
-                row = [r.ljust(8)]
-                for c in columns:
-                    key = (r, c) if by_model else (c, r)
-                    text = format_cell(cells[key].metrics)
-                    if key == best:
-                        text = f"**{text}**"
-                    row.append(text.ljust(20))
-                lines.append("".join(row).rstrip())
-            lines.append("")
+    for step, shape, cells, best in _tables(report):
+        models_, setups = _TABLE_LAYOUT[step]
+        # segment tables list the models down the side, direction tables the setups
+        by_model = step == "segment"
+        rows, columns = (models_, setups) if by_model else (setups, models_)
+        lines.append(f"== {step} prediction - {shape} (accuracy % [macro F1]) ==")
+        lines.append(("model" if by_model else "setup").ljust(8) + "".join(c.ljust(20) for c in columns))
+        for r in rows:
+            row = [r.ljust(8)]
+            for c in columns:
+                key = (r, c) if by_model else (c, r)
+                text = format_cell(cells[key].metrics)
+                if key == best:
+                    text = f"**{text}**"
+                row.append(text.ljust(20))
+            lines.append("".join(row).rstrip())
+        lines.append("")
     if report.random_guess:
         lines.append("== random-guess baselines (accuracy %) ==")
         for (step, shape), acc in sorted(report.random_guess.items()):
@@ -593,12 +579,7 @@ def render_text(report: GridReport) -> str:
 def render_csv(report: GridReport) -> str:
     """Flat cells: step,shape,model,setup,accuracy,f1,best."""
     lines = ["step,shape,model,setup,accuracy,f1,best"]
-    bests = {}
-    for step in ("segment", "direction"):
-        for shape in sorted({c.shape for c in report.cells}):
-            cells = _table_cells(report, step, shape)
-            if cells:
-                bests[(step, shape)] = _best_key(report, step, shape, cells)
+    bests = {(step, shape): best for step, shape, _cells, best in _tables(report)}
     for c in sorted(report.cells, key=lambda c: (c.step, c.shape, c.setup, c.model)):
         flag = int(bests.get((c.step, c.shape)) == (c.model, c.setup))
         lines.append(
@@ -617,39 +598,28 @@ def render_report(report: GridReport, fmt: str = "text") -> str:
     raise InvalidConfig(f"unknown report format '{fmt}'")
 
 
-def parse_report_csv(path) -> GridReport:
-    """Rebuild a renderable report from the flat CSV (confusions are not recoverable)."""
-    cells = []
-    random_guess = {}
-    best = {}
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    for line in text[1:]:
-        step, shape, model, setup, acc, f1, flag = line.split(",")
-        if model == "RANDOM":
-            random_guess[(step, shape)] = float(acc)
-            continue
-        if flag == "1":
-            best[(step, shape)] = (model, setup)
-        cells.append(
-            CellResult(
-                step=step,
-                shape=shape,
-                model=model,
-                setup=setup,
-                metrics=Metrics(accuracy=float(acc), macro_f1=float(f1)),
-                seed=0,
-                wall_time=0.0,
-            )
+def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult]]:
+    """Rebuild the grid report (None for a run without a grid) and two-step results from run.json."""
+    meta = json.loads((Path(outdir) / "run.json").read_text(encoding="utf-8"))
+    report = None
+    if "cells" in meta:
+        report = GridReport(
+            cells=[
+                CellResult(
+                    step=c["step"],
+                    shape=c["shape"],
+                    model=c["model"],
+                    setup=c["setup"],
+                    metrics=metrics_from_confusion(np.array(c["confusion"])),
+                    seed=c["seed"],
+                    wall_time=c["wall_time_s"],
+                )
+                for c in meta["cells"]
+            ],
+            random_guess={(g["step"], g["shape"]): g["accuracy"] for g in meta["random_guess"]},
+            root_seed=meta["root_seed"],
+            config_hash=meta["grid_config_hash"],
         )
-    return GridReport(cells=cells, random_guess=random_guess, root_seed=0, config_hash="", best=best)
-
-
-def read_run_outputs(outdir) -> tuple[GridReport, list[PipelineResult]]:
-    """Rebuild the grid report and two-step results from a run's report.csv and run.json."""
-    outdir = Path(outdir)
-    report = parse_report_csv(outdir / "report.csv")
-    meta = json.loads((outdir / "run.json").read_text(encoding="utf-8"))
-    report.root_seed, report.config_hash = meta["root_seed"], meta["grid_config_hash"]
     two_step = [
         PipelineResult(
             shape=TaskShape(r["shape"]),
@@ -753,8 +723,12 @@ def write_run_outputs(
                 "setup": c.setup,
                 "seed": c.seed,
                 "wall_time_s": c.wall_time,
+                "confusion": c.metrics.confusion.tolist(),
             }
             for c in report.cells
+        ]
+        meta["random_guess"] = [
+            {"step": step, "shape": shape, "accuracy": acc} for (step, shape), acc in report.random_guess.items()
         ]
     meta["two_step"] = [
         {

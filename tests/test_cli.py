@@ -155,6 +155,19 @@ class TestRunCommand:
         assert (out / "run.json").exists()
         assert not (out / "report.csv").exists()  # no grid requested
 
+    def test_report_without_grid(self, tmp_path):
+        cfgfile = write_config(tmp_path)
+        out = tmp_path / "run"
+        code = main(
+            ["run", "--synthetic", "--seed", "2", "--participants", "4", "--config", cfgfile, "--out", str(out)]
+        )
+        assert code == 0
+        written = (out / "report.txt").read_bytes()
+        assert b"two-step (diamond, setup D6)" in written
+        (out / "report.txt").unlink()
+        assert main(["report", "--out", str(out)]) == 0
+        assert (out / "report.txt").read_bytes() == written
+
     def test_config_hash_ignores_out(self, tmp_path):
         cfgfile = write_config(tmp_path)
         hashes = []

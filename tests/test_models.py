@@ -130,8 +130,9 @@ class TestLstm:
         cfg = LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0)
         model = train_lstm(seqs, cfg)
         probs = model.predict_proba(seqs[0].x[:5])
-        assert probs.shape == (2,)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert probs.shape == (5, 2)  # one distribution per step
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert model.predict(seqs[0].x[:5]) == np.argmax(probs[-1])
 
     def test_width_mismatch(self, diamond_state):
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
@@ -150,12 +151,12 @@ class TestLstm:
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D6)
         cfg = LstmConfig(input_width=15, hidden_size=16, epochs=30, mode="full", seed=2)
         model = train_lstm(seqs, cfg)
-        probs = model.predict_sequence_proba(seqs[0].x)
+        probs = model.predict_proba(seqs[0].x)
         assert probs.shape == (39, 2)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         preds, labels = [], []
         for seq in seqs:
-            p = model.predict_sequence_proba(seq.x)
+            p = model.predict_proba(seq.x)
             holdout = ~seq.train_mask
             preds.append(np.argmax(p[holdout], axis=1))
             labels.append(seq.labels[holdout])

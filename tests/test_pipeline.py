@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intent_bench.dataset import TaskShape
+from intent_bench.dataset import TaskShape, synth_cohort
 from intent_bench.errors import IncompleteTable, InvalidConfig, LengthMismatch, TooFewRows
 from intent_bench.features import SetupId
 from intent_bench.pipeline import (
@@ -15,8 +15,9 @@ from intent_bench.pipeline import (
     TwoStepConfig,
     evaluate,
     format_cell,
-    parse_report_csv,
+    metrics_from_confusion,
     raw_table,
+    read_run_outputs,
     records_for_shape,
     reference_ordering_notes,
     render_csv,
@@ -149,6 +150,13 @@ class TestTwoStep:
         res = run_two_step(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=5, train=FAST, direction_setup=SetupId.D8))
         assert res.direction_setup is SetupId.D8
 
+    @pytest.mark.parametrize("shape", [TaskShape.DIAMOND, TaskShape.CIRCLE])
+    def test_full_sequence_mode(self, shape):
+        cfg = TwoStepConfig(seed=5, train=TrainParams(lstm_mode="full", lstm_epochs=20))
+        res = run_two_step(synth_cohort(3, 6), shape, cfg)
+        assert res.step2.confusion.sum() == 47  # the held-out window rows: 6 x 39 - int(0.8 * 6 x 39)
+        assert res.step2.accuracy >= 80.0
+
 
 @pytest.fixture(scope="module")
 def segment_report(cohort4):
@@ -191,6 +199,15 @@ class TestGrid:
         assert {c.setup for c in lstm_cells} == {s.value for s in SetupId}
 
 
+def _confusion(correct: int, total: int) -> np.ndarray:
+    """A 4-class confusion with `correct` of `total` rows on the diagonal."""
+    cm = np.zeros((4, 4), dtype=int)
+    cm[np.arange(4), np.arange(4)] = correct // 4
+    cm[0, 0] += correct % 4
+    cm[0, 1] = total - correct
+    return cm
+
+
 class TestRendering:
     def test_format_cell(self):
         assert format_cell(Metrics(accuracy=96.7213, macro_f1=0.9456)) == "96.72 [0.946]"
@@ -214,25 +231,33 @@ class TestRendering:
         with pytest.raises(IncompleteTable):
             render_text(report)
 
-    def test_csv_schema_and_round_trip(self, tmp_path):
+    def _confusion_report(self):
+        """A report whose metrics come from its confusions, as those of a run do."""
         report = self._tiny_report()
+        for i, cell in enumerate(report.cells):
+            cell.metrics = metrics_from_confusion(_confusion(500 + i, 1000))
+        return report
+
+    def test_csv_schema_and_round_trip(self, tmp_path):
+        report = self._confusion_report()
         csv_text = render_csv(report)
         header = csv_text.splitlines()[0].split(",")
         assert header == ["step", "shape", "model", "setup", "accuracy", "f1", "best"]
-        path = tmp_path / "report.csv"
-        path.write_text(csv_text)
-        parsed = parse_report_csv(path)
+        write_run_outputs(tmp_path, report, [], {"root_seed": report.root_seed})
+        parsed, two_step = read_run_outputs(tmp_path)
+        assert two_step == []
         assert render_csv(parsed) == csv_text
+        assert render_text(parsed) == render_text(report)
 
     def test_parsed_report_keeps_best_flag_on_rounded_tie(self, tmp_path):
-        report = self._tiny_report()
-        report.cells[0].metrics = Metrics(70.001, 0.5, np.eye(4, dtype=int))
-        report.cells[1].metrics = Metrics(70.004, 0.5, np.eye(4, dtype=int))  # the best; both print 70.00
-        path = tmp_path / "report.csv"
-        path.write_text(render_csv(report))
-        parsed = parse_report_csv(path)
-        parsed.root_seed, parsed.config_hash = report.root_seed, report.config_hash  # run.json holds these
+        report = self._confusion_report()
+        report.cells[0].metrics = metrics_from_confusion(_confusion(70001, 100000))
+        report.cells[1].metrics = metrics_from_confusion(_confusion(70004, 100000))  # the best; both print 70.00
+        assert format_cell(report.cells[0].metrics)[:5] == format_cell(report.cells[1].metrics)[:5] == "70.00"
+        write_run_outputs(tmp_path, report, [], {"root_seed": report.root_seed})
+        parsed, _ = read_run_outputs(tmp_path)
         assert render_text(parsed) == render_text(report)
+        assert f"**{format_cell(report.cells[1].metrics)}**" in render_text(parsed)
 
     def test_render_report_dispatch(self):
         report = self._tiny_report()

@@ -116,19 +116,12 @@ def segment_trace(trace: ResistanceTrace, events: list[HitEvent]) -> list[Segmen
 def raw_at_hits(trace: ResistanceTrace, events: list[HitEvent]) -> np.ndarray:
     """Resistance sampled at each hit instant: nearest trace sample, ties to the earlier one."""
     _check_events(events)
-    out = np.empty(HITS_PER_TASK)
-    n = len(trace.times)
-    for i, ev in enumerate(events):
-        j = int(np.searchsorted(trace.times, ev.timestamp_ms, side="left"))
-        if j == 0:
-            pick = 0
-        elif j >= n:
-            pick = n - 1
-        else:
-            before, after = ev.timestamp_ms - trace.times[j - 1], trace.times[j] - ev.timestamp_ms
-            pick = j - 1 if before <= after else j
-        out[i] = trace.values[pick]
-    return out
+    ts = np.asarray([ev.timestamp_ms for ev in events])
+    j = np.searchsorted(trace.times, ts, side="left")
+    before = np.clip(j - 1, 0, len(trace.times) - 1)
+    after = np.minimum(j, len(trace.times) - 1)
+    pick = np.where(ts - trace.times[before] <= trace.times[after] - ts, before, after)
+    return trace.values[pick]
 
 
 # --- synthetic cohort ---------------------------------------------------
@@ -140,14 +133,6 @@ def raw_at_hits(trace: ResistanceTrace, events: list[HitEvent]) -> np.ndarray:
 # per traversal); only the traversal order of the cadence distinguishes the
 # two directions.
 _CADENCE_PERIOD = 13
-
-
-def _span_cadence(shape: TaskShape, position: int) -> tuple[int, float]:
-    """(bumps, gain scale) at cadence phase `position` (0-based span index)."""
-    p = position % _CADENCE_PERIOD
-    if shape is TaskShape.DIAMOND:
-        return 1 + p % 4, 0.70 + 0.06 * p
-    return 1 + (p + 2) % 4, 0.75 + 0.055 * p
 
 
 @dataclass(frozen=True)
@@ -184,16 +169,11 @@ def _span_profile(shape: TaskShape, direction: Direction, span: int, amplitude: 
     Counterclockwise runs play the clockwise cadence in reversed span order;
     individual spans are palindromic, so mirroring a span leaves it unchanged.
     """
-    if direction is Direction.CW:
-        position = span - 1
-    else:
-        position = WINDOWS_PER_TASK - span
-    f, scale = _span_cadence(shape, position)
-    return f, amplitude * scale
-
-
-def synth_events(cfg: SynthConfig) -> list[HitEvent]:
-    return [HitEvent(k, (k - 1) * cfg.window_ms) for k in range(1, HITS_PER_TASK + 1)]
+    position = span - 1 if direction is Direction.CW else WINDOWS_PER_TASK - span
+    p = position % _CADENCE_PERIOD
+    if shape is TaskShape.DIAMOND:
+        return 1 + p % 4, amplitude * (0.70 + 0.06 * p)
+    return 1 + (p + 2) % 4, amplitude * (0.75 + 0.055 * p)
 
 
 def synth_trace(
@@ -202,7 +182,7 @@ def synth_trace(
     """Generate one participant-task: trace, hit events, and (40, G) gaze rows."""
     cfg.validate()
     rng = np.random.default_rng(_derive_seed("synth", seed, participant_id, shape.value, direction.value))
-    events = synth_events(cfg)
+    events = [HitEvent(k, (k - 1) * cfg.window_ms) for k in range(1, HITS_PER_TASK + 1)]
     m = cfg.samples_per_window
 
     times = np.empty(WINDOWS_PER_TASK * m + 1)
@@ -296,37 +276,34 @@ def synth_cohort(
 
 RESISTANCE_COLUMNS = ("participant_id", "shape", "timestamp_ms", "resistance_ohm")
 HITS_COLUMNS = ("participant_id", "shape", "hit_index", "timestamp_ms")
+GAZE_KEY_COLUMNS = ("participant_id", "shape", "hit_index")  # followed by the gaze columns
 PARTICIPANTS_COLUMNS = ("participant_id", "direction")
 
 
-def _open_rows(path: Path):
+def _csv_rows(path: Path, required: tuple[str, ...]):
+    """Yield the column index by name, then (file row number, row) of each data row.
+
+    The header is row 1; it must name every `required` column, and every data
+    row must have exactly the header's field count.
+    """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-    return handle
-
-
-def _header_index(header: list[str], required: tuple[str, ...], path: Path) -> dict[str, int]:
-    idx = {name: i for i, name in enumerate(header)}
-    for name in required:
-        if name not in idx:
-            raise MissingColumn(f"{path}: missing column '{name}'")
-    return idx
-
-
-def _csv_rows(path: Path, required: tuple[str, ...]):
-    """(file row number, row, column index by name) of each data row; the header is row 1."""
-    with _open_rows(path) as handle:
+    with handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise MissingColumn(f"{path}: empty file")
-        idx = _header_index(header, required, path)
+        idx = {name: i for i, name in enumerate(header)}
+        for name in required:
+            if name not in idx:
+                raise MissingColumn(f"{path}: missing column '{name}'")
+        yield idx
         for row_no, row in enumerate(reader, start=2):
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
-            yield row_no, row, idx
+            yield row_no, row
 
 
 def _parse_float(raw: str, row: int) -> float:
@@ -346,17 +323,24 @@ def _parse_shape(raw: str, row: int) -> TaskShape:
         raise NonNumericValue(row, f"unknown shape '{raw}' at file row {row}") from None
 
 
-def load_resistance_csv(path, hit_events=None) -> list[ResistanceTrace]:
+def _parse_hit(raw: str, row: int) -> int:
+    value = _parse_float(raw, row)
+    if not value.is_integer():
+        raise NonNumericValue(row, f"hit_index '{raw}' is not an integer at file row {row}")
+    return int(value)
+
+
+def load_resistance_csv(path) -> list[ResistanceTrace]:
     """Load resistance traces, one per (participant, shape) pair, in file order.
 
     Rows of a pair must appear in non-decreasing timestamp order. Row numbers
-    in errors are 1-based file lines (the header is line 1). When `hit_events`
-    maps (participant_id, shape) to hit lists, each trace is checked to hold
-    at least 2 samples per inter-hit span.
+    in errors are 1-based file lines (the header is line 1).
     """
     path = Path(path)
     grouped: dict[tuple[str, TaskShape], tuple[list[float], list[float]]] = {}
-    for row_no, row, idx in _csv_rows(path, RESISTANCE_COLUMNS):
+    rows = _csv_rows(path, RESISTANCE_COLUMNS)
+    idx = next(rows)
+    for row_no, row in rows:
         pid = row[idx["participant_id"]]
         shape = _parse_shape(row[idx["shape"]], row_no)
         t = _parse_float(row[idx["timestamp_ms"]], row_no)
@@ -367,25 +351,21 @@ def load_resistance_csv(path, hit_events=None) -> list[ResistanceTrace]:
         times.append(t)
         values.append(r)
 
-    traces = [
+    return [
         ResistanceTrace(pid, shape, np.asarray(ts), np.asarray(vs))
         for (pid, shape), (ts, vs) in grouped.items()
     ]
-    if hit_events is not None:
-        for trace in traces:
-            events = hit_events.get((trace.participant_id, trace.shape))
-            if events is not None:
-                segment_trace(trace, events)  # raises EmptyWindow on sparse spans
-    return traces
 
 
 def load_hits_csv(path) -> dict[tuple[str, TaskShape], list[HitEvent]]:
     path = Path(path)
     grouped: dict[tuple[str, TaskShape], list[HitEvent]] = {}
-    for row_no, row, idx in _csv_rows(path, HITS_COLUMNS):
+    rows = _csv_rows(path, HITS_COLUMNS)
+    idx = next(rows)
+    for row_no, row in rows:
         pid = row[idx["participant_id"]]
         shape = _parse_shape(row[idx["shape"]], row_no)
-        hit = int(_parse_float(row[idx["hit_index"]], row_no))
+        hit = _parse_hit(row[idx["hit_index"]], row_no)
         t = _parse_float(row[idx["timestamp_ms"]], row_no)
         grouped.setdefault((pid, shape), []).append(HitEvent(hit, t))
     for key, events in grouped.items():
@@ -398,29 +378,17 @@ def load_gaze_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
     """Load (40, G) gaze tables; G is fixed by the header and every row must match it."""
     path = Path(path)
     grouped: dict[tuple[str, TaskShape], dict[int, np.ndarray]] = {}
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(f"{path}: empty file")
-        for name in ("participant_id", "shape", "hit_index"):
-            if name not in header:
-                raise MissingColumn(f"{path}: missing column '{name}'")
-        width = len(header) - 3
-        if width < 1:
-            raise MissingColumn(f"{path}: no gaze feature columns")
-        idx = {name: i for i, name in enumerate(header)}
-        gcols = [i for i, name in enumerate(header) if name not in ("participant_id", "shape", "hit_index")]
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise RowWidthMismatch(
-                    f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}"
-                )
-            pid = row[idx["participant_id"]]
-            shape = _parse_shape(row[idx["shape"]], row_no)
-            hit = int(_parse_float(row[idx["hit_index"]], row_no))
-            feats = np.asarray([_parse_float(row[i], row_no) for i in gcols])
-            grouped.setdefault((pid, shape), {})[hit] = feats
+    rows = _csv_rows(path, GAZE_KEY_COLUMNS)
+    idx = next(rows)
+    gcols = [i for name, i in idx.items() if name not in GAZE_KEY_COLUMNS]
+    if not gcols:
+        raise MissingColumn(f"{path}: no gaze feature columns")
+    for row_no, row in rows:
+        pid = row[idx["participant_id"]]
+        shape = _parse_shape(row[idx["shape"]], row_no)
+        hit = _parse_hit(row[idx["hit_index"]], row_no)
+        feats = np.asarray([_parse_float(row[i], row_no) for i in gcols])
+        grouped.setdefault((pid, shape), {})[hit] = feats
 
     tables = {}
     for key, by_hit in grouped.items():
@@ -433,7 +401,9 @@ def load_gaze_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
 def load_participants_csv(path) -> dict[str, Direction]:
     path = Path(path)
     directions = {}
-    for row_no, row, idx in _csv_rows(path, PARTICIPANTS_COLUMNS):
+    rows = _csv_rows(path, PARTICIPANTS_COLUMNS)
+    idx = next(rows)
+    for row_no, row in rows:
         pid = row[idx["participant_id"]]
         try:
             directions[pid] = Direction(row[idx["direction"]])
@@ -444,6 +414,14 @@ def load_participants_csv(path) -> dict[str, Direction]:
     return directions
 
 
+def write_csv(path, header, rows) -> None:
+    """Write one UTF-8 CSV file: the header, then each of `rows`."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        w = csv.writer(handle)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_dataset_csvs(
     tasks: list[tuple[str, TaskShape, Direction, ResistanceTrace, list[HitEvent], np.ndarray]],
     outdir,
@@ -451,39 +429,25 @@ def write_dataset_csvs(
     """Write resistance/hits/gaze/participants CSVs for a list of generated tasks."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {name: outdir / f"{name}.csv" for name in ("resistance", "hits", "gaze", "participants")}
-
-    with open(paths["resistance"], "w", newline="", encoding="utf-8") as handle:
-        w = csv.writer(handle)
-        w.writerow(RESISTANCE_COLUMNS)
-        for pid, shape, _direction, trace, _events, _gaze in tasks:
-            for t, r in zip(trace.times, trace.values):
-                w.writerow([pid, shape.value, repr(float(t)), repr(float(r))])
-
-    with open(paths["hits"], "w", newline="", encoding="utf-8") as handle:
-        w = csv.writer(handle)
-        w.writerow(HITS_COLUMNS)
-        for pid, shape, _direction, _trace, events, _gaze in tasks:
-            for ev in events:
-                w.writerow([pid, shape.value, ev.hit_index, repr(float(ev.timestamp_ms))])
-
-    with open(paths["gaze"], "w", newline="", encoding="utf-8") as handle:
-        w = csv.writer(handle)
-        width = tasks[0][5].shape[1] if tasks else 0
-        w.writerow(["participant_id", "shape", "hit_index"] + [f"g{i + 1}" for i in range(width)])
-        for pid, shape, _direction, _trace, _events, gaze in tasks:
-            for k in range(gaze.shape[0]):
-                w.writerow([pid, shape.value, k + 1] + [repr(float(v)) for v in gaze[k]])
-
-    with open(paths["participants"], "w", newline="", encoding="utf-8") as handle:
-        w = csv.writer(handle)
-        w.writerow(PARTICIPANTS_COLUMNS)
-        seen = set()
-        for pid, _shape, direction, _trace, _events, _gaze in tasks:
-            if pid not in seen:
-                seen.add(pid)
-                w.writerow([pid, direction.value])
-
+    width = tasks[0][5].shape[1] if tasks else 0
+    directions = {}
+    for pid, _shape, direction, *_ in tasks:
+        directions.setdefault(pid, direction)
+    tables = {
+        "resistance": (RESISTANCE_COLUMNS, (
+            [pid, shape.value, repr(float(t)), repr(float(r))]
+            for pid, shape, _, trace, _, _ in tasks for t, r in zip(trace.times, trace.values))),
+        "hits": (HITS_COLUMNS, (
+            [pid, shape.value, ev.hit_index, repr(float(ev.timestamp_ms))]
+            for pid, shape, _, _, events, _ in tasks for ev in events)),
+        "gaze": (GAZE_KEY_COLUMNS + tuple(f"g{i + 1}" for i in range(width)), (
+            [pid, shape.value, k] + [repr(float(v)) for v in gaze_row]
+            for pid, shape, _, _, _, gaze in tasks for k, gaze_row in enumerate(gaze, start=1))),
+        "participants": (PARTICIPANTS_COLUMNS, ([pid, d.value] for pid, d in directions.items())),
+    }
+    paths = {name: outdir / f"{name}.csv" for name in tables}
+    for name, (header, rows) in tables.items():
+        write_csv(paths[name], header, rows)
     return paths
 
 
@@ -494,13 +458,9 @@ def records_from_csv_dir(data_dir) -> list[ParticipantRecord]:
         if not (data_dir / f"{name}.csv").exists():
             raise IoError(f"missing dataset file: {data_dir / f'{name}.csv'}")
     hits = load_hits_csv(data_dir / "hits.csv")
-    traces = load_resistance_csv(data_dir / "resistance.csv", hit_events=hits)
+    traces = load_resistance_csv(data_dir / "resistance.csv")
     gaze = load_gaze_csv(data_dir / "gaze.csv")
     directions = load_participants_csv(data_dir / "participants.csv")
-
-    widths = {table.shape[1] for table in gaze.values()}
-    if len(widths) > 1:
-        raise RowWidthMismatch(f"mixed gaze widths across tables: {sorted(widths)}")
 
     records = []
     for trace in traces:

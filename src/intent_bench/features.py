@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import SegmentWindow, TaskShape
+from .dataset import SegmentWindow, TaskShape, write_csv
 from .errors import (
     ColumnMismatch,
     ConstantWindow,
@@ -52,10 +52,6 @@ def _mid_mask(n_count: int) -> np.ndarray:
     return (0.25 * n_count <= n) & (n <= 0.75 * n_count)
 
 
-def _mmav1_weights(n_count: int) -> np.ndarray:
-    return np.where(_mid_mask(n_count), 1.0, 0.5)
-
-
 def _mmav2_weights(n_count: int, positive_tail: bool = False) -> np.ndarray:
     n = np.arange(1, n_count + 1)
     mid = _mid_mask(n_count)
@@ -65,46 +61,48 @@ def _mmav2_weights(n_count: int, positive_tail: bool = False) -> np.ndarray:
     return np.where(mid, 1.0, w)
 
 
+def _centred(x: np.ndarray, kind: FeatureKind) -> np.ndarray:
+    """Deviations of a window from its mean; `kind` is undefined on a constant window."""
+    if np.all(x == x[0]):
+        raise ConstantWindow(kind)
+    d = x - np.mean(x)
+    d -= np.mean(d)  # the mean is rounded: on samples a few ulps apart, its error is all of d
+    return d
+
+
+def _skew(x: np.ndarray, n: int, tail: bool) -> float:
+    d = _centred(x, FeatureKind.SKEW)
+    return np.mean(d ** 3) / np.mean(d * d) ** 1.5
+
+
+def _kurt(x: np.ndarray, n: int, tail: bool) -> float:
+    d = _centred(x, FeatureKind.KURT)
+    return np.mean(d ** 4) / (np.sum(d * d) / (n - 1)) ** 2
+
+
+# kind -> f(samples, sample count, mmav2_positive_tail)
+_FEATURES = {
+    FeatureKind.IAV: lambda x, n, tail: np.sum(np.abs(x)),
+    FeatureKind.MAV: lambda x, n, tail: np.sum(np.abs(x)) / n,
+    FeatureKind.MMAV1: lambda x, n, tail: np.sum(np.where(_mid_mask(n), 1.0, 0.5) * np.abs(x)) / n,
+    FeatureKind.MMAV2: lambda x, n, tail: np.sum(_mmav2_weights(n, tail) * np.abs(x)) / n,
+    FeatureKind.SSI: lambda x, n, tail: np.sum(x * x),
+    FeatureKind.VAR: lambda x, n, tail: np.sum((x - np.mean(x)) ** 2) / (n - 1),
+    FeatureKind.RMS: lambda x, n, tail: math.sqrt(np.sum(x * x) / n),
+    FeatureKind.WL: lambda x, n, tail: np.sum(np.abs(np.diff(x))),
+    FeatureKind.LOG: lambda x, n, tail: np.mean(np.log10(np.maximum(np.abs(x), LOG_EPS))),
+    FeatureKind.SKEW: _skew,
+    FeatureKind.KURT: _kurt,
+}
+
+
 def compute_feature(kind: FeatureKind, window, mmav2_positive_tail: bool = False) -> float:
     """One time-domain feature of a window (array-like or SegmentWindow)."""
     x = np.asarray(window.values if isinstance(window, SegmentWindow) else window, dtype=float)
     n = x.size
     if n < 2:
         raise DegenerateWindow(f"window has {n} samples, need at least 2")
-    if kind is FeatureKind.IAV:
-        return float(np.sum(np.abs(x)))
-    if kind is FeatureKind.MAV:
-        return float(np.sum(np.abs(x)) / n)
-    if kind is FeatureKind.MMAV1:
-        return float(np.sum(_mmav1_weights(n) * np.abs(x)) / n)
-    if kind is FeatureKind.MMAV2:
-        return float(np.sum(_mmav2_weights(n, mmav2_positive_tail) * np.abs(x)) / n)
-    if kind is FeatureKind.SSI:
-        return float(np.sum(x * x))
-    if kind is FeatureKind.VAR:
-        mu = np.mean(x)
-        return float(np.sum((x - mu) ** 2) / (n - 1))
-    if kind is FeatureKind.RMS:
-        return float(math.sqrt(np.sum(x * x) / n))
-    if kind is FeatureKind.WL:
-        return float(np.sum(np.abs(np.diff(x))))
-    if kind is FeatureKind.LOG:
-        return float(np.mean(np.log10(np.maximum(np.abs(x), LOG_EPS))))
-    if kind is FeatureKind.SKEW:
-        if np.all(x == x[0]):
-            raise ConstantWindow(FeatureKind.SKEW)
-        d = x - np.mean(x)
-        m2 = np.mean(d * d)
-        m3 = np.mean(d ** 3)
-        return float(m3 / m2 ** 1.5)
-    if kind is FeatureKind.KURT:
-        if np.all(x == x[0]):
-            raise ConstantWindow(FeatureKind.KURT)
-        d = x - np.mean(x)
-        m4 = np.mean(d ** 4)
-        s2 = np.sum(d * d) / (n - 1)
-        return float(m4 / s2 ** 2)
-    raise ValueError(f"unknown feature kind {kind!r}")
+    return float(_FEATURES[kind](x, n, mmav2_positive_tail))
 
 
 def extract_feature_vector(window, mmav2_positive_tail: bool = False) -> np.ndarray:
@@ -197,17 +195,6 @@ class DataMatrix:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    def take(self, idx) -> "DataMatrix":
-        idx = np.asarray(idx)
-        return DataMatrix(
-            values=self.values[idx],
-            segment=self.segment[idx],
-            direction=self.direction[idx],
-            participant=self.participant[idx],
-            hit=self.hit[idx],
-            shape=self.shape,
-        )
-
     def with_values(self, values: np.ndarray) -> "DataMatrix":
         if values.shape[0] != self.n_rows:
             raise RowCountMismatch(f"{values.shape[0]} value rows for {self.n_rows} labels")
@@ -224,31 +211,27 @@ def assemble_setup(
     """Concatenate the setup's parts in the fixed order features | gaze | probs.
 
     Labels are carried from the window-level tables; probability rows must be
-    aligned with them.
+    aligned with them. D1 is the raw table itself.
     """
     if setup is SetupId.D1:
         if raw is None:
             raise MissingPart(setup, "raw")
-        return raw.take(np.arange(raw.n_rows))
+        return raw
 
-    parts = _SETUP_PARTS[setup]
     label_source = features if features is not None else gaze
     if label_source is None:
         raise MissingPart(setup, "features")
 
+    given = {
+        "features": None if features is None else features.values,
+        "gaze": None if gaze is None else gaze.values,
+        "probs": probs,
+    }
     blocks = []
-    if "features" in parts:
-        if features is None:
-            raise MissingPart(setup, "features")
-        blocks.append(features.values)
-    if "gaze" in parts:
-        if gaze is None:
-            raise MissingPart(setup, "gaze")
-        blocks.append(gaze.values)
-    if "probs" in parts:
-        if probs is None:
-            raise MissingPart(setup, "probs")
-        blocks.append(np.asarray(probs, dtype=float))
+    for part in _SETUP_PARTS[setup]:
+        if given[part] is None:
+            raise MissingPart(setup, part)
+        blocks.append(np.asarray(given[part], dtype=float))
 
     rows = {b.shape[0] for b in blocks} | {label_source.n_rows}
     if len(rows) != 1:
@@ -260,13 +243,7 @@ def export_features_csv(dm: DataMatrix, path) -> None:
     """Write a window-level feature table with the canonical 11-column header."""
     if dm.values.shape[1] != FEATURE_COUNT:
         raise ColumnMismatch(f"expected {FEATURE_COUNT} feature columns, got {dm.values.shape[1]}")
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        w = csv.writer(handle)
-        w.writerow(["participant_id", "shape", "dest_hit", "segment", "direction"] + list(FEATURE_NAMES))
-        for i in range(dm.n_rows):
-            w.writerow(
-                [dm.participant[i], dm.shape.value, int(dm.hit[i]), int(dm.segment[i]), int(dm.direction[i])]
-                + [repr(float(v)) for v in dm.values[i]]
-            )
+    write_csv(path, ("participant_id", "shape", "dest_hit", "segment", "direction") + FEATURE_NAMES, (
+        [dm.participant[i], dm.shape.value, int(dm.hit[i]), int(dm.segment[i]), int(dm.direction[i])]
+        + [repr(float(v)) for v in dm.values[i]]
+        for i in range(dm.n_rows)))

@@ -1,10 +1,12 @@
 """Independent naive reference for the 11 time-domain features.
 
-Pure-python loops and math.fsum, written separately from the library so the
-two paths share no code. Order matches the canonical feature order.
+Pure-python loops, math.fsum and an exact mean, written separately from the
+library so the two paths share no code. Order matches the canonical feature
+order.
 """
 
 import math
+from fractions import Fraction
 
 LOG_EPS = 1e-12
 
@@ -30,14 +32,17 @@ def naive_features(xs):
     mmav1 = math.fsum(w1(i) * abs(v) for i, v in enumerate(xs, start=1)) / n
     mmav2 = math.fsum(w2(i) * abs(v) for i, v in enumerate(xs, start=1)) / n
     ssi = math.fsum(v * v for v in xs)
-    mu = math.fsum(xs) / n
-    var = math.fsum((v - mu) ** 2 for v in xs) / (n - 1)
+    # deviations from the exact mean: a rounded mean would make the central
+    # moments of a window whose samples differ by a few ulps rounding noise
+    mu = sum(map(Fraction, xs)) / n
+    dev = [float(Fraction(v) - mu) for v in xs]
+    var = math.fsum(d * d for d in dev) / (n - 1)
     rms = math.sqrt(ssi / n)
     wl = math.fsum(abs(b - a) for a, b in zip(xs, xs[1:]))
     log = math.fsum(math.log10(max(abs(v), LOG_EPS)) for v in xs) / n
-    m2 = math.fsum((v - mu) ** 2 for v in xs) / n
-    m3 = math.fsum((v - mu) ** 3 for v in xs) / n
-    m4 = math.fsum((v - mu) ** 4 for v in xs) / n
+    m2 = math.fsum(d * d for d in dev) / n
+    m3 = math.fsum(d ** 3 for d in dev) / n
+    m4 = math.fsum(d ** 4 for d in dev) / n
     skew = m3 / m2**1.5
     kurt = m4 / var**2
     return [iav, mav, mmav1, mmav2, ssi, var, rms, wl, log, skew, kurt]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intent_bench.cli import main
 from intent_bench.dataset import (
     Direction,
     HitEvent,
@@ -164,6 +165,18 @@ class TestSynth:
         assert cw == 16  # 8 participants x 2 shapes
 
 
+def _thin_span_7(csv_dir):
+    """Leave p00's diamond trace one sample between hits 7 and 8 (the span [3000, 3500) ms)."""
+    path = csv_dir / "resistance.csv"
+    lines = path.read_text().splitlines()
+    keep = [lines[0]]
+    for line in lines[1:]:
+        pid, shape, t, _r = line.split(",")
+        if not (pid == "p00" and shape == "diamond" and 3000.0 < float(t) < 3500.0):
+            keep.append(line)
+    path.write_text("\n".join(keep) + "\n")
+
+
 class TestCsvRoundTrip:
     @pytest.fixture()
     def csv_dir(self, tmp_path):
@@ -199,6 +212,22 @@ class TestCsvRoundTrip:
             records_from_csv_dir(tmp_path)
         assert "resistance.csv" in str(err.value)
 
+    def test_one_sample_span(self, csv_dir, capsys):
+        _thin_span_7(csv_dir)
+        with pytest.raises(EmptyWindow) as err:
+            records_from_csv_dir(csv_dir)
+        assert err.value.source_hit == 7
+        assert main(["features", "--data", str(csv_dir), "--out", str(csv_dir / "features")]) == 2
+        assert "error[EmptyWindow]" in capsys.readouterr().err
+
+    def test_gaze_error_before_empty_window(self, csv_dir):
+        # every file is read before any trace is segmented
+        _thin_span_7(csv_dir)
+        with open(csv_dir / "gaze.csv", "a") as handle:
+            handle.write("p00,diamond,1\n")
+        with pytest.raises(RowWidthMismatch):
+            records_from_csv_dir(csv_dir)
+
 
 class TestLoaderErrors:
     def test_missing_column(self, tmp_path):
@@ -225,6 +254,37 @@ class TestLoaderErrors:
         with pytest.raises(NonNumericValue) as err:
             load_resistance_csv(p)
         assert err.value.row == 17
+
+    @pytest.mark.parametrize(
+        "loader, header, row",
+        [
+            (load_resistance_csv, "participant_id,shape,timestamp_ms,resistance_ohm", "p0,diamond,0.0,1000.0"),
+            (load_hits_csv, "participant_id,shape,hit_index,timestamp_ms", "p0,diamond,1,0.0"),
+            (load_participants_csv, "participant_id,direction", "p0,cw"),
+        ],
+        ids=["resistance", "hits", "participants"],
+    )
+    def test_row_longer_than_header(self, tmp_path, loader, header, row):
+        p = tmp_path / "data.csv"
+        p.write_text(f"{header}\n{row}\n{row},7\n")
+        with pytest.raises(RowWidthMismatch, match="row 3 has"):
+            loader(p)
+
+    def test_fractional_hit_index(self, tmp_path):
+        hits = tmp_path / "hits.csv"
+        rows = ["participant_id,shape,hit_index,timestamp_ms"]
+        hits.write_text("\n".join(rows + [f"p0,diamond,{k + 0.5},{k * 10.0}" for k in range(1, 41)]) + "\n")
+        with pytest.raises(NonNumericValue) as err:
+            load_hits_csv(hits)
+        assert err.value.row == 2
+        gaze = tmp_path / "gaze.csv"
+        gaze.write_text("participant_id,shape,hit_index,g1\np0,diamond,1.5,0.5\n")
+        with pytest.raises(NonNumericValue):
+            load_gaze_csv(gaze)
+        # an integral value written with a decimal point still loads
+        hits.write_text("\n".join(rows + [f"p0,diamond,{float(k)},{k * 10.0}" for k in range(1, 41)]) + "\n")
+        events = load_hits_csv(hits)[("p0", TaskShape.DIAMOND)]
+        assert [ev.hit_index for ev in events] == list(range(1, 41))
 
     def test_gaze_row_width_mismatch(self, tmp_path):
         p = tmp_path / "gaze.csv"

@@ -461,6 +461,10 @@ def records_from_csv_dir(data_dir) -> list[ParticipantRecord]:
     traces = load_resistance_csv(data_dir / "resistance.csv")
     gaze = load_gaze_csv(data_dir / "gaze.csv")
     directions = load_participants_csv(data_dir / "participants.csv")
+    traced = {(trace.participant_id, trace.shape) for trace in traces}
+    for key in [*hits, *gaze]:
+        if key not in traced:
+            raise IoError(f"no resistance rows for {key}")
 
     records = []
     for trace in traces:

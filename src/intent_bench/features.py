@@ -8,7 +8,6 @@ segment model's probability outputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,74 +45,77 @@ FEATURE_NAMES = tuple(kind.value for kind in FEATURE_ORDER)
 FEATURE_COUNT = len(FEATURE_ORDER)
 
 
-def _mid_mask(n_count: int) -> np.ndarray:
-    # weight conditions are on the 1-based sample index
+def _mmav_weights(n_count: int, positive_tail: bool) -> tuple[np.ndarray, np.ndarray]:
+    """MMAV1 and MMAV2 weights of an n-sample window, on the 1-based sample index."""
     n = np.arange(1, n_count + 1)
-    return (0.25 * n_count <= n) & (n <= 0.75 * n_count)
-
-
-def _mmav2_weights(n_count: int, positive_tail: bool = False) -> np.ndarray:
-    n = np.arange(1, n_count + 1)
-    mid = _mid_mask(n_count)
+    mid = (0.25 * n_count <= n) & (n <= 0.75 * n_count)
     low = 4.0 * n / n_count
     high = 4.0 * (n_count - n) / n_count if positive_tail else 4.0 * (n - n_count) / n_count
-    w = np.where(n < 0.25 * n_count, low, high)
-    return np.where(mid, 1.0, w)
+    return np.where(mid, 1.0, 0.5), np.where(mid, 1.0, np.where(n < 0.25 * n_count, low, high))
 
 
-def _centred(x: np.ndarray, kind: FeatureKind) -> np.ndarray:
-    """Deviations of a window from its mean; `kind` is undefined on a constant window."""
-    if np.all(x == x[0]):
-        raise ConstantWindow(kind)
-    d = x - np.mean(x)
-    d -= np.mean(d)  # the mean is rounded: on samples a few ulps apart, its error is all of d
-    return d
+def _samples(window) -> np.ndarray:
+    return np.asarray(window.values if isinstance(window, SegmentWindow) else window, dtype=float).reshape(-1)
 
 
-def _skew(x: np.ndarray, n: int, tail: bool) -> float:
-    d = _centred(x, FeatureKind.SKEW)
-    return np.mean(d ** 3) / np.mean(d * d) ** 1.5
-
-
-def _kurt(x: np.ndarray, n: int, tail: bool) -> float:
-    d = _centred(x, FeatureKind.KURT)
-    return np.mean(d ** 4) / (np.sum(d * d) / (n - 1)) ** 2
-
-
-# kind -> f(samples, sample count, mmav2_positive_tail)
-_FEATURES = {
-    FeatureKind.IAV: lambda x, n, tail: np.sum(np.abs(x)),
-    FeatureKind.MAV: lambda x, n, tail: np.sum(np.abs(x)) / n,
-    FeatureKind.MMAV1: lambda x, n, tail: np.sum(np.where(_mid_mask(n), 1.0, 0.5) * np.abs(x)) / n,
-    FeatureKind.MMAV2: lambda x, n, tail: np.sum(_mmav2_weights(n, tail) * np.abs(x)) / n,
-    FeatureKind.SSI: lambda x, n, tail: np.sum(x * x),
-    FeatureKind.VAR: lambda x, n, tail: np.sum((x - np.mean(x)) ** 2) / (n - 1),
-    FeatureKind.RMS: lambda x, n, tail: math.sqrt(np.sum(x * x) / n),
-    FeatureKind.WL: lambda x, n, tail: np.sum(np.abs(np.diff(x))),
-    FeatureKind.LOG: lambda x, n, tail: np.mean(np.log10(np.maximum(np.abs(x), LOG_EPS))),
-    FeatureKind.SKEW: _skew,
-    FeatureKind.KURT: _kurt,
-}
+def _feature_rows(x: np.ndarray, mmav2_positive_tail: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The 11 features of k windows of n samples each, (k, n) -> (k, 11) in FEATURE_ORDER,
+    and the (k,) mask of constant windows, whose SKEW and KURT cells are meaningless.
+    """
+    n = x.shape[1]
+    if n < 2:
+        raise DegenerateWindow(f"window has {n} samples, need at least 2")
+    constant = (x == x[:, :1]).all(axis=1)
+    mmav1_w, mmav2_w = _mmav_weights(n, mmav2_positive_tail)
+    a = np.abs(x)
+    iav = a.sum(axis=1)
+    ssi = (x * x).sum(axis=1)
+    d = x - x.sum(axis=1, keepdims=True) / n
+    var = (d * d).sum(axis=1) / (n - 1)
+    d -= d.sum(axis=1, keepdims=True) / n  # the mean is rounded: on samples a few ulps apart, its error is all of d
+    ss = (d * d).sum(axis=1)
+    ss[constant] = 1.0  # keeps 0/0 out of the SKEW/KURT cells of constant rows
+    return np.array([
+        iav,
+        iav / n,
+        (mmav1_w * a).sum(axis=1) / n,
+        (mmav2_w * a).sum(axis=1) / n,
+        ssi,
+        var,
+        np.sqrt(ssi / n),
+        np.abs(x[:, 1:] - x[:, :-1]).sum(axis=1),
+        np.log10(np.maximum(a, LOG_EPS)).sum(axis=1) / n,
+        (d ** 3).sum(axis=1) / n / (ss / n) ** 1.5,
+        (d ** 4).sum(axis=1) / n / (ss / (n - 1)) ** 2,
+    ]).T, constant
 
 
 def compute_feature(kind: FeatureKind, window, mmav2_positive_tail: bool = False) -> float:
     """One time-domain feature of a window (array-like or SegmentWindow)."""
-    x = np.asarray(window.values if isinstance(window, SegmentWindow) else window, dtype=float)
-    n = x.size
-    if n < 2:
-        raise DegenerateWindow(f"window has {n} samples, need at least 2")
-    return float(_FEATURES[kind](x, n, mmav2_positive_tail))
+    values, constant = _feature_rows(_samples(window)[None, :], mmav2_positive_tail)
+    if constant[0] and kind in (FeatureKind.SKEW, FeatureKind.KURT):
+        raise ConstantWindow(kind)
+    return float(values[0, FEATURE_ORDER.index(kind)])
 
 
 def extract_feature_vector(window, mmav2_positive_tail: bool = False) -> np.ndarray:
     """All 11 features of one window, in canonical order."""
-    return np.asarray(
-        [compute_feature(kind, window, mmav2_positive_tail) for kind in FEATURE_ORDER]
-    )
+    return feature_matrix([window], mmav2_positive_tail)[0]
 
 
 def feature_matrix(windows, mmav2_positive_tail: bool = False) -> np.ndarray:
-    return np.vstack([extract_feature_vector(w, mmav2_positive_tail) for w in windows])
+    """One row of 11 features per window, computed per group of equal-length windows."""
+    samples = [_samples(w) for w in windows]
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(samples):
+        groups.setdefault(x.size, []).append(i)
+    out = np.empty((len(samples), FEATURE_COUNT))
+    for rows in groups.values():
+        values, constant = _feature_rows(np.stack([samples[i] for i in rows]), mmav2_positive_tail)
+        if constant.any():
+            raise ConstantWindow(FeatureKind.SKEW)
+        out[rows] = values
+    return out
 
 
 # --- min-max scaling ------------------------------------------------------
@@ -245,5 +247,5 @@ def export_features_csv(dm: DataMatrix, path) -> None:
         raise ColumnMismatch(f"expected {FEATURE_COUNT} feature columns, got {dm.values.shape[1]}")
     write_csv(path, ("participant_id", "shape", "dest_hit", "segment", "direction") + FEATURE_NAMES, (
         [dm.participant[i], dm.shape.value, int(dm.hit[i]), int(dm.segment[i]), int(dm.direction[i])]
-        + [repr(float(v)) for v in dm.values[i]]
+        + [repr(v) for v in dm.values[i].tolist()]
         for i in range(dm.n_rows)))

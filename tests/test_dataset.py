@@ -228,6 +228,16 @@ class TestCsvRoundTrip:
         with pytest.raises(RowWidthMismatch):
             records_from_csv_dir(csv_dir)
 
+    def test_task_without_resistance_rows(self, tmp_path):
+        # hits and gaze rows of p01's circle task stay, its resistance rows go
+        assert main(["synth", "--seed", "1", "--participants", "2", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "resistance.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if not line.startswith("p01,circle,")) + "\n")
+        with pytest.raises(IoError) as err:
+            records_from_csv_dir(tmp_path)
+        assert "no resistance rows" in str(err.value) and "p01" in str(err.value)
+
 
 class TestLoaderErrors:
     def test_missing_column(self, tmp_path):

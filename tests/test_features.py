@@ -23,6 +23,7 @@ from intent_bench.features import (
     compute_feature,
     export_features_csv,
     extract_feature_vector,
+    feature_matrix,
     fit_scaler,
     setup_width,
 )
@@ -152,6 +153,33 @@ def test_vector_matches_individual_calls():
     assert vec.shape == (11,)
     for i, kind in enumerate(FeatureKind):
         assert vec[i] == compute_feature(kind, x)
+
+
+class TestBatching:
+    """feature_matrix computes each group of equal-length windows in one pass."""
+
+    def test_ragged_batch_matches_single_windows(self):
+        rng = np.random.default_rng(11)
+        windows = [rng.uniform(-10, 10, size=n) for n in [2, 20, 3, 21] * 4 + [21, 2, 20, 3]]
+        got = feature_matrix(windows)
+        assert got.shape == (len(windows), 11)
+        for row, w in zip(got, windows):
+            assert (row == extract_feature_vector(w)).all()
+
+    def test_constant_window_in_batch(self):
+        windows = [np.arange(5.0), np.full(5, 7.0), np.arange(6.0)]
+        with pytest.raises(ConstantWindow) as err:
+            feature_matrix(windows)
+        assert err.value.kind is FeatureKind.SKEW
+
+    def test_one_sample_window_in_batch(self):
+        with pytest.raises(DegenerateWindow):
+            feature_matrix([np.arange(5.0), np.array([1.0]), np.arange(6.0)])
+
+    def test_nan_window_is_not_constant(self):
+        rows = feature_matrix([np.arange(5.0), np.array([1.0, np.nan, 1.0])])
+        assert np.isnan(rows[1, FEATURE_NAMES.index("skew")])
+        assert np.isfinite(rows[0]).all()
 
 
 class TestScaler:

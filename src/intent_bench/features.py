@@ -177,11 +177,6 @@ _SETUP_PARTS = {
 }
 
 
-def setup_width(setup: SetupId, gaze_width: int) -> int:
-    widths = {"raw": 1, "features": FEATURE_COUNT, "gaze": gaze_width, "probs": 4}
-    return sum(widths[p] for p in _SETUP_PARTS[setup])
-
-
 @dataclass
 class DataMatrix:
     """A labeled sample matrix for one shape: values plus per-row labels."""

@@ -15,7 +15,6 @@ from . import nn
 from .errors import (
     EmptyTrainingSet,
     InvalidConfig,
-    IoError,
     NotEnoughNeighbors,
     SequenceTooShort,
     ShapeMismatch,
@@ -43,6 +42,8 @@ def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, n: in
 
     Returns the trained parameters and their loss on all n rows.
     """
+    if cfg.epochs < 1 or cfg.batch_size < 1:
+        raise InvalidConfig(f"epochs ({cfg.epochs}) and batch size ({cfg.batch_size}) must be at least 1")
     state = nn.AdamState(alpha=cfg.lr)
     for _ in range(cfg.epochs):
         for idx in _batches(rng, n, cfg.batch_size):
@@ -106,7 +107,6 @@ class MlpModel:
     params: nn.Params
     cfg: MlpConfig
     meta: dict = field(default_factory=dict)
-    kind: str = "mlp"
 
     def predict_proba(self, x) -> np.ndarray:
         xb, single = _as_batch(x, self.cfg.input_width, "mlp")
@@ -158,6 +158,10 @@ class LstmConfig:
             raise InvalidConfig(f"unknown lstm mode '{self.mode}'")
         if self.mode == "windowed" and self.window_len < 2:
             raise InvalidConfig("window_len must be at least 2 in windowed mode")
+        if self.hidden_layers < 1 or self.hidden_size < 1:
+            raise InvalidConfig(
+                f"lstm layers ({self.hidden_layers}) and hidden size ({self.hidden_size}) must be at least 1"
+            )
 
 
 @dataclass
@@ -167,7 +171,6 @@ class SequenceData:
     x: np.ndarray  # (T, d)
     labels: np.ndarray  # (T,) int
     train_mask: np.ndarray  # (T,) bool: split membership of each step
-    participant: str = ""
 
 
 def _windows(seqs: list[SequenceData], window_len: int):
@@ -180,12 +183,6 @@ def _windows(seqs: list[SequenceData], window_len: int):
             raise SequenceTooShort(f"sequence of length {seq.x.shape[0]} shorter than window {window_len}")
     spans = [(seq, slice(t, t + window_len)) for seq in seqs for t in range(seq.x.shape[0] - window_len + 1)]
     return [np.stack([getattr(seq, name)[span] for seq, span in spans]) for name in ("x", "labels", "train_mask")]
-
-
-def make_windows(seqs: list[SequenceData], window_len: int):
-    """Sliding windows of length W, stride 1; label and split come from the last step."""
-    x, labels, train = _windows(seqs, window_len)
-    return x, labels[:, -1], train[:, -1]
 
 
 def lstm_rows(seqs: list[SequenceData], cfg: LstmConfig):
@@ -284,7 +281,6 @@ class LstmModel:
     params: nn.Params
     cfg: LstmConfig
     meta: dict = field(default_factory=dict)
-    kind: str = "lstm"
 
     def predict_proba(self, x) -> np.ndarray:
         """Probabilities at every step of a (T, d) sequence or a (B, T, d) batch of them."""
@@ -373,7 +369,6 @@ class KnnModel:
     num_classes: int
     k: int
     meta: dict = field(default_factory=dict)
-    kind: str = "knn"
 
     def predict(self, x) -> np.ndarray:
         xb, single = _as_batch(x, self.train_x.shape[1], "knn")
@@ -481,49 +476,3 @@ def random_guess_accuracy(labels, num_classes: int, seed: int = 0, draws: int = 
     preds = rng.choice(num_classes, size=draws, p=probs)
     targets = rng.choice(num_classes, size=draws, p=probs)
     return float(np.mean(preds == targets) * 100.0)
-
-
-# --- serialization -------------------------------------------------------------
-
-
-_LINEAR_CONTAINER = (
-    lambda m: ({"weights": m.weights, "bias": m.bias}, {"num_classes": m.num_classes}),
-    lambda p, meta: LinearModel(p["weights"], p["bias"], meta["num_classes"], kind=meta["kind"]),
-)
-
-# model kind -> (model to (params, meta), (params, meta) to model)
-_CONTAINERS = {
-    "mlp": (
-        lambda m: (m.params, {"cfg": vars(m.cfg) | {"hidden": list(m.cfg.hidden)}, **m.meta}),
-        lambda p, meta: MlpModel(p, MlpConfig(**(meta["cfg"] | {"hidden": tuple(meta["cfg"]["hidden"])}))),
-    ),
-    "lstm": (
-        lambda m: (m.params, {"cfg": vars(m.cfg), **m.meta}),
-        lambda p, meta: LstmModel(p, LstmConfig(**meta["cfg"])),
-    ),
-    "knn": (
-        lambda m: (
-            {"train_x": m.train_x, "train_y": m.train_y.astype(float)},
-            {"k": m.k, "num_classes": m.num_classes},
-        ),
-        lambda p, meta: KnnModel(p["train_x"], p["train_y"].astype(int), meta["num_classes"], meta["k"]),
-    ),
-    "svm": _LINEAR_CONTAINER,
-    "logreg": _LINEAR_CONTAINER,
-}
-
-
-def save_model(model, path) -> None:
-    """Round-trip any trained model through the shared parameter container."""
-    if model.kind not in _CONTAINERS:
-        raise IoError(f"cannot serialize model kind '{model.kind}'")
-    params, meta = _CONTAINERS[model.kind][0](model)
-    nn.save_params(path, params, {"kind": model.kind, **meta})
-
-
-def load_model(path):
-    params, meta = nn.load_params(path)
-    kind = meta.get("kind")
-    if kind not in _CONTAINERS:
-        raise IoError(f"unknown model kind '{kind}' in {path}")
-    return _CONTAINERS[kind][1](params, meta)

@@ -1,24 +1,19 @@
 """Minimal deterministic neural-network kernel in double precision.
 
 LSTM layers with hand-written backpropagation through time, batched softmax
-cross-entropy, Adam with optional masked L2 weight decay, central-difference
-gradient verification, and a versioned JSON parameter container. All
-randomness flows through numpy Generators seeded by the caller.
+cross-entropy, Adam with optional masked L2 weight decay, and central-difference
+gradient verification. All randomness flows through numpy Generators seeded by
+the caller.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import BadTarget, IoError, ShapeMismatch
-
-PARAMS_MAGIC = "intent-bench-params"
-PARAMS_VERSION = 1
+from .errors import BadTarget, ShapeMismatch
 
 Params = dict  # name -> np.ndarray
 
@@ -102,20 +97,6 @@ def _cell_step(cell: LstmCell, x: np.ndarray, h: np.ndarray, c: np.ndarray):
     h_new = o * tanh_c
     cache = (z, i, f, o, g, c, c_new, tanh_c)
     return h_new, c_new, cache
-
-
-def lstm_cell_step(cell: LstmCell, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One LSTM step on single vectors; returns (h', c')."""
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if x.shape[-1] != cell.input_size or h.shape[-1] != cell.hidden_size or c.shape[-1] != cell.hidden_size:
-        raise ShapeMismatch(
-            f"cell expects x={cell.input_size}, h=c={cell.hidden_size}; "
-            f"got x={x.shape[-1]}, h={h.shape[-1]}, c={c.shape[-1]}"
-        )
-    h_new, c_new, _ = _cell_step(cell, x, h, c)
-    return h_new, c_new
 
 
 def lstm_sequence_forward(cell: LstmCell, x: np.ndarray):
@@ -254,34 +235,3 @@ def grad_check(loss_and_grad, params: Params, h: float = 1e-5) -> float:
             rel = abs(a_flat[idx] - numeric) / max(abs(a_flat[idx]), abs(numeric), 1e-8)
             worst = max(worst, rel)
     return worst
-
-
-# --- parameter container ----------------------------------------------------
-
-
-def save_params(path, params: Params, meta: dict | None = None) -> None:
-    """Write parameters to the versioned JSON container (row-major float lists)."""
-    doc = {
-        "magic": PARAMS_MAGIC,
-        "version": PARAMS_VERSION,
-        "meta": meta or {},
-        "params": {
-            name: {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
-            for name, arr in params.items()
-        },
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_params(path) -> tuple[Params, dict]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoError(f"cannot read parameter container {path}: {exc}") from exc
-    if doc.get("magic") != PARAMS_MAGIC or doc.get("version") != PARAMS_VERSION:
-        raise IoError(f"{path} is not a version-{PARAMS_VERSION} parameter container")
-    params = {
-        name: np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-        for name, entry in doc["params"].items()
-    }
-    return params, doc.get("meta", {})

@@ -216,7 +216,6 @@ def sequences_from_matrix(dm: DataMatrix, train_idx: np.ndarray) -> list[Sequenc
                 x=dm.values[rows],
                 labels=dm.direction[rows],
                 train_mask=train_mask[rows],
-                participant=str(pid),
             )
         )
     return seqs
@@ -588,14 +587,6 @@ def render_csv(report: GridReport) -> str:
     for (step, shape), acc in sorted(report.random_guess.items()):
         lines.append(f"{step},{shape},RANDOM,,{acc:.2f},,0")
     return "\n".join(lines) + "\n"
-
-
-def render_report(report: GridReport, fmt: str = "text") -> str:
-    if fmt == "text":
-        return render_text(report)
-    if fmt == "csv":
-        return render_csv(report)
-    raise InvalidConfig(f"unknown report format '{fmt}'")
 
 
 def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult]]:

@@ -18,7 +18,7 @@ from intent_bench.models import (
     MlpConfig,
     lstm_init,
     lstm_loss_grad,
-    make_windows,
+    lstm_rows,
     mlp_init,
     mlp_loss_grad,
     random_guess_accuracy,
@@ -220,8 +220,10 @@ def test_criterion_8_chance_floor(cohort4):
         dir_shuffled = d6.with_values(d6.values)
         dir_shuffled.direction = rng.permutation(d6.direction)
         seqs = sequences_from_matrix(dir_shuffled, train_idx)
-        lstm = train_lstm(seqs, LstmConfig(input_width=15, seed=seed))
-        wx, wy, wtrain = make_windows(seqs, 5)
+        lstm_cfg = LstmConfig(input_width=15, seed=seed)
+        lstm = train_lstm(seqs, lstm_cfg)
+        wx, labels, train, _held = lstm_rows(seqs, lstm_cfg)
+        wy, wtrain = labels[:, -1], train[:, -1]
         accs["LSTM"].append(evaluate(lstm.predict(wx[~wtrain]), wy[~wtrain], 2).accuracy)
 
     lines = []

@@ -215,6 +215,17 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error[InvalidConfig]")
 
+    @pytest.mark.parametrize(
+        "line", ["mlp_batch = 0", "lstm_layers = 0", "lstm_hidden = 0", "lstm_batch = -1", "mlp_epochs = -1"]
+    )
+    def test_out_of_range_train_value_exits_nonzero(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"[train]\nmlp_epochs = 1\nlstm_epochs = 1\nlstm_hidden = 8\n{line}\n")
+        args = ["run", "--synthetic", "--seed", "1", "--participants", "4", "--shape", "diamond"]
+        code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[InvalidConfig]")
+
     def test_csv_source_without_dir(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("[data]\nsource = \"csv\"\n")

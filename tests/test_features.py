@@ -25,7 +25,6 @@ from intent_bench.features import (
     extract_feature_vector,
     feature_matrix,
     fit_scaler,
-    setup_width,
 )
 
 from naive_reference import naive_features
@@ -250,7 +249,6 @@ class TestAssembly:
     def test_widths_match_design(self):
         widths = {"D1": 1, "D2": 11, "D3": 24, "D4": 4, "D5": 35, "D6": 15, "D7": 28, "D8": 39}
         for setup in SetupId:
-            assert setup_width(setup, 24) == widths[setup.value]
             dm = assemble_setup(
                 setup, features=self.features, gaze=self.gaze, probs=self.probs, raw=self.raw
             )

@@ -15,11 +15,9 @@ from intent_bench.models import (
     MlpConfig,
     MlpModel,
     SequenceData,
-    load_model,
-    make_windows,
+    lstm_rows,
     mlp_init,
     random_guess_accuracy,
-    save_model,
     train_baseline,
     train_lstm,
     train_mlp,
@@ -96,22 +94,23 @@ class TestLstm:
         seq = SequenceData(
             x=np.zeros((39, 3)), labels=np.zeros(39, dtype=int), train_mask=np.ones(39, dtype=bool)
         )
-        wx, wy, wtrain = make_windows([seq], 5)
-        assert wx.shape == (35, 5, 3)
+        x, _labels, _train, _held = lstm_rows([seq], LstmConfig(input_width=3, window_len=5))
+        assert x.shape == (35, 5, 3)
 
     def test_sequence_too_short(self):
         seq = SequenceData(
             x=np.zeros((3, 2)), labels=np.zeros(3, dtype=int), train_mask=np.ones(3, dtype=bool)
         )
         with pytest.raises(SequenceTooShort):
-            make_windows([seq], 5)
+            lstm_rows([seq], LstmConfig(input_width=2, window_len=5))
 
     def test_direction_separable_d6(self, diamond_state):
         dm, seqs = _setup_sequences(diamond_state, SetupId.D6)
         assert dm.values.shape[1] == 15
         cfg = _lstm_config(15, TrainParams(), 99)
         model = train_lstm(seqs, cfg)
-        wx, wy, wtrain = make_windows(seqs, cfg.window_len)
+        wx, labels, train, _held = lstm_rows(seqs, cfg)
+        wy, wtrain = labels[:, -1], train[:, -1]
         acc = np.mean(model.predict(wx[~wtrain]) == wy[~wtrain])
         assert acc >= 0.90
 
@@ -119,8 +118,8 @@ class TestLstm:
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
         cfg = _lstm_config(11, TrainParams(), 99)
         model = train_lstm(seqs, cfg)
-        wx, wy, wtrain = make_windows(seqs, cfg.window_len)
-        held = wx[~wtrain]
+        wx, _labels, train, _held = lstm_rows(seqs, cfg)
+        held = wx[~train[:, -1]]
         forward = model.predict(held)
         reversed_ = model.predict(held[:, ::-1, :])
         assert np.mean(forward != reversed_) >= 0.80
@@ -213,42 +212,3 @@ class TestBaselines:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             train_baseline(BaselineKind("svm"), np.empty((0, 2)), np.empty(0, dtype=int), 2)
-
-
-class TestSerialization:
-    def test_mlp_round_trip(self, tmp_path):
-        x, y = four_blobs(rows=64)
-        model = train_mlp(x, y, MlpConfig(input_width=24, epochs=2, seed=0))
-        path = tmp_path / "mlp.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
-
-    def test_knn_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(20, 3))
-        y = rng.integers(0, 2, size=20)
-        model = train_baseline(BaselineKind("knn", k=3), x, y, 2)
-        path = tmp_path / "knn.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
-
-    def test_svm_round_trip(self, tmp_path):
-        x, y = two_blobs(seed=5, rows=60)
-        model = train_baseline(BaselineKind("svm", epochs=20), x, y, 2, seed=1)
-        path = tmp_path / "svm.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-
-    def test_lstm_round_trip(self, tmp_path, cohort8):
-        state = _prepare_shape(cohort8, TaskShape.DIAMOND, TwoStepConfig(seed=11))
-        _dm, seqs = _setup_sequences(state, SetupId.D2)
-        model = train_lstm(seqs, LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0))
-        path = tmp_path / "lstm.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        window = seqs[0].x[:5]
-        np.testing.assert_array_equal(loaded.predict_proba(window), model.predict_proba(window))

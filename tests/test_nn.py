@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intent_bench import nn
-from intent_bench.errors import BadTarget, IoError, ShapeMismatch
+from intent_bench.errors import BadTarget, ShapeMismatch
 from intent_bench.models import MlpConfig, MlpModel, mlp_forward
 
 
@@ -77,7 +77,7 @@ class TestLstmCell:
 
     def test_zero_weights_zero_state(self):
         cell = self._zero_cell()
-        h, c = nn.lstm_cell_step(cell, np.ones(3), np.zeros(4), np.zeros(4))
+        h, c, _ = nn._cell_step(cell, np.ones(3), np.zeros(4), np.zeros(4))
         np.testing.assert_array_equal(h, np.zeros(4))
         np.testing.assert_array_equal(c, np.zeros(4))
 
@@ -86,7 +86,7 @@ class TestLstmCell:
         cell = self._zero_cell(hidden=hidden)
         cell.b_gates[hidden : 2 * hidden] = 50.0  # forget ~ 1
         c0 = np.array([0.3, -0.5, 0.8, 0.1])
-        _, c1 = nn.lstm_cell_step(cell, np.ones(3), np.zeros(hidden), c0)
+        _, c1, _ = nn._cell_step(cell, np.ones(3), np.zeros(hidden), c0)
         np.testing.assert_allclose(c1, c0, rtol=1e-9)
 
     def test_hidden_bounded(self):
@@ -95,13 +95,13 @@ class TestLstmCell:
         h = np.zeros(6)
         c = np.zeros(6)
         for _ in range(20):
-            h, c = nn.lstm_cell_step(cell, rng.normal(size=3) * 10, h, c)
+            h, c, _ = nn._cell_step(cell, rng.normal(size=3) * 10, h, c)
             assert np.all(np.abs(h) < 1.0)
 
     def test_shape_mismatch(self):
         cell = self._zero_cell()
         with pytest.raises(ShapeMismatch):
-            nn.lstm_cell_step(cell, np.ones(5), np.zeros(4), np.zeros(4))
+            nn.lstm_sequence_forward(cell, np.ones((1, 1, 5)))
 
 
 class TestAdam:
@@ -147,21 +147,3 @@ class TestGradCheck:
 
         err = nn.grad_check(loss_and_grad, {"w": np.array([0.3, -1.2, 2.0])}, h=1e-5)
         assert err <= 1e-7
-
-
-class TestParamsContainer:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(4)
-        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=5)}
-        path = tmp_path / "params.json"
-        nn.save_params(path, params, meta={"kind": "test"})
-        loaded, meta = nn.load_params(path)
-        assert meta["kind"] == "test"
-        for name in params:
-            np.testing.assert_array_equal(loaded[name], params[name])
-
-    def test_bad_container(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"magic": "other", "version": 1, "params": {}}')
-        with pytest.raises(IoError):
-            nn.load_params(path)

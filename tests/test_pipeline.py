@@ -21,7 +21,6 @@ from intent_bench.pipeline import (
     records_for_shape,
     reference_ordering_notes,
     render_csv,
-    render_report,
     render_text,
     run_grid,
     run_two_step,
@@ -258,12 +257,6 @@ class TestRendering:
         parsed, _ = read_run_outputs(tmp_path)
         assert render_text(parsed) == render_text(report)
         assert f"**{format_cell(report.cells[1].metrics)}**" in render_text(parsed)
-
-    def test_render_report_dispatch(self):
-        report = self._tiny_report()
-        assert render_report(report, "text") == render_text(report)
-        with pytest.raises(InvalidConfig):
-            render_report(report, "yaml")
 
 
 class TestReferenceNotes:

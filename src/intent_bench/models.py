@@ -44,6 +44,8 @@ def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, n: in
     """
     if cfg.epochs < 1 or cfg.batch_size < 1:
         raise InvalidConfig(f"epochs ({cfg.epochs}) and batch size ({cfg.batch_size}) must be at least 1")
+    if not cfg.lr > 0:
+        raise InvalidConfig(f"learning rate ({cfg.lr}) must be positive")
     state = nn.AdamState(alpha=cfg.lr)
     for _ in range(cfg.epochs):
         for idx in _batches(rng, n, cfg.batch_size):
@@ -162,6 +164,8 @@ class LstmConfig:
             raise InvalidConfig(
                 f"lstm layers ({self.hidden_layers}) and hidden size ({self.hidden_size}) must be at least 1"
             )
+        if not self.l2 >= 0:
+            raise InvalidConfig(f"lstm l2 ({self.l2}) must be at least 0")
 
 
 @dataclass

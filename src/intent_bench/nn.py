@@ -1,9 +1,10 @@
 """Minimal deterministic neural-network kernel in double precision.
 
-LSTM layers with hand-written backpropagation through time, batched softmax
-cross-entropy, Adam with optional masked L2 weight decay, and central-difference
-gradient verification. All randomness flows through numpy Generators seeded by
-the caller.
+LSTM layers with hand-written backpropagation through time (the input product
+and the W/b/x gradients are each one product over all steps; only the
+recurrent product runs per step), batched softmax cross-entropy, Adam with
+optional masked L2 weight decay, and central-difference gradient verification.
+All randomness flows through numpy Generators seeded by the caller.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign for stability on large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(x / 2.0))  # tanh saturates, so no exp can overflow
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -84,78 +79,60 @@ class LstmCell:
         return cls(w_gates=np.vstack(blocks), b_gates=b)
 
 
-def _cell_step(cell: LstmCell, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    hidden = cell.hidden_size
-    z = np.concatenate([x, h], axis=-1)
-    acts = z @ cell.w_gates.T + cell.b_gates
-    i = sigmoid(acts[..., :hidden])
-    f = sigmoid(acts[..., hidden : 2 * hidden])
-    o = sigmoid(acts[..., 2 * hidden : 3 * hidden])
-    g = np.tanh(acts[..., 3 * hidden :])
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    cache = (z, i, f, o, g, c, c_new, tanh_c)
-    return h_new, c_new, cache
-
-
 def lstm_sequence_forward(cell: LstmCell, x: np.ndarray):
-    """Run the cell over x of shape (B, T, X) from zero state.
+    """Run the cell over x of shape (B, T, X) from zero state; return (hs, cache).
 
-    Returns the hidden sequence (B, T, H) and per-step caches for backward.
+    x @ W_x^T + b is one product over all T steps; each step adds h @ W_h^T.
+    hs is (B, T, H); the cache holds x, the hidden and cell states (B, T + 1, H)
+    from the zero state, and the gate activations (B, T, 4H).
     """
     if x.shape[-1] != cell.input_size:
         raise ShapeMismatch(f"sequence width {x.shape[-1]} does not match cell input {cell.input_size}")
-    batch, steps, _ = x.shape
+    batch, steps, n_in = x.shape
     hidden = cell.hidden_size
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    hs = np.empty((batch, steps, hidden))
-    caches = []
+    w_h = cell.w_gates[:, n_in:]
+    gates = (x.reshape(-1, n_in) @ cell.w_gates[:, :n_in].T + cell.b_gates).reshape(batch, steps, 4 * hidden)
+    hs = np.zeros((batch, steps + 1, hidden))
+    cs = np.zeros((batch, steps + 1, hidden))
     for t in range(steps):
-        h, c, cache = _cell_step(cell, x[:, t, :], h, c)
-        hs[:, t, :] = h
-        caches.append(cache)
-    return hs, caches
+        acts = gates[:, t]
+        acts += hs[:, t] @ w_h.T
+        acts[:, : 3 * hidden] = sigmoid(acts[:, : 3 * hidden])
+        acts[:, 3 * hidden :] = np.tanh(acts[:, 3 * hidden :])
+        i, f, o, g = acts.reshape(batch, 4, hidden).swapaxes(0, 1)  # views of the four gate blocks
+        cs[:, t + 1] = f * cs[:, t] + i * g
+        hs[:, t + 1] = o * np.tanh(cs[:, t + 1])
+    return hs[:, 1:], (x, hs, gates, cs)
 
 
-def lstm_sequence_backward(cell: LstmCell, caches, d_hs: np.ndarray):
+def lstm_sequence_backward(cell: LstmCell, cache, d_hs: np.ndarray):
     """Backpropagate through time given gradients on every hidden output.
 
-    Returns (d_x of shape (B, T, X), dW, db).
+    The loop carries only the gate gradients and the recurrent dh/dc; dW, db
+    and d_x are each one product or sum over all steps afterwards. Returns
+    (d_x of shape (B, T, X), dW, db).
     """
-    hidden = cell.hidden_size
-    n_in = cell.input_size
-    batch, steps, _ = d_hs.shape
-    d_x = np.empty((batch, steps, n_in))
-    d_w = np.zeros_like(cell.w_gates)
-    d_b = np.zeros_like(cell.b_gates)
-    dh_next = np.zeros((batch, hidden))
-    dc_next = np.zeros((batch, hidden))
+    x, hs, gates, cs = cache
+    batch, steps, n_in = x.shape
+    sig = 3 * cell.hidden_size  # width of the sigmoid block (i, f, o)
+    w_h = cell.w_gates[:, n_in:]
+    tanh_c = np.tanh(cs[:, 1:])
+    d_gates = np.empty_like(gates)
+    dh = np.zeros_like(hs[:, 0])
+    dc = np.zeros_like(cs[:, 0])
     for t in range(steps - 1, -1, -1):
-        z, i, f, o, g, c_prev, _c_new, tanh_c = caches[t]
-        dh = d_hs[:, t, :] + dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_next = dc * f
-        d_acts = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g * g),
-            ],
-            axis=-1,
-        )
-        d_w += d_acts.T @ z
-        d_b += d_acts.sum(axis=0)
-        dz = d_acts @ cell.w_gates
-        d_x[:, t, :] = dz[:, :n_in]
-        dh_next = dz[:, n_in:]
-    return d_x, d_w, d_b
+        i, f, o, g = gates[:, t].reshape(batch, 4, -1).swapaxes(0, 1)
+        dh = d_hs[:, t] + dh
+        dc = dh * o * (1.0 - tanh_c[:, t] * tanh_c[:, t]) + dc
+        ifo = gates[:, t, :sig]
+        d_gates[:, t, :sig] = np.concatenate([dc * g, dc * cs[:, t], dh * tanh_c[:, t]], axis=-1) * ifo * (1.0 - ifo)
+        d_gates[:, t, sig:] = dc * i * (1.0 - g * g)
+        dc = dc * f
+        dh = d_gates[:, t] @ w_h
+    d_flat = d_gates.reshape(batch * steps, -1)
+    d_w = d_flat.T @ np.concatenate([x, hs[:, :-1]], axis=-1).reshape(batch * steps, -1)
+    d_x = (d_flat @ cell.w_gates[:, :n_in]).reshape(batch, steps, n_in)
+    return d_x, d_w, d_flat.sum(axis=0)
 
 
 # --- Adam -----------------------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     InvalidCell,
     InvalidConfig,
     LengthMismatch,
+    OutOfRange,
     TooFewRows,
 )
 from .features import (
@@ -136,10 +137,11 @@ def evaluate(predictions, labels, num_classes: int) -> Metrics:
         raise LengthMismatch(f"{predictions.shape[0]} predictions for {labels.shape[0]} labels")
     if labels.shape[0] == 0:
         raise TooFewRows("cannot score zero rows")
-    cm = np.zeros((num_classes, num_classes), dtype=int)
-    for t, p in zip(labels, predictions):
-        cm[int(t), int(p)] += 1
-    return metrics_from_confusion(cm)
+    for name, values in (("label", labels), ("prediction", predictions)):
+        if np.any((values < 0) | (values >= num_classes)):
+            raise OutOfRange(f"{name} outside 0..{num_classes - 1}")
+    cells = labels.astype(int) * num_classes + predictions.astype(int)
+    return metrics_from_confusion(np.bincount(cells, minlength=num_classes**2).reshape(num_classes, num_classes))
 
 
 def metrics_from_confusion(cm: np.ndarray) -> Metrics:

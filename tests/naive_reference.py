@@ -1,12 +1,15 @@
-"""Independent naive reference for the 11 time-domain features.
+"""Independent naive references for the 11 time-domain features and the LSTM layer.
 
-Pure-python loops, math.fsum and an exact mean, written separately from the
-library so the two paths share no code. Order matches the canonical feature
-order.
+The features use pure-python loops, math.fsum and an exact mean, written
+separately from the library so the two paths share no code. Order matches the
+canonical feature order. The LSTM layer runs one cell step at a time on the
+concatenated [x, h] input and accumulates the weight gradients step by step.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 LOG_EPS = 1e-12
 
@@ -46,3 +49,68 @@ def naive_features(xs):
     skew = m3 / m2**1.5
     kurt = m4 / var**2
     return [iav, mav, mmav1, mmav2, ssi, var, rms, wl, log, skew, kurt]
+
+
+def _split_sigmoid(x):
+    # split by sign so neither branch calls exp on a large positive argument
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def naive_lstm_forward(w_gates, b_gates, x):
+    """Per-step LSTM over x (B, T, X) from zero state; gate rows ordered (i, f, o, g)."""
+    hidden = b_gates.shape[0] // 4
+    batch, steps, _ = x.shape
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    hs = np.empty((batch, steps, hidden))
+    caches = []
+    for t in range(steps):
+        z = np.concatenate([x[:, t, :], h], axis=-1)
+        acts = z @ w_gates.T + b_gates
+        i = _split_sigmoid(acts[:, :hidden])
+        f = _split_sigmoid(acts[:, hidden : 2 * hidden])
+        o = _split_sigmoid(acts[:, 2 * hidden : 3 * hidden])
+        g = np.tanh(acts[:, 3 * hidden :])
+        c_prev = c
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        hs[:, t, :] = h
+        caches.append((z, i, f, o, g, c_prev, tanh_c))
+    return hs, caches
+
+
+def naive_lstm_backward(w_gates, caches, d_hs):
+    """Returns (d_x, dW, db) of naive_lstm_forward given gradients on every hidden output."""
+    batch, steps, hidden = d_hs.shape
+    n_in = w_gates.shape[1] - hidden
+    d_x = np.empty((batch, steps, n_in))
+    d_w = np.zeros_like(w_gates)
+    d_b = np.zeros(w_gates.shape[0])
+    dh_next = np.zeros((batch, hidden))
+    dc_next = np.zeros((batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        z, i, f, o, g, c_prev, tanh_c = caches[t]
+        dh = d_hs[:, t, :] + dh_next
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+        d_acts = np.concatenate(
+            [
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dh * tanh_c * o * (1.0 - o),
+                dc * i * (1.0 - g * g),
+            ],
+            axis=-1,
+        )
+        dc_next = dc * f
+        d_w += d_acts.T @ z
+        d_b += d_acts.sum(axis=0)
+        dz = d_acts @ w_gates
+        d_x[:, t, :] = dz[:, :n_in]
+        dh_next = dz[:, n_in:]
+    return d_x, d_w, d_b

@@ -216,7 +216,17 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error[InvalidConfig]")
 
     @pytest.mark.parametrize(
-        "line", ["mlp_batch = 0", "lstm_layers = 0", "lstm_hidden = 0", "lstm_batch = -1", "mlp_epochs = -1"]
+        "line",
+        [
+            "mlp_batch = 0",
+            "lstm_layers = 0",
+            "lstm_hidden = 0",
+            "lstm_batch = -1",
+            "mlp_epochs = -1",
+            "mlp_lr = 0",
+            "lstm_lr = -0.001",
+            "lstm_l2 = -5",
+        ],
     )
     def test_out_of_range_train_value_exits_nonzero(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "c.cfg"

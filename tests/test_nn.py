@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from intent_bench import nn
 from intent_bench.errors import BadTarget, ShapeMismatch
 from intent_bench.models import MlpConfig, MlpModel, mlp_forward
+from naive_reference import naive_lstm_backward, naive_lstm_forward
 
 
 class TestDense:
@@ -76,32 +77,55 @@ class TestLstmCell:
         return nn.LstmCell(w_gates=np.zeros((4 * hidden, n_in + hidden)), b_gates=np.zeros(4 * hidden))
 
     def test_zero_weights_zero_state(self):
-        cell = self._zero_cell()
-        h, c, _ = nn._cell_step(cell, np.ones(3), np.zeros(4), np.zeros(4))
-        np.testing.assert_array_equal(h, np.zeros(4))
-        np.testing.assert_array_equal(c, np.zeros(4))
+        hs, (_, _, _, cs) = nn.lstm_sequence_forward(self._zero_cell(), np.ones((2, 4, 3)))
+        np.testing.assert_array_equal(hs, np.zeros((2, 4, 4)))
+        np.testing.assert_array_equal(cs, np.zeros((2, 5, 4)))
 
     def test_saturated_forget_gate_preserves_cell(self):
         hidden = 4
         cell = self._zero_cell(hidden=hidden)
         cell.b_gates[hidden : 2 * hidden] = 50.0  # forget ~ 1
-        c0 = np.array([0.3, -0.5, 0.8, 0.1])
-        _, c1, _ = nn._cell_step(cell, np.ones(3), np.zeros(hidden), c0)
-        np.testing.assert_allclose(c1, c0, rtol=1e-9)
+        cell.w_gates[3 * hidden :, 0] = [0.3, -0.5, 0.8, 0.1]  # candidate reads x[0]
+        x = np.zeros((1, 6, 3))
+        x[0, 0] = 1.0  # the candidate input writes the cell once, then goes to 0
+        hs, (_, _, _, cs) = nn.lstm_sequence_forward(cell, x)
+        assert np.all(cs[0, 1] != 0.0)
+        np.testing.assert_allclose(cs[0, 2:], np.broadcast_to(cs[0, 1], (5, hidden)), rtol=1e-9)
+        np.testing.assert_allclose(hs[0, 1:], np.broadcast_to(hs[0, 0], (5, hidden)), rtol=1e-9)
 
     def test_hidden_bounded(self):
         rng = np.random.default_rng(0)
         cell = nn.LstmCell.init(rng, 3, 6)
-        h = np.zeros(6)
-        c = np.zeros(6)
-        for _ in range(20):
-            h, c, _ = nn._cell_step(cell, rng.normal(size=3) * 10, h, c)
-            assert np.all(np.abs(h) < 1.0)
+        hs, _ = nn.lstm_sequence_forward(cell, rng.normal(size=(1, 20, 3)) * 10)
+        assert np.all(np.abs(hs) < 1.0)
 
     def test_shape_mismatch(self):
         cell = self._zero_cell()
         with pytest.raises(ShapeMismatch):
             nn.lstm_sequence_forward(cell, np.ones((1, 1, 5)))
+
+
+class TestLstmReference:
+    """The layer kernel against the per-step reference, which also catches a wrong forward
+    whose backward matches it (grad-check cannot)."""
+
+    @pytest.mark.parametrize(
+        "batch, steps, n_in, hidden", [(1, 1, 1, 1), (32, 5, 15, 50), (4, 39, 15, 16), (3, 7, 2, 5)]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_matches_per_step_kernel(self, batch, steps, n_in, hidden, scale):
+        rng = np.random.default_rng(batch * 1000 + steps)
+        cell = nn.LstmCell.init(rng, n_in, hidden)
+        cell.b_gates[:] = rng.normal(size=4 * hidden)
+        x = rng.normal(size=(batch, steps, n_in)) * scale
+        d_hs = rng.normal(size=(batch, steps, hidden))
+        hs, cache = nn.lstm_sequence_forward(cell, x)
+        ref_hs, ref_caches = naive_lstm_forward(cell.w_gates, cell.b_gates, x)
+        np.testing.assert_allclose(hs, ref_hs, rtol=1e-9, atol=1e-12)
+        got = nn.lstm_sequence_backward(cell, cache, d_hs)
+        want = naive_lstm_backward(cell.w_gates, ref_caches, d_hs)
+        for name, a, b in zip(("d_x", "dW", "db"), got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 class TestAdam:

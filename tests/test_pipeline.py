@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intent_bench.dataset import TaskShape, synth_cohort
-from intent_bench.errors import IncompleteTable, InvalidConfig, LengthMismatch, TooFewRows
+from intent_bench.errors import IncompleteTable, InvalidConfig, LengthMismatch, OutOfRange, TooFewRows
 from intent_bench.features import SetupId
 from intent_bench.pipeline import (
     CellResult,
@@ -105,6 +105,14 @@ class TestEvaluate:
     def test_empty_input(self):
         with pytest.raises(TooFewRows):
             evaluate(np.array([], int), np.array([], int), 2)
+
+    @pytest.mark.parametrize(
+        "predictions, labels",
+        [([-1, 0], [0, 0]), ([0, 2], [0, 1]), ([0, 0], [-1, 0]), ([0, 1], [2, 1])],
+    )
+    def test_out_of_range_class(self, predictions, labels):
+        with pytest.raises(OutOfRange):
+            evaluate(predictions, labels, 2)
 
 
 class TestTables:

@@ -108,10 +108,6 @@ class LengthMismatch(IntentBenchError):
     pass
 
 
-class InvalidCell(IntentBenchError):
-    pass
-
-
 class IncompleteTable(IntentBenchError):
     pass
 

@@ -31,10 +31,12 @@ def _as_batch(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _batches(rng: np.random.Generator, n: int, batch_size: int):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _batches(rng: np.random.Generator, n: int, epochs: int, batch_size: int):
+    """Row indices of every mini-batch of every epoch; one permutation of the n rows per epoch."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
 
 
 def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, n: int, **decay):
@@ -44,12 +46,11 @@ def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, n: in
     """
     if cfg.epochs < 1 or cfg.batch_size < 1:
         raise InvalidConfig(f"epochs ({cfg.epochs}) and batch size ({cfg.batch_size}) must be at least 1")
-    if not cfg.lr > 0:
-        raise InvalidConfig(f"learning rate ({cfg.lr}) must be positive")
+    if not 0 < cfg.lr < np.inf:
+        raise InvalidConfig(f"learning rate ({cfg.lr}) must be positive and finite")
     state = nn.AdamState(alpha=cfg.lr)
-    for _ in range(cfg.epochs):
-        for idx in _batches(rng, n, cfg.batch_size):
-            params = nn.adam_step(state, params, loss_grad(params, idx)[1], **decay)
+    for idx in _batches(rng, n, cfg.epochs, cfg.batch_size):
+        params = nn.adam_step(state, params, loss_grad(params, idx)[1], **decay)
     return params, loss_grad(params, slice(None))[0]
 
 
@@ -164,8 +165,8 @@ class LstmConfig:
             raise InvalidConfig(
                 f"lstm layers ({self.hidden_layers}) and hidden size ({self.hidden_size}) must be at least 1"
             )
-        if not self.l2 >= 0:
-            raise InvalidConfig(f"lstm l2 ({self.l2}) must be at least 0")
+        if not 0 <= self.l2 < np.inf:
+            raise InvalidConfig(f"lstm l2 ({self.l2}) must be finite and at least 0")
 
 
 @dataclass
@@ -362,8 +363,8 @@ class BaselineKind:
     def validate(self):
         if self.name not in ("knn", "svm", "logreg"):
             raise InvalidConfig(f"unknown baseline '{self.name}'")
-        if self.k <= 0 or self.lam <= 0 or self.lr <= 0 or self.epochs <= 0:
-            raise InvalidConfig("baseline hyperparameters must be positive")
+        if not (self.k > 0 and self.epochs > 0 and 0 < self.lam < np.inf and 0 < self.lr < np.inf):
+            raise InvalidConfig("baseline hyperparameters must be positive and finite")
 
 
 @dataclass
@@ -409,54 +410,37 @@ class LinearModel:
 
 
 def train_svm(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> LinearModel:
-    """One-vs-rest linear SVM: hinge loss + L2, Pegasos-style subgradient steps."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    n = x.shape[0]
-    if n == 0:
-        raise EmptyTrainingSet("no training rows")
+    """One-vs-rest linear SVM: hinge loss + L2, one Pegasos subgradient step of all classes per batch."""
     rng = np.random.default_rng(seed)
+    signs = np.where(y[:, None] == np.arange(num_classes), 1.0, -1.0)  # (n, K) one-vs-rest targets
     w = np.zeros((num_classes, x.shape[1]))
     b = np.zeros(num_classes)
-    step = 0
-    for _ in range(kind.epochs):
-        for idx in _batches(rng, n, kind.batch_size):
-            step += 1
-            eta = 1.0 / (kind.lam * step)
-            xb = x[idx]
-            for c in range(num_classes):
-                t = np.where(y[idx] == c, 1.0, -1.0)
-                margin = t * (xb @ w[c] + b[c])
-                viol = margin < 1.0
-                w[c] *= 1.0 - eta * kind.lam
-                if viol.any():
-                    scale = eta / max(1, viol.sum())
-                    w[c] += scale * (t[viol] @ xb[viol])
-                    b[c] += scale * t[viol].sum()  # bias carries no regularization
+    for step, idx in enumerate(_batches(rng, x.shape[0], kind.epochs, kind.batch_size), start=1):
+        eta = 1.0 / (kind.lam * step)
+        xb, t = x[idx], signs[idx]
+        viol = np.where(t * (xb @ w.T + b) < 1.0, t, 0.0)  # target sign of each margin violator, else 0
+        scale = eta / np.maximum(1, np.count_nonzero(viol, axis=0))
+        w *= 1.0 - eta * kind.lam
+        w += scale[:, None] * (viol.T @ xb)
+        b += scale * viol.sum(axis=0)  # bias carries no regularization
     return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="svm", meta={"seed": seed})
 
 
 def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> LinearModel:
     """Multinomial logistic regression by seeded mini-batch gradient descent."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    n = x.shape[0]
-    if n == 0:
-        raise EmptyTrainingSet("no training rows")
     rng = np.random.default_rng(seed)
     w = np.zeros((num_classes, x.shape[1]))
     b = np.zeros(num_classes)
-    for _ in range(kind.epochs):
-        for idx in _batches(rng, n, kind.batch_size):
-            logits = x[idx] @ w.T + b
-            _, dlogits = nn.batch_softmax_cross_entropy(logits, y[idx])
-            w -= kind.lr * (dlogits.T @ x[idx])
-            b -= kind.lr * dlogits.sum(axis=0)
+    for idx in _batches(rng, x.shape[0], kind.epochs, kind.batch_size):
+        logits = x[idx] @ w.T + b
+        _, dlogits = nn.batch_softmax_cross_entropy(logits, y[idx])
+        w -= kind.lr * (dlogits.T @ x[idx])
+        b -= kind.lr * dlogits.sum(axis=0)
     return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="logreg", meta={"seed": seed})
 
 
 def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
-    """Dispatch to the requested baseline trainer."""
+    """Dispatch to the requested baseline trainer, which gets x as a float array of at least one row."""
     kind.validate()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)

@@ -26,7 +26,6 @@ from .dataset import (
 )
 from .errors import (
     IncompleteTable,
-    InvalidCell,
     InvalidConfig,
     LengthMismatch,
     OutOfRange,
@@ -55,10 +54,11 @@ from .models import (
 
 DIRECTION_CLASSES = 2
 
-SEGMENT_SETUPS = (SetupId.D1, SetupId.D2, SetupId.D3, SetupId.D5)
-DIRECTION_SETUPS = tuple(SetupId)
-SEGMENT_MODELS = ("NN", "KNN", "SVM", "LR")
-DIRECTION_MODELS = ("LSTM", "KNN", "SVM", "LR")
+# grid step -> (models, setups, number of classes), each in the order of its report table
+_STEPS = {
+    "segment": (("NN", "KNN", "SVM", "LR"), (SetupId.D1, SetupId.D2, SetupId.D3, SetupId.D5), SEGMENT_COUNT),
+    "direction": (("LSTM", "KNN", "SVM", "LR"), tuple(SetupId), DIRECTION_CLASSES),
+}
 
 # Ordering expectations from the published reference results, reported
 # informationally and never used as gates.
@@ -298,8 +298,6 @@ _ROW_TRAINERS = {
 def fit_eval_rows(model_name: str, dm: DataMatrix, train_idx, test_idx, labels: np.ndarray,
                   num_classes: int, params: TrainParams, seed: int):
     """Train a per-row classifier (NN or baseline) and score the held-out rows."""
-    if model_name not in _ROW_TRAINERS:
-        raise InvalidCell(f"unknown row model '{model_name}'")
     model = _ROW_TRAINERS[model_name](dm.values[train_idx], labels[train_idx], num_classes, params, seed)
     return model, evaluate(model.predict(dm.values[test_idx]), labels[test_idx], num_classes)
 
@@ -425,7 +423,7 @@ class GridConfig:
     mmav2_positive_tail: bool = False
 
     def validate(self):
-        if self.steps not in ("segment", "direction", "all"):
+        if self.steps not in (*_STEPS, "all"):
             raise InvalidConfig(f"unknown grid steps '{self.steps}'")
 
 
@@ -462,19 +460,15 @@ def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
     for shape in cfg.shapes:
         # segment setups (D1, D2, D3, D5) never read the step-1 probabilities
         state = _prepare_shape(records, shape, cfg, step1=cfg.steps != "segment")
-        steps = ("segment", "direction") if cfg.steps == "all" else (cfg.steps,)
+        steps = tuple(_STEPS) if cfg.steps == "all" else (cfg.steps,)
         for step in steps:
-            if step == "segment":
-                setups, model_names, num_classes = SEGMENT_SETUPS, SEGMENT_MODELS, SEGMENT_COUNT
-            else:
-                setups, model_names, num_classes = DIRECTION_SETUPS, DIRECTION_MODELS, DIRECTION_CLASSES
-            guess_labels = state.raw.segment if step == "segment" else state.raw.direction
+            model_names, setups, num_classes = _STEPS[step]
             random_guess[(step, shape.value)] = random_guess_accuracy(
-                guess_labels, num_classes, seed=derive_seed(cfg.seed, "guess", step, shape.value)
+                getattr(state.raw, step), num_classes, seed=derive_seed(cfg.seed, "guess", step, shape.value)
             )
             for setup in setups:
                 dm, train_idx, test_idx = state.setup_matrix(setup)
-                labels = dm.segment if step == "segment" else dm.direction
+                labels = getattr(dm, step)
                 for model_name in model_names:
                     cell_seed = derive_seed(cfg.seed, "cell", step, shape.value, model_name, setup.value)
                     started = time.perf_counter()
@@ -511,14 +505,7 @@ def format_cell(metrics: Metrics) -> str:
     return f"{metrics.accuracy:.2f} [{metrics.macro_f1:.3f}]"
 
 
-_TABLE_LAYOUT = {
-    "segment": (SEGMENT_MODELS, tuple(s.value for s in SEGMENT_SETUPS)),
-    "direction": (DIRECTION_MODELS, tuple(s.value for s in DIRECTION_SETUPS)),
-}
-
-
-def _table_cells(report: GridReport, step: str, shape: str) -> dict:
-    models_, setups = _TABLE_LAYOUT[step]
+def _table_cells(report: GridReport, step: str, shape: str, models_: tuple, setups: list) -> dict:
     written = {}
     for model in models_:
         for setup in setups:
@@ -534,13 +521,14 @@ def _table_cells(report: GridReport, step: str, shape: str) -> dict:
 
 
 def _tables(report: GridReport):
-    """(step, shape, cells, key of the best cell) of every table that has cells."""
-    for step in ("segment", "direction"):
+    """(step, shape, models, setup names, cells, key of the best cell) of every table that has cells."""
+    for step, (models_, setup_ids, _num_classes) in _STEPS.items():
+        setups = [s.value for s in setup_ids]
         for shape in sorted({c.shape for c in report.cells}):
-            cells = _table_cells(report, step, shape)
+            cells = _table_cells(report, step, shape, models_, setups)
             if cells:
                 best = max(cells, key=lambda k: (cells[k].metrics.accuracy, cells[k].metrics.macro_f1))
-                yield step, shape, cells, best
+                yield step, shape, models_, setups, cells, best
 
 
 def render_text(report: GridReport) -> str:
@@ -552,8 +540,7 @@ def render_text(report: GridReport) -> str:
         "(within-participant information reuse is part of the protocol).",
         "",
     ]
-    for step, shape, cells, best in _tables(report):
-        models_, setups = _TABLE_LAYOUT[step]
+    for step, shape, models_, setups, cells, best in _tables(report):
         # segment tables list the models down the side, direction tables the setups
         by_model = step == "segment"
         rows, columns = (models_, setups) if by_model else (setups, models_)
@@ -580,7 +567,7 @@ def render_text(report: GridReport) -> str:
 def render_csv(report: GridReport) -> str:
     """Flat cells: step,shape,model,setup,accuracy,f1,best."""
     lines = ["step,shape,model,setup,accuracy,f1,best"]
-    bests = {(step, shape): best for step, shape, _cells, best in _tables(report)}
+    bests = {(step, shape): best for step, shape, *_layout, best in _tables(report)}
     for c in sorted(report.cells, key=lambda c: (c.step, c.shape, c.setup, c.model)):
         flag = int(bests.get((c.step, c.shape)) == (c.model, c.setup))
         lines.append(

@@ -1,9 +1,10 @@
-"""Independent naive references for the 11 time-domain features and the LSTM layer.
+"""Independent naive references for the 11 time-domain features, the LSTM layer and the SVM.
 
 The features use pure-python loops, math.fsum and an exact mean, written
 separately from the library so the two paths share no code. Order matches the
 canonical feature order. The LSTM layer runs one cell step at a time on the
 concatenated [x, h] input and accumulates the weight gradients step by step.
+The one-vs-rest SVM trains one class at a time.
 """
 
 import math
@@ -114,3 +115,36 @@ def naive_lstm_backward(w_gates, caches, d_hs):
         d_x[:, t, :] = dz[:, :n_in]
         dh_next = dz[:, n_in:]
     return d_x, d_w, d_b
+
+
+def naive_svm(x, y, num_classes, lam, epochs, batch_size, seed):
+    """One-vs-rest Pegasos, one class after another within each batch.
+
+    Each epoch draws one permutation of the rows from the seeded generator and
+    walks it in batches; step s has size 1 / (lam * s) and the bias is not
+    regularized. Returns the weights (K, d), the biases (K,) and the number of
+    (batch, class) steps that had no margin violator.
+    """
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    w = np.zeros((num_classes, x.shape[1]))
+    b = np.zeros(num_classes)
+    step = idle = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            step += 1
+            eta = 1.0 / (lam * step)
+            xb = x[idx]
+            for c in range(num_classes):
+                t = np.where(y[idx] == c, 1.0, -1.0)
+                viol = t * (xb @ w[c] + b[c]) < 1.0
+                w[c] *= 1.0 - eta * lam
+                if viol.any():
+                    scale = eta / max(1, viol.sum())
+                    w[c] += scale * (t[viol] @ xb[viol])
+                    b[c] += scale * t[viol].sum()
+                else:
+                    idle += 1
+    return w, b, idle

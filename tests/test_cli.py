@@ -226,12 +226,20 @@ class TestRunCommand:
             "mlp_lr = 0",
             "lstm_lr = -0.001",
             "lstm_l2 = -5",
+            "svm_lambda = nan",
+            "svm_lambda = inf",
+            "logreg_lr = nan",
+            "mlp_lr = inf",
+            "lstm_l2 = inf",
         ],
     )
     def test_out_of_range_train_value_exits_nonzero(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text(f"[train]\nmlp_epochs = 1\nlstm_epochs = 1\nlstm_hidden = 8\n{line}\n")
-        args = ["run", "--synthetic", "--seed", "1", "--participants", "4", "--shape", "diamond"]
+        cfgfile.write_text(
+            f"[train]\nmlp_epochs = 1\nlstm_epochs = 1\nlstm_hidden = 8\nbaseline_epochs = 1\n{line}\n"
+        )
+        # the segment grid trains the baselines after the two-step run
+        args = ["run", "--synthetic", "--seed", "1", "--participants", "4", "--shape", "diamond", "--grid", "segment"]
         code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error[InvalidConfig]")

@@ -24,6 +24,8 @@ from intent_bench.models import (
 )
 from intent_bench.pipeline import TrainParams, TwoStepConfig, _lstm_config, _prepare_shape, sequences_from_matrix
 
+from naive_reference import naive_svm
+
 
 def four_blobs(seed=0, rows=500, dims=24):
     rng = np.random.default_rng(seed)
@@ -196,6 +198,23 @@ class TestBaselines:
         x, y = two_blobs()
         model = train_baseline(BaselineKind("svm"), x[:160], y[:160], 2, seed=0)
         assert np.mean(model.predict(x[160:]) == y[160:]) >= 0.95
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    @pytest.mark.parametrize("dims", [1, 35])
+    @pytest.mark.parametrize("lam", [1e-3, 0.1])
+    def test_svm_matches_per_class_reference(self, classes, dims, lam):
+        # 70 rows in batches of 32 leave a last batch of 6
+        rng = np.random.default_rng(classes * 100 + dims)
+        y = np.arange(70) % classes
+        x = rng.normal(0, 0.5, size=(classes, dims))[y] + rng.normal(0, 1.0, size=(70, dims))
+        kind = BaselineKind("svm", lam=lam, epochs=4, batch_size=32)
+        model = train_baseline(kind, x, y, classes, seed=11)
+        w, b, idle = naive_svm(x, y, classes, lam, epochs=4, batch_size=32, seed=11)
+        if dims == 35:  # the classes separate, so some (batch, class) steps have no margin violator
+            assert idle > 0
+        np.testing.assert_allclose(model.weights, w, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(model.bias, b, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(model.predict(x), np.argmax(x @ w.T + b, axis=1))
 
     def test_logreg_separable_and_simplex(self):
         x, y = two_blobs(seed=3)

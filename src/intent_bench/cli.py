@@ -29,12 +29,8 @@ CONFIG_KEYS = {
     "data.source": (str, "synthetic"),
     "data.dir": (str, ""),
     "data.participants": (int, 16),
-    "data.gaze_width": (int, 24),
-    "data.samples_per_window": (int, 20),
-    "data.noise_std": (float, 2.0),
-    "data.gaze_noise": (float, 0.25),
-    "data.base_ohm": (float, 1000.0),
-    "data.amplitude_ohm": (float, 80.0),
+    # one data.<field> key per SynthConfig field, with its type and default
+    **{f"data.{f.name}": (type(f.default), f.default) for f in fields(SynthConfig)},
     "split.train_fraction": (float, 0.8),
     "split.stratify": (str, "none"),
     "grid.steps": (str, ""),
@@ -126,18 +122,7 @@ def _shapes(cfg) -> tuple[TaskShape, ...]:
 
 
 def _synth_config(cfg) -> SynthConfig:
-    return SynthConfig(
-        samples_per_window=cfg["data.samples_per_window"],
-        base_ohm=cfg["data.base_ohm"],
-        amplitude_ohm=cfg["data.amplitude_ohm"],
-        noise_std=cfg["data.noise_std"],
-        gaze_width=cfg["data.gaze_width"],
-        gaze_noise=cfg["data.gaze_noise"],
-    )
-
-
-def _train_params(cfg) -> TrainParams:
-    return TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)})
+    return SynthConfig(**{f.name: cfg[f"data.{f.name}"] for f in fields(SynthConfig)})
 
 
 def _load_records(cfg):
@@ -169,37 +154,43 @@ def cmd_features(cfg) -> int:
     return 0
 
 
-def cmd_run(cfg) -> int:
-    """Run the two-step pipeline and/or the experiment grid, then write the report."""
-    records = _load_records(cfg)
-    shapes = _shapes(cfg)
+def _run_configs(cfg, shapes: tuple[TaskShape, ...]) -> tuple[TwoStepConfig, GridConfig | None]:
+    """The two-step config and the grid config (None without `grid.steps`) of a resolved config."""
+    try:
+        setup = SetupId(cfg["run.direction_setup"])
+    except ValueError:
+        raise InvalidConfig(f"unknown direction setup '{cfg['run.direction_setup']}'") from None
     common = dict(
         seed=cfg["seed"],
         train_fraction=cfg["split.train_fraction"],
         stratify_by=cfg["split.stratify"],
-        train=_train_params(cfg),
+        train=TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)}),
         mmav2_positive_tail=cfg["features.mmav2_positive_tail"],
     )
+    grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, **common) if cfg["grid.steps"] else None
+    return TwoStepConfig(direction_setup=setup, **common), grid_cfg
+
+
+def cmd_run(cfg) -> int:
+    """Run the two-step pipeline and/or the experiment grid, then write the report."""
+    shapes = _shapes(cfg)
+    # the configs check every setting when built, so a bad one fails before any data is loaded
+    ts_cfg, grid_cfg = _run_configs(cfg, shapes)
+    records = _load_records(cfg)
 
     two_step_results = []
     if cfg["run.two_step"]:
-        try:
-            setup = SetupId(cfg["run.direction_setup"])
-        except ValueError:
-            raise InvalidConfig(f"unknown direction setup '{cfg['run.direction_setup']}'") from None
-        ts_cfg = TwoStepConfig(direction_setup=setup, **common)
         for shape in shapes:
             result = pipeline.run_two_step(records, shape, ts_cfg)
             two_step_results.append(result)
             print(
                 f"two-step {shape.value}: step-1 {pipeline.format_cell(result.step1)} | "
-                f"step-2 {pipeline.format_cell(result.step2)} on {setup.value}"
+                f"step-2 {pipeline.format_cell(result.step2)} on {ts_cfg.direction_setup.value}"
             )
 
     report = None
     notes = None
-    if cfg["grid.steps"]:
-        grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, **common)
+    if grid_cfg is not None:
         report = pipeline.run_grid(records, grid_cfg)
         notes = pipeline.reference_ordering_notes(report)
         for note in notes:

@@ -133,29 +133,31 @@ def raw_at_hits(trace: ResistanceTrace, events: list[HitEvent]) -> np.ndarray:
 # per traversal); only the traversal order of the cadence distinguishes the
 # two directions.
 _CADENCE_PERIOD = 13
+WINDOW_MS = 500.0  # time between consecutive hit instants
 
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Synthetic cohort settings, checked when built; `not lo < x < hi` refuses NaN too."""
+
     samples_per_window: int = 20
-    window_ms: float = 500.0
     base_ohm: float = 1000.0
     amplitude_ohm: float = 80.0
     noise_std: float = 2.0
     gaze_width: int = 24
     gaze_noise: float = 0.25
 
-    def validate(self) -> None:
-        if self.amplitude_ohm <= 0:
-            raise InvalidConfig("amplitude_ohm must be positive")
-        if self.noise_std < 0 or self.gaze_noise < 0:
-            raise InvalidConfig("noise levels must be non-negative")
+    def __post_init__(self) -> None:
+        if not 0 < self.amplitude_ohm < np.inf:
+            raise InvalidConfig("amplitude_ohm must be positive and finite")
+        if not (0 <= self.noise_std < np.inf and 0 <= self.gaze_noise < np.inf):
+            raise InvalidConfig("noise levels must be finite and non-negative")
         if self.samples_per_window < 2:
             raise InvalidConfig("samples_per_window must be at least 2")
         if self.gaze_width < SEGMENT_COUNT:
             raise InvalidConfig(f"gaze_width must be at least {SEGMENT_COUNT}")
-        if self.base_ohm <= 1.25 * self.amplitude_ohm:
-            raise InvalidConfig("base_ohm must dominate amplitude_ohm to keep resistance positive")
+        if not 1.25 * self.amplitude_ohm < self.base_ohm < np.inf:
+            raise InvalidConfig("base_ohm must be finite and dominate amplitude_ohm to keep resistance positive")
 
 
 def _derive_seed(*parts) -> int:
@@ -180,9 +182,8 @@ def synth_trace(
     seed: int, participant_id: str, shape: TaskShape, direction: Direction, cfg: SynthConfig
 ) -> tuple[ResistanceTrace, list[HitEvent], np.ndarray]:
     """Generate one participant-task: trace, hit events, and (40, G) gaze rows."""
-    cfg.validate()
     rng = np.random.default_rng(_derive_seed("synth", seed, participant_id, shape.value, direction.value))
-    events = [HitEvent(k, (k - 1) * cfg.window_ms) for k in range(1, HITS_PER_TASK + 1)]
+    events = [HitEvent(k, (k - 1) * WINDOW_MS) for k in range(1, HITS_PER_TASK + 1)]
     m = cfg.samples_per_window
 
     times = np.empty(WINDOWS_PER_TASK * m + 1)
@@ -191,7 +192,7 @@ def synth_trace(
     for span in range(1, WINDOWS_PER_TASK + 1):
         f, gain = _span_profile(shape, direction, span, cfg.amplitude_ohm)
         lo = (span - 1) * m
-        times[lo : lo + m] = (span - 1) * cfg.window_ms + phase * cfg.window_ms
+        times[lo : lo + m] = (span - 1) * WINDOW_MS + phase * WINDOW_MS
         values[lo : lo + m] = cfg.base_ohm + gain * 0.5 * (1.0 - np.cos(2 * math.pi * f * phase))
     times[-1] = events[-1].timestamp_ms
     values[-1] = cfg.base_ohm

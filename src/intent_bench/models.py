@@ -7,7 +7,7 @@ config. Probability outputs are simplexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +39,20 @@ def _batches(rng: np.random.Generator, n: int, epochs: int, batch_size: int):
             yield order[start : start + batch_size]
 
 
-def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, n: int, **decay):
-    """Seeded mini-batch Adam over n rows; `loss_grad(params, idx)` scores the rows idx.
-
-    Returns the trained parameters and their loss on all n rows.
-    """
+def _check_adam(cfg) -> None:
+    """The Adam settings an MlpConfig or LstmConfig must hold (NaN fails too)."""
     if cfg.epochs < 1 or cfg.batch_size < 1:
         raise InvalidConfig(f"epochs ({cfg.epochs}) and batch size ({cfg.batch_size}) must be at least 1")
     if not 0 < cfg.lr < np.inf:
         raise InvalidConfig(f"learning rate ({cfg.lr}) must be positive and finite")
+
+
+def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, n: int, **decay) -> nn.Params:
+    """Seeded mini-batch Adam over n rows; `loss_grad(params, idx)` scores the rows idx."""
     state = nn.AdamState(alpha=cfg.lr)
     for idx in _batches(rng, n, cfg.epochs, cfg.batch_size):
         params = nn.adam_step(state, params, loss_grad(params, idx)[1], **decay)
-    return params, loss_grad(params, slice(None))[0]
+    return params
 
 
 # --- segment MLP ------------------------------------------------------------
@@ -66,6 +67,9 @@ class MlpConfig:
     epochs: int = 50
     batch_size: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        _check_adam(self)
 
 
 def mlp_init(rng: np.random.Generator, cfg: MlpConfig) -> nn.Params:
@@ -109,7 +113,6 @@ def mlp_loss_grad(params: nn.Params, x: np.ndarray, y: np.ndarray):
 class MlpModel:
     params: nn.Params
     cfg: MlpConfig
-    meta: dict = field(default_factory=dict)
 
     def predict_proba(self, x) -> np.ndarray:
         xb, single = _as_batch(x, self.cfg.input_width, "mlp")
@@ -133,10 +136,8 @@ def train_mlp(x: np.ndarray, y: np.ndarray, cfg: MlpConfig) -> MlpModel:
     if x.shape[1] != cfg.input_width:
         raise ShapeMismatch(f"data width {x.shape[1]} != cfg.input_width {cfg.input_width}")
     rng = np.random.default_rng(cfg.seed)
-    params, final_loss = _adam_fit(
-        rng, mlp_init(rng, cfg), cfg, lambda p, idx: mlp_loss_grad(p, x[idx], y[idx]), x.shape[0]
-    )
-    return MlpModel(params=params, cfg=cfg, meta={"seed": cfg.seed, "final_loss": final_loss})
+    params = _adam_fit(rng, mlp_init(rng, cfg), cfg, lambda p, idx: mlp_loss_grad(p, x[idx], y[idx]), x.shape[0])
+    return MlpModel(params=params, cfg=cfg)
 
 
 # --- direction LSTM ----------------------------------------------------------
@@ -156,15 +157,14 @@ class LstmConfig:
     mode: str = "windowed"  # or "full"
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        _check_adam(self)
         if self.mode not in ("windowed", "full"):
             raise InvalidConfig(f"unknown lstm mode '{self.mode}'")
         if self.mode == "windowed" and self.window_len < 2:
             raise InvalidConfig("window_len must be at least 2 in windowed mode")
         if self.hidden_layers < 1 or self.hidden_size < 1:
-            raise InvalidConfig(
-                f"lstm layers ({self.hidden_layers}) and hidden size ({self.hidden_size}) must be at least 1"
-            )
+            raise InvalidConfig(f"lstm layers ({self.hidden_layers}) and hidden size ({self.hidden_size}) must be >= 1")
         if not 0 <= self.l2 < np.inf:
             raise InvalidConfig(f"lstm l2 ({self.l2}) must be finite and at least 0")
 
@@ -285,7 +285,6 @@ def lstm_loss_grad(params: nn.Params, cfg: LstmConfig, x: np.ndarray, y: np.ndar
 class LstmModel:
     params: nn.Params
     cfg: LstmConfig
-    meta: dict = field(default_factory=dict)
 
     def predict_proba(self, x) -> np.ndarray:
         """Probabilities at every step of a (T, d) sequence or a (B, T, d) batch of them."""
@@ -329,7 +328,6 @@ def _decay_masks(params: nn.Params, cfg: LstmConfig) -> dict:
 
 def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
     """Train the direction LSTM on the training side of the given sequences."""
-    cfg.validate()
     if not seqs:
         raise EmptyTrainingSet("no sequences")
     if seqs[0].x.shape[1] != cfg.input_width:
@@ -341,11 +339,11 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
     if not rows.any():
         raise EmptyTrainingSet("no training steps")
     x, y, train = x[rows], y[rows], train[rows]
-    params, final_loss = _adam_fit(
+    params = _adam_fit(
         rng, params, cfg, lambda p, idx: lstm_loss_grad(p, cfg, x[idx], y[idx], train[idx]), x.shape[0],
         l2=cfg.l2, decay_masks=_decay_masks(params, cfg),
     )
-    return LstmModel(params=params, cfg=cfg, meta={"seed": cfg.seed, "final_loss": final_loss})
+    return LstmModel(params=params, cfg=cfg)
 
 
 # --- baselines ---------------------------------------------------------------
@@ -360,7 +358,7 @@ class BaselineKind:
     epochs: int = 200
     batch_size: int = 32
 
-    def validate(self):
+    def __post_init__(self):
         if self.name not in ("knn", "svm", "logreg"):
             raise InvalidConfig(f"unknown baseline '{self.name}'")
         if not (self.k > 0 and self.epochs > 0 and 0 < self.lam < np.inf and 0 < self.lr < np.inf):
@@ -373,7 +371,6 @@ class KnnModel:
     train_y: np.ndarray
     num_classes: int
     k: int
-    meta: dict = field(default_factory=dict)
 
     def predict(self, x) -> np.ndarray:
         xb, single = _as_batch(x, self.train_x.shape[1], "knn")
@@ -395,7 +392,6 @@ class LinearModel:
     bias: np.ndarray  # (K,)
     num_classes: int
     kind: str = "linear"
-    meta: dict = field(default_factory=dict)
 
     def decision(self, x) -> np.ndarray:
         xb, single = _as_batch(x, self.weights.shape[1], self.kind)
@@ -423,7 +419,7 @@ def train_svm(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> Line
         w *= 1.0 - eta * kind.lam
         w += scale[:, None] * (viol.T @ xb)
         b += scale * viol.sum(axis=0)  # bias carries no regularization
-    return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="svm", meta={"seed": seed})
+    return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="svm")
 
 
 def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> LinearModel:
@@ -436,12 +432,11 @@ def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> L
         _, dlogits = nn.batch_softmax_cross_entropy(logits, y[idx])
         w -= kind.lr * (dlogits.T @ x[idx])
         b -= kind.lr * dlogits.sum(axis=0)
-    return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="logreg", meta={"seed": seed})
+    return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="logreg")
 
 
 def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
     """Dispatch to the requested baseline trainer, which gets x as a float array of at least one row."""
-    kind.validate()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.shape[0] == 0:

@@ -84,7 +84,7 @@ class SplitSpec:
     seed: int = 0
     stratify_by: str = "none"  # none | segment | direction
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig("train_fraction must be in (0, 1)")
         if self.stratify_by not in ("none", "segment", "direction"):
@@ -93,7 +93,6 @@ class SplitSpec:
 
 def split_indices(n: int, spec: SplitSpec, strat_labels=None) -> tuple[np.ndarray, np.ndarray]:
     """Seeded disjoint-exhaustive split; train size is floor(fraction * n)."""
-    spec.validate()
     if n < 5:
         raise TooFewRows(f"{n} rows is too few to split")
     rng = np.random.default_rng(spec.seed)
@@ -244,6 +243,13 @@ class TrainParams:
     svm_lambda: float = 0.01
     logreg_lr: float = 0.1
 
+    def __post_init__(self):
+        # build every model config these values feed once, so that a bad value fails here
+        _mlp_config(1, self, 0)
+        _lstm_config(1, self, 0)
+        for model_name in _BASELINES:
+            _baseline_kind(model_name, self)
+
 
 def _mlp_config(width: int, params: TrainParams, seed: int) -> MlpConfig:
     return MlpConfig(
@@ -281,17 +287,18 @@ def fit_eval_lstm(dm: DataMatrix, train_idx, cfg: LstmConfig):
     return model, evaluate(np.argmax(probs[held], axis=-1), labels[rows][held], DIRECTION_CLASSES)
 
 
+_BASELINES = {"KNN": "knn", "SVM": "svm", "LR": "logreg"}  # row model name -> BaselineKind name
+
+
+def _baseline_kind(model_name: str, p: TrainParams) -> BaselineKind:
+    return BaselineKind(_BASELINES[model_name], k=p.knn_k, lam=p.svm_lambda, lr=p.logreg_lr, epochs=p.baseline_epochs)
+
+
 # row model name -> trainer(x, y, num_classes, params, seed); train_mlp and train_baseline
 # are looked up when a cell trains, not when this table is built
 _ROW_TRAINERS = {
     "NN": lambda x, y, k, p, seed: train_mlp(x, y, replace(_mlp_config(x.shape[1], p, seed), output=k)),
-    "KNN": lambda x, y, k, p, seed: train_baseline(BaselineKind("knn", k=p.knn_k), x, y, k, seed),
-    "SVM": lambda x, y, k, p, seed: train_baseline(
-        BaselineKind("svm", lam=p.svm_lambda, epochs=p.baseline_epochs), x, y, k, seed
-    ),
-    "LR": lambda x, y, k, p, seed: train_baseline(
-        BaselineKind("logreg", lr=p.logreg_lr, epochs=p.baseline_epochs), x, y, k, seed
-    ),
+    **{m: lambda x, y, k, p, seed, m=m: train_baseline(_baseline_kind(m, p), x, y, k, seed) for m in _BASELINES},
 }
 
 
@@ -306,13 +313,22 @@ def fit_eval_rows(model_name: str, dm: DataMatrix, train_idx, test_idx, labels: 
 
 
 @dataclass(frozen=True)
-class TwoStepConfig:
+class RunConfig:
+    """Settings shared by the two-step run and the grid; the split settings are checked here."""
+
     seed: int = 0
     train_fraction: float = 0.8
     stratify_by: str = "none"
-    direction_setup: SetupId = SetupId.D6
     train: TrainParams = field(default_factory=TrainParams)
     mmav2_positive_tail: bool = False
+
+    def __post_init__(self):
+        SplitSpec(self.train_fraction, self.seed, self.stratify_by)
+
+
+@dataclass(frozen=True)
+class TwoStepConfig(RunConfig):
+    direction_setup: SetupId = SetupId.D6
 
 
 @dataclass
@@ -325,7 +341,7 @@ class PipelineResult:
     config_hash: str
 
 
-def _split(dm: DataMatrix, cfg, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _split(dm: DataMatrix, cfg: RunConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
     spec = SplitSpec(cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value), cfg.stratify_by)
     labels = {"segment": dm.segment, "direction": dm.direction}.get(cfg.stratify_by)
     return split_indices(dm.n_rows, spec, labels)
@@ -354,8 +370,8 @@ class ShapeState:
         return dm, self.train_idx, self.test_idx
 
 
-def _prepare_shape(records, shape: TaskShape, cfg, step1: bool = True) -> ShapeState:
-    """Shared per-shape state of a TwoStepConfig or GridConfig run; `step1` trains the segment MLP."""
+def _prepare_shape(records, shape: TaskShape, cfg: RunConfig, step1: bool = True) -> ShapeState:
+    """Shared per-shape state of a two-step or grid run; `step1` trains the segment MLP."""
     subset = records_for_shape(records, shape)
     feats_dm, gaze_dm = window_tables(subset, cfg.mmav2_positive_tail)
     raw_dm = raw_table(subset)
@@ -413,16 +429,12 @@ def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoSte
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    seed: int = 0
+class GridConfig(RunConfig):
     steps: str = "all"  # segment | direction | all
     shapes: tuple[TaskShape, ...] = (TaskShape.DIAMOND, TaskShape.CIRCLE)
-    train_fraction: float = 0.8
-    stratify_by: str = "none"
-    train: TrainParams = field(default_factory=TrainParams)
-    mmav2_positive_tail: bool = False
 
-    def validate(self):
+    def __post_init__(self):
+        super().__post_init__()
         if self.steps not in (*_STEPS, "all"):
             raise InvalidConfig(f"unknown grid steps '{self.steps}'")
 
@@ -454,7 +466,6 @@ class GridReport:
 
 def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
     """Train and score every requested (model, setup, shape) cell independently."""
-    cfg.validate()
     cells: list[CellResult] = []
     random_guess: dict = {}
     for shape in cfg.shapes:

@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from intent_bench.cli import load_config_file, main, resolve_config
+from intent_bench.cli import _run_configs, _shapes, build_parser, load_config_file, main, resolve_config
+from intent_bench.dataset import TaskShape
 from intent_bench.errors import InvalidConfig
+from intent_bench.features import SetupId
 
 FAST_TRAIN = """
 [train]
@@ -83,6 +87,21 @@ two_step = false
             data = None
 
         assert resolve_config(Args())["seed"] == 5
+
+    def test_readme_example_builds_run_configs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        examples = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(examples) == 1
+        path = tmp_path / "readme.cfg"
+        path.write_text(examples[0])
+        assert load_config_file(path)
+        cfg = resolve_config(build_parser().parse_args(["run", "--config", str(path)]))
+        two_step, grid = _run_configs(cfg, _shapes(cfg))
+        assert two_step.seed == grid.seed == 42
+        assert two_step.direction_setup is SetupId.D6
+        assert grid.steps == "all"
+        assert grid.shapes == (TaskShape.DIAMOND, TaskShape.CIRCLE)
+        assert grid.train == two_step.train
 
 
 class TestSynthCommand:
@@ -238,11 +257,40 @@ class TestRunCommand:
         cfgfile.write_text(
             f"[train]\nmlp_epochs = 1\nlstm_epochs = 1\nlstm_hidden = 8\nbaseline_epochs = 1\n{line}\n"
         )
-        # the segment grid trains the baselines after the two-step run
+        # every value is checked when the configs are built, before the two-step run trains anything
         args = ["run", "--synthetic", "--seed", "1", "--participants", "4", "--shape", "diamond", "--grid", "segment"]
         code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error[InvalidConfig]")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[InvalidConfig]")
+        assert "two-step" not in captured.out
+
+    @pytest.mark.parametrize(
+        "setting, grid",
+        [
+            pytest.param('[train]\nlstm_mode = "bogus"\n', True, id="lstm_mode"),
+            pytest.param("[train]\nwindow_len = 1\n", True, id="window_len"),
+            pytest.param("[train]\nlstm_epochs = 0\n", True, id="lstm_epochs"),
+            pytest.param('[run]\ndirection_setup = "D9"\n', True, id="direction_setup"),
+            pytest.param("[data]\namplitude_ohm = nan\n", True, id="amplitude_ohm"),
+            pytest.param('[run]\ntwo_step = true\n[grid]\nsteps = "bogus"\n', False, id="grid_steps"),
+        ],
+    )
+    def test_bad_setting_fails_before_any_training(self, tmp_path, capsys, setting, grid):
+        # the LSTM and direction settings are refused even when no LSTM or two-step run would read them
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            "[train]\nmlp_epochs = 1\nlstm_epochs = 1\nlstm_hidden = 8\nbaseline_epochs = 1\n"
+            f"[run]\ntwo_step = false\n{setting}"
+        )
+        out = tmp_path / "o"
+        args = ["run", "--synthetic", "--seed", "1", "--participants", "4", "--shape", "diamond"]
+        code = main(args + (["--grid", "segment"] if grid else []) + ["--config", str(cfgfile), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[InvalidConfig]")
+        assert "two-step" not in captured.out
+        assert not out.exists()
 
     def test_csv_source_without_dir(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"

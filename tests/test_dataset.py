@@ -152,11 +152,27 @@ class TestSynth:
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
-            SynthConfig(amplitude_ohm=0.0).validate()
+            SynthConfig(amplitude_ohm=0.0)
         with pytest.raises(InvalidConfig):
-            SynthConfig(noise_std=-1.0).validate()
+            SynthConfig(noise_std=-1.0)
         with pytest.raises(InvalidConfig):
-            SynthConfig(samples_per_window=1).validate()
+            SynthConfig(samples_per_window=1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("amplitude_ohm", float("nan")),
+            ("base_ohm", float("nan")),
+            ("noise_std", float("nan")),
+            ("gaze_noise", float("nan")),
+            ("noise_std", float("inf")),
+            ("base_ohm", float("inf")),
+        ],
+    )
+    def test_non_finite_config(self, name, value):
+        # such a cohort would hold all-NaN resistance, silently no noise, or constant windows
+        with pytest.raises(InvalidConfig):
+            synth_participant(0, TaskShape.DIAMOND, Direction.CW, SynthConfig(**{name: value}))
 
     def test_cohort_direction_balance(self):
         records = synth_cohort(0, participants=16)

@@ -58,6 +58,19 @@ def _parse_value(raw: str, typ, key: str):
         raise InvalidConfig(f"config key '{key}': cannot parse '{raw}' as {typ.__name__}") from None
 
 
+def _strip_comment(line: str) -> str:
+    """`line` up to its first `#` outside a quoted value."""
+    quote = None
+    for i, ch in enumerate(line):
+        if quote:
+            quote = None if ch == quote else quote
+        elif ch in "\"'":
+            quote = ch
+        elif ch == "#":
+            return line[:i]
+    return line
+
+
 def load_config_file(path) -> dict:
     """Parse the flat TOML-style `key = value` config with [section] headers."""
     values = {}
@@ -67,7 +80,7 @@ def load_config_file(path) -> dict:
     except OSError as exc:
         raise IoError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _strip_comment(line).strip()
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
@@ -122,6 +135,8 @@ def _shapes(cfg) -> tuple[TaskShape, ...]:
 
 
 def _synth_config(cfg) -> SynthConfig:
+    if cfg["data.participants"] < 1:
+        raise InvalidConfig(f"data.participants must be at least 1, got {cfg['data.participants']}")
     return SynthConfig(**{f.name: cfg[f"data.{f.name}"] for f in fields(SynthConfig)})
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -279,32 +280,154 @@ RESISTANCE_COLUMNS = ("participant_id", "shape", "timestamp_ms", "resistance_ohm
 HITS_COLUMNS = ("participant_id", "shape", "hit_index", "timestamp_ms")
 GAZE_KEY_COLUMNS = ("participant_id", "shape", "hit_index")  # followed by the gaze columns
 PARTICIPANTS_COLUMNS = ("participant_id", "direction")
+_HIT_NUMBERS = np.arange(1, HITS_PER_TASK + 1)
 
 
-def _csv_rows(path: Path, required: tuple[str, ...]):
-    """Yield the column index by name, then (file row number, row) of each data row.
+_LABELS = {"shape": TaskShape, "direction": Direction}  # the enum of each label column
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+_CHUNK_CHARS = 1 << 18  # text parsed per columnar step; bounds the reader's buffers
 
-    The header is row 1; it must name every `required` column, and every data
-    row must have exactly the header's field count.
+
+@dataclass(frozen=True)
+class _Columns:
+    """Where one CSV file keeps its key and float columns, and what its floats must satisfy."""
+
+    width: int  # the header's field count
+    pid: int  # participant_id
+    label: int  # shape or direction
+    label_name: str
+    floats: list[int]
+    integral: bool  # the first float column holds whole numbers (hit_index)
+    monotonic: bool  # the first float column does not decrease within a key (timestamp_ms)
+
+
+class _Refused(Exception):
+    """The columnar pass cannot vouch for a file; the per-row walk reads it instead."""
+
+
+def _read_runs(path: Path, required: tuple[str, ...], floats, integral=False, monotonic=False):
+    """Runs of rows with one key, in file order: [((participant_id, label), float rows), ...].
+
+    `required[1]` is the label column, parsed as `TaskShape` or `Direction`;
+    `floats(idx)` picks the float columns from the column index by name. The
+    header is row 1; it must name every `required` column, and every data row
+    must have exactly the header's field count.
+
+    The rows are parsed column-wise, a chunk at a time. A file that pass cannot
+    vouch for (a bad value, a quote, a number that only Python's `float` reads,
+    ...) is read again by the per-row walk, which raises the typed error of its
+    first bad row or returns what it read.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None:
             raise MissingColumn(f"{path}: empty file")
         idx = {name: i for i, name in enumerate(header)}
         for name in required:
             if name not in idx:
                 raise MissingColumn(f"{path}: missing column '{name}'")
-        yield idx
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
-            yield row_no, row
+        cols = _Columns(
+            len(header), idx[required[0]], idx[required[1]], required[1], floats(idx), integral, monotonic
+        )
+        try:
+            return _columnar_runs(handle, cols)
+        except _Refused:
+            handle.seek(0)
+            return _walk_runs(handle, path, cols)
+
+
+def _columnar_runs(handle, cols: _Columns):
+    # every non-float column is read as text, so each field of a row is parsed by one of the two calls
+    text_cols = [i for i in range(cols.width) if i not in cols.floats]
+    pid, label = text_cols.index(cols.pid), text_cols.index(cols.label)
+    labels = {}  # raw label -> enum member, parsed once per distinct value
+    runs = []
+    while True:
+        try:
+            lines = handle.readlines(_CHUNK_CHARS)
+        except UnicodeDecodeError:
+            raise _Refused from None
+        if not lines:
+            break
+        text = "".join(lines)
+        # quotes follow csv's rules; every field is in one of the two calls, so a short row fails its
+        # call and the comma count pins every row's width; csv refuses a field above its size limit
+        if (
+            '"' in text
+            or "\0" in text
+            or text.count(",") != len(lines) * (cols.width - 1)
+            or max(map(len, lines)) > csv.field_size_limit()
+        ):
+            raise _Refused
+        try:
+            keys = np.loadtxt(lines, dtype=object, usecols=text_cols, **_LOADTXT)
+            values = np.loadtxt(lines, usecols=cols.floats, **_LOADTXT) if cols.floats else np.empty((len(lines), 0))
+        except ValueError:
+            raise _Refused from None
+        # loadtxt skips a blank line, which csv reads as a row of 0 fields
+        if len(keys) != len(lines) or not np.isfinite(values).all():
+            raise _Refused
+        if cols.integral and np.any(np.trunc(values[:, 0]) != values[:, 0]):
+            raise _Refused
+        pids, raw_labels = keys[:, pid], keys[:, label]
+        starts = np.flatnonzero((pids[1:] != pids[:-1]) | (raw_labels[1:] != raw_labels[:-1])) + 1
+        bounds = [0, *starts.tolist(), len(lines)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            raw = raw_labels[lo]
+            if raw not in labels:
+                try:
+                    labels[raw] = _LABELS[cols.label_name](raw)
+                except ValueError:
+                    raise _Refused from None
+            runs.append(((pids[lo], labels[raw]), values[lo:hi]))
+    if cols.monotonic:
+        last = {}
+        for key, block in runs:
+            t = block[:, 0]
+            if np.any(t[1:] < t[:-1]) or t[0] < last.get(key, -np.inf):
+                raise _Refused
+            last[key] = t[-1]
+    return runs
+
+
+def _walk_runs(handle, path: Path, cols: _Columns):
+    """The per-row parse: the first bad row raises its typed error, else the same runs as the columnar pass."""
+    reader = csv.reader(handle)
+    next(reader)  # the header, checked already
+    keys, rows, last = [], [], {}
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != cols.width:
+            raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {cols.width}")
+        key = (row[cols.pid], _parse_label(cols.label_name, row[cols.label], row_no))
+        values = [
+            _parse_hit(row[i], row_no) if cols.integral and j == 0 else _parse_float(row[i], row_no)
+            for j, i in enumerate(cols.floats)
+        ]
+        if cols.monotonic:
+            if key in last and values[0] < last[key]:
+                raise NonMonotonicTimestamp(row_no)
+            last[key] = values[0]
+        keys.append(key)
+        rows.append(values)
+    block = np.array(rows, dtype=float).reshape(len(rows), len(cols.floats))
+    runs, lo = [], 0
+    for key, run in itertools.groupby(keys):
+        hi = lo + sum(1 for _ in run)
+        runs.append((key, block[lo:hi]))
+        lo = hi
+    return runs
+
+
+def _grouped(runs) -> dict:
+    """Each key's rows in file order, keys in order of first appearance (rows of a key may interleave)."""
+    pieces = {}
+    for key, block in runs:
+        pieces.setdefault(key, []).append(block)
+    return {key: blocks[0] if len(blocks) == 1 else np.concatenate(blocks) for key, blocks in pieces.items()}
 
 
 def _parse_float(raw: str, row: int) -> float:
@@ -317,11 +440,11 @@ def _parse_float(raw: str, row: int) -> float:
     return value
 
 
-def _parse_shape(raw: str, row: int) -> TaskShape:
+def _parse_label(column: str, raw: str, row: int):
     try:
-        return TaskShape(raw)
+        return _LABELS[column](raw)
     except ValueError:
-        raise NonNumericValue(row, f"unknown shape '{raw}' at file row {row}") from None
+        raise NonNumericValue(row, f"unknown {column} '{raw}' at file row {row}") from None
 
 
 def _parse_hit(raw: str, row: int) -> int:
@@ -337,62 +460,41 @@ def load_resistance_csv(path) -> list[ResistanceTrace]:
     Rows of a pair must appear in non-decreasing timestamp order. Row numbers
     in errors are 1-based file lines (the header is line 1).
     """
-    path = Path(path)
-    grouped: dict[tuple[str, TaskShape], tuple[list[float], list[float]]] = {}
-    rows = _csv_rows(path, RESISTANCE_COLUMNS)
-    idx = next(rows)
-    for row_no, row in rows:
-        pid = row[idx["participant_id"]]
-        shape = _parse_shape(row[idx["shape"]], row_no)
-        t = _parse_float(row[idx["timestamp_ms"]], row_no)
-        r = _parse_float(row[idx["resistance_ohm"]], row_no)
-        times, values = grouped.setdefault((pid, shape), ([], []))
-        if times and t < times[-1]:
-            raise NonMonotonicTimestamp(row_no)
-        times.append(t)
-        values.append(r)
-
+    runs = _read_runs(
+        Path(path), RESISTANCE_COLUMNS, lambda idx: [idx["timestamp_ms"], idx["resistance_ohm"]], monotonic=True
+    )
     return [
-        ResistanceTrace(pid, shape, np.asarray(ts), np.asarray(vs))
-        for (pid, shape), (ts, vs) in grouped.items()
+        ResistanceTrace(pid, shape, block[:, 0].copy(), block[:, 1].copy())
+        for (pid, shape), block in _grouped(runs).items()
     ]
 
 
 def load_hits_csv(path) -> dict[tuple[str, TaskShape], list[HitEvent]]:
-    path = Path(path)
-    grouped: dict[tuple[str, TaskShape], list[HitEvent]] = {}
-    rows = _csv_rows(path, HITS_COLUMNS)
-    idx = next(rows)
-    for row_no, row in rows:
-        pid = row[idx["participant_id"]]
-        shape = _parse_shape(row[idx["shape"]], row_no)
-        hit = _parse_hit(row[idx["hit_index"]], row_no)
-        t = _parse_float(row[idx["timestamp_ms"]], row_no)
-        grouped.setdefault((pid, shape), []).append(HitEvent(hit, t))
-    for key, events in grouped.items():
-        events.sort(key=lambda ev: ev.hit_index)
-        _check_events(events)
+    runs = _read_runs(Path(path), HITS_COLUMNS, lambda idx: [idx["hit_index"], idx["timestamp_ms"]], integral=True)
+    grouped = {}
+    for key, block in _grouped(runs).items():
+        block = block[np.argsort(block[:, 0], kind="stable")]
+        grouped[key] = [HitEvent(int(hit), t) for hit, t in block.tolist()]
+        _check_events(grouped[key])
     return grouped
 
 
 def load_gaze_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
     """Load (40, G) gaze tables; G is fixed by the header and every row must match it."""
     path = Path(path)
-    grouped: dict[tuple[str, TaskShape], dict[int, np.ndarray]] = {}
-    rows = _csv_rows(path, GAZE_KEY_COLUMNS)
-    idx = next(rows)
-    gcols = [i for name, i in idx.items() if name not in GAZE_KEY_COLUMNS]
-    if not gcols:
-        raise MissingColumn(f"{path}: no gaze feature columns")
-    for row_no, row in rows:
-        pid = row[idx["participant_id"]]
-        shape = _parse_shape(row[idx["shape"]], row_no)
-        hit = _parse_hit(row[idx["hit_index"]], row_no)
-        feats = np.asarray([_parse_float(row[i], row_no) for i in gcols])
-        grouped.setdefault((pid, shape), {})[hit] = feats
+
+    def columns(idx):
+        gcols = [i for name, i in idx.items() if name not in GAZE_KEY_COLUMNS]
+        if not gcols:
+            raise MissingColumn(f"{path}: no gaze feature columns")
+        return [idx["hit_index"], *gcols]
 
     tables = {}
-    for key, by_hit in grouped.items():
+    for key, block in _grouped(_read_runs(path, GAZE_KEY_COLUMNS, columns, integral=True)).items():
+        if np.array_equal(block[:, 0], _HIT_NUMBERS):
+            tables[key] = block[:, 1:].copy()
+            continue
+        by_hit = {int(hit): row for hit, row in zip(block[:, 0].tolist(), block[:, 1:])}  # a later row wins
         if sorted(by_hit) != list(range(1, HITS_PER_TASK + 1)):
             raise InvalidConfig(f"gaze rows for {key} do not cover hits 1..{HITS_PER_TASK}")
         tables[key] = np.vstack([by_hit[k] for k in range(1, HITS_PER_TASK + 1)])
@@ -400,18 +502,9 @@ def load_gaze_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
 
 
 def load_participants_csv(path) -> dict[str, Direction]:
-    path = Path(path)
     directions = {}
-    rows = _csv_rows(path, PARTICIPANTS_COLUMNS)
-    idx = next(rows)
-    for row_no, row in rows:
-        pid = row[idx["participant_id"]]
-        try:
-            directions[pid] = Direction(row[idx["direction"]])
-        except ValueError:
-            raise NonNumericValue(
-                row_no, f"unknown direction '{row[idx['direction']]}' at file row {row_no}"
-            ) from None
+    for (pid, direction), _ in _read_runs(Path(path), PARTICIPANTS_COLUMNS, lambda idx: []):
+        directions[pid] = direction  # a later row wins
     return directions
 
 

@@ -1,16 +1,29 @@
-"""Independent naive references for the 11 time-domain features, the LSTM layer and the SVM.
+"""Independent naive references for the 11 time-domain features, the LSTM layer, the SVM and the CSV loaders.
 
 The features use pure-python loops, math.fsum and an exact mean, written
 separately from the library so the two paths share no code. Order matches the
 canonical feature order. The LSTM layer runs one cell step at a time on the
 concatenated [x, h] input and accumulates the weight gradients step by step.
-The one-vs-rest SVM trains one class at a time.
+The one-vs-rest SVM trains one class at a time. The dataset CSV loaders
+parse one row at a time with `csv` and Python's `float`, checking each row
+as it is read.
 """
 
+import csv
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from intent_bench.dataset import Direction, HitEvent, ResistanceTrace, TaskShape, _check_events
+from intent_bench.errors import (
+    InvalidConfig,
+    IoError,
+    MissingColumn,
+    NonMonotonicTimestamp,
+    NonNumericValue,
+    RowWidthMismatch,
+)
 
 LOG_EPS = 1e-12
 
@@ -148,3 +161,118 @@ def naive_svm(x, y, num_classes, lam, epochs, batch_size, seed):
                 else:
                     idle += 1
     return w, b, idle
+
+
+# --- per-row CSV loaders ---------------------------------------------------
+
+
+def _rows(path, required):
+    """Yield the column index by name, then (file row number, row) of each data row."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot open {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise MissingColumn(f"{path}: empty file")
+        idx = {name: i for i, name in enumerate(header)}
+        for name in required:
+            if name not in idx:
+                raise MissingColumn(f"{path}: missing column '{name}'")
+        yield idx
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
+            yield row_no, row
+
+
+def _float(raw, row):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise NonNumericValue(row, f"cannot parse '{raw}' as a number at file row {row}") from None
+    if not math.isfinite(value):
+        raise NonNumericValue(row, f"non-finite value '{raw}' at file row {row}")
+    return value
+
+
+def _shape(raw, row):
+    try:
+        return TaskShape(raw)
+    except ValueError:
+        raise NonNumericValue(row, f"unknown shape '{raw}' at file row {row}") from None
+
+
+def _hit(raw, row):
+    value = _float(raw, row)
+    if not value.is_integer():
+        raise NonNumericValue(row, f"hit_index '{raw}' is not an integer at file row {row}")
+    return int(value)
+
+
+def naive_load_resistance_csv(path):
+    grouped = {}
+    rows = _rows(path, ("participant_id", "shape", "timestamp_ms", "resistance_ohm"))
+    idx = next(rows)
+    for row_no, row in rows:
+        pid = row[idx["participant_id"]]
+        shape = _shape(row[idx["shape"]], row_no)
+        t = _float(row[idx["timestamp_ms"]], row_no)
+        r = _float(row[idx["resistance_ohm"]], row_no)
+        times, values = grouped.setdefault((pid, shape), ([], []))
+        if times and t < times[-1]:
+            raise NonMonotonicTimestamp(row_no)
+        times.append(t)
+        values.append(r)
+    return [ResistanceTrace(pid, shape, np.asarray(ts), np.asarray(vs)) for (pid, shape), (ts, vs) in grouped.items()]
+
+
+def naive_load_hits_csv(path):
+    grouped = {}
+    rows = _rows(path, ("participant_id", "shape", "hit_index", "timestamp_ms"))
+    idx = next(rows)
+    for row_no, row in rows:
+        pid = row[idx["participant_id"]]
+        shape = _shape(row[idx["shape"]], row_no)
+        hit = _hit(row[idx["hit_index"]], row_no)
+        t = _float(row[idx["timestamp_ms"]], row_no)
+        grouped.setdefault((pid, shape), []).append(HitEvent(hit, t))
+    for events in grouped.values():
+        events.sort(key=lambda ev: ev.hit_index)
+        _check_events(events)
+    return grouped
+
+
+def naive_load_gaze_csv(path):
+    keys = ("participant_id", "shape", "hit_index")
+    grouped = {}
+    rows = _rows(path, keys)
+    idx = next(rows)
+    gcols = [i for name, i in idx.items() if name not in keys]
+    if not gcols:
+        raise MissingColumn(f"{path}: no gaze feature columns")
+    for row_no, row in rows:
+        pid = row[idx["participant_id"]]
+        shape = _shape(row[idx["shape"]], row_no)
+        hit = _hit(row[idx["hit_index"]], row_no)
+        grouped.setdefault((pid, shape), {})[hit] = np.asarray([_float(row[i], row_no) for i in gcols])
+    tables = {}
+    for key, by_hit in grouped.items():
+        if sorted(by_hit) != list(range(1, 41)):
+            raise InvalidConfig(f"gaze rows for {key} do not cover hits 1..40")
+        tables[key] = np.vstack([by_hit[k] for k in range(1, 41)])
+    return tables
+
+
+def naive_load_participants_csv(path):
+    directions = {}
+    rows = _rows(path, ("participant_id", "direction"))
+    idx = next(rows)
+    for row_no, row in rows:
+        try:
+            directions[row[idx["participant_id"]]] = Direction(row[idx["direction"]])
+        except ValueError:
+            raise NonNumericValue(row_no, f"unknown direction '{row[idx['direction']]}' at file row {row_no}") from None
+    return directions

@@ -45,6 +45,13 @@ two_step = false
         assert values["data.noise_std"] == 1.5
         assert values["run.two_step"] is False
 
+    def test_hash_inside_quoted_value_is_kept(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text('out = "runs/#1"  # the first run\n[split]\nstratify = \'none\'#x\n')
+        values = load_config_file(path)
+        assert values["out"] == "runs/#1"
+        assert values["split.stratify"] == "none"
+
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("[data]\nwat = 3\n")
@@ -129,6 +136,25 @@ class TestSynthCommand:
             rows = (out / f"{name}.csv").read_text().splitlines()[1:]
             assert rows and all(row.split(",")[1] == "diamond" for row in rows)
         assert len((out / "participants.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["synth", "--participants", "0"], id="synth-flag-0"),
+            pytest.param(["synth", "--participants", "-1"], id="synth-flag-negative"),
+            pytest.param(["synth", "--config", "{cfg}"], id="synth-config-0"),
+            pytest.param(["run", "--synthetic", "--config", "{cfg}"], id="run-config-0"),
+        ],
+    )
+    def test_no_participants_is_refused(self, tmp_path, capsys, args):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("[data]\nparticipants = 0\n")
+        out = tmp_path / "data"
+        code = main([a.format(cfg=cfgfile) for a in args] + ["--seed", "1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[InvalidConfig]") and "participants" in captured.err
+        assert not out.exists()
 
     def test_default_cohort_hit_rows(self, tmp_path):
         out = tmp_path / "data"

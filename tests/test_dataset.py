@@ -1,7 +1,14 @@
+import csv
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naive_reference
+from intent_bench import dataset
 from intent_bench.cli import main
 from intent_bench.dataset import (
     Direction,
@@ -24,6 +31,7 @@ from intent_bench.dataset import (
 )
 from intent_bench.errors import (
     EmptyWindow,
+    IntentBenchError,
     InvalidConfig,
     IoError,
     MissingColumn,
@@ -287,8 +295,9 @@ class TestLoaderErrors:
             (load_resistance_csv, "participant_id,shape,timestamp_ms,resistance_ohm", "p0,diamond,0.0,1000.0"),
             (load_hits_csv, "participant_id,shape,hit_index,timestamp_ms", "p0,diamond,1,0.0"),
             (load_participants_csv, "participant_id,direction", "p0,cw"),
+            (load_gaze_csv, "participant_id,shape,hit_index,g1", "p0,diamond,1,0.5"),
         ],
-        ids=["resistance", "hits", "participants"],
+        ids=["resistance", "hits", "participants", "gaze"],
     )
     def test_row_longer_than_header(self, tmp_path, loader, header, row):
         p = tmp_path / "data.csv"
@@ -339,3 +348,229 @@ class TestLoaderErrors:
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(InvalidConfig):
             load_hits_csv(p)
+
+
+LOADERS = {
+    "resistance": (load_resistance_csv, naive_reference.naive_load_resistance_csv),
+    "hits": (load_hits_csv, naive_reference.naive_load_hits_csv),
+    "gaze": (load_gaze_csv, naive_reference.naive_load_gaze_csv),
+    "participants": (load_participants_csv, naive_reference.naive_load_participants_csv),
+}
+
+
+def _outcome(load, path):
+    """("ok", result), or the error as (type, message, file row)."""
+    try:
+        return "ok", load(path)
+    except (IntentBenchError, csv.Error, UnicodeDecodeError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+def _assert_same(a, b):
+    """Equal bit for bit, with equal types, shapes and dtypes all the way down."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, np.ndarray):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    elif isinstance(a, dict):
+        _assert_same(list(a.items()), list(b.items()))
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    elif dataclasses.is_dataclass(a):
+        _assert_same(vars(a), vars(b))
+    else:
+        assert a == b
+
+
+def _assert_loads_as_per_row(data_dir, names=tuple(LOADERS)):
+    """Each loader gives the per-row reference's result, or raises its error at its row."""
+    for name in names:
+        load, naive = LOADERS[name]
+        got, want = _outcome(load, data_dir / f"{name}.csv"), _outcome(naive, data_dir / f"{name}.csv")
+        if want[0] == "ok":
+            assert got[0] == "ok", (name, got)
+            _assert_same(got[1], want[1])
+        else:
+            assert got == want, name
+
+
+@pytest.fixture()
+def per_row_only(monkeypatch):
+    """Fail any load that the columnar pass hands to the per-row walk."""
+
+    def refuse(*_args):
+        raise AssertionError("the columnar pass refused a file it should read")
+
+    monkeypatch.setattr(dataset, "_walk_runs", refuse)
+
+
+class TestColumnarLoader:
+    @pytest.fixture()
+    def csv_dir(self, tmp_path):
+        cfg = SynthConfig(samples_per_window=3, gaze_width=5)
+        tasks = []
+        for i in range(2):
+            direction = Direction.CW if i % 2 == 0 else Direction.CCW
+            for shape in (TaskShape.DIAMOND, TaskShape.CIRCLE):
+                tasks.append((f"p{i:02d}", shape, direction, *synth_trace(7 + i, f"p{i:02d}", shape, direction, cfg)))
+        write_dataset_csvs(tasks, tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def _edit(path, edit):
+        path.write_bytes(edit(path.read_bytes().decode("utf-8")).encode("utf-8"))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+    @pytest.mark.parametrize("trailing", [True, False], ids=["trailing-newline", "no-trailing-newline"])
+    def test_line_endings(self, csv_dir, per_row_only, newline, trailing):
+        for name in LOADERS:
+            self._edit(csv_dir / f"{name}.csv", lambda text: text.replace("\r\n", newline)[: None if trailing else -len(newline)])
+        for name in LOADERS:
+            assert (csv_dir / f"{name}.csv").read_bytes().endswith(newline.encode()) == trailing
+        _assert_loads_as_per_row(csv_dir)
+        assert len(records_from_csv_dir(csv_dir)) == 4
+
+    def test_interleaved_tasks(self, csv_dir, per_row_only):
+        path = csv_dir / "resistance.csv"
+        before = load_resistance_csv(path)
+        header, *rows = path.read_text().splitlines()
+        diamond = [r for r in rows if r.startswith("p00,diamond,")]
+        circle = [r for r in rows if r.startswith("p00,circle,")]
+        rest = [r for r in rows if not r.startswith("p00,")]
+        mixed = [r for pair in zip(diamond, circle) for r in pair]  # the two tasks alternate row by row
+        path.write_text("\n".join([header, *mixed, *rest]) + "\n")
+        _assert_loads_as_per_row(csv_dir, ["resistance"])
+        after = load_resistance_csv(path)
+        _assert_same(after, before)
+
+    def test_interleaved_task_going_back_in_time(self, csv_dir):
+        # the diamond task's third run starts before its second run ends: file row 6 goes back
+        path = csv_dir / "resistance.csv"
+        header, *rows = path.read_text().splitlines()
+        diamond = [r for r in rows if r.startswith("p00,diamond,")]
+        circle = [r for r in rows if r.startswith("p00,circle,")]
+        mixed = [diamond[0], circle[0], diamond[2], circle[1], diamond[1], *diamond[3:], *circle[2:]]
+        path.write_text("\n".join([header, *mixed]) + "\n")
+        with pytest.raises(NonMonotonicTimestamp) as err:
+            load_resistance_csv(path)
+        assert err.value.row == 6
+        _assert_loads_as_per_row(csv_dir, ["resistance"])
+
+    @pytest.mark.parametrize("name", list(LOADERS))
+    def test_blank_line_is_a_row_of_no_fields(self, csv_dir, name):
+        path = csv_dir / f"{name}.csv"
+        self._edit(path, lambda text: text.replace("\r\n", "\r\n\r\n", 3).replace("\r\n\r\n", "\r\n", 2))
+        assert path.read_text().splitlines()[3] == ""  # file row 4
+        with pytest.raises(RowWidthMismatch, match="row 4 has 0 fields"):
+            LOADERS[name][0](path)
+        _assert_loads_as_per_row(csv_dir, [name])
+
+    @pytest.mark.parametrize("name", ["resistance", "hits", "gaze"])
+    @pytest.mark.parametrize("blank_first", [True, False], ids=["blank-first", "long-first"])
+    def test_blank_line_beside_a_long_row(self, csv_dir, name, blank_first):
+        # the long row's extra commas balance the blank line's missing ones, so only the row count differs
+        path = csv_dir / f"{name}.csv"
+        lines = path.read_text().splitlines()
+        lines[4] += ",0.5" * lines[0].count(",")
+        lines.insert(3 if blank_first else 6, "")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RowWidthMismatch, match="row 4 has 0 fields" if blank_first else "row 5 has"):
+            LOADERS[name][0](path)
+        _assert_loads_as_per_row(csv_dir, [name])
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            pytest.param("hits", lambda text: text.replace("p01,", "p\x0001,"), id="nul-in-participant-id"),
+            pytest.param("hits", lambda text: text.replace("p01,", "p" * 140_000 + ","), id="field-above-csv-limit"),
+            # row 2 is bad, and the invalid byte lies past the first 8 KiB that csv's reader decodes
+            pytest.param(
+                "resistance", lambda text: text.replace(",0.0,", ",nan,", 1) + "\udcff", id="bad-utf8-after-bad-row"
+            ),
+        ],
+    )
+    def test_odd_input_reads_as_per_row(self, csv_dir, name, edit):
+        path = csv_dir / f"{name}.csv"
+        text = edit(path.read_text(encoding="utf-8"))
+        path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+        _assert_loads_as_per_row(csv_dir, [name])
+
+    def test_quoted_participant_id_with_comma(self, csv_dir):
+        for name in LOADERS:
+            self._edit(csv_dir / f"{name}.csv", lambda text: text.replace("p00,", '"p,00",'))
+        _assert_loads_as_per_row(csv_dir)
+        assert "p,00" in load_participants_csv(csv_dir / "participants.csv")
+        assert {r.participant_id for r in records_from_csv_dir(csv_dir)} == {"p,00", "p01"}
+
+    def test_hash_inside_participant_id(self, csv_dir, per_row_only):
+        for name in LOADERS:
+            self._edit(csv_dir / f"{name}.csv", lambda text: text.replace("p00,", "p#00,"))
+        _assert_loads_as_per_row(csv_dir)
+        assert {r.participant_id for r in records_from_csv_dir(csv_dir)} == {"p#00", "p01"}
+
+    def test_underscore_number_loads_as_python_float_reads_it(self, csv_dir):
+        path = csv_dir / "resistance.csv"
+        before = load_resistance_csv(path)
+        self._edit(path, lambda text: text.replace(",1000.0,", ",1_000.0,"))
+        assert "1_000.0" in path.read_text()
+        _assert_loads_as_per_row(csv_dir, ["resistance"])
+        _assert_same(load_resistance_csv(path), before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        keep_task_order=st.booleans(),
+        newline=st.sampled_from(["\r\n", "\n"]),
+        trailing=st.booleans(),
+        number=st.sampled_from([repr, "{:.17g}".format, " {!r} ".format, "{:_}".format, "{:.3e}".format]),
+        fault=st.sampled_from([None, "nan", "abc", "", "drop", "extra", "blank", "quote", "sideways", "1.5"]),
+    )
+    def test_shuffled_rows_load_as_per_row(self, seed, keep_task_order, newline, trailing, number, fault):
+        # synthesized tables with shuffled rows: each loader matches the per-row reference, errors included
+        rng = np.random.default_rng(seed)
+        cfg = SynthConfig(samples_per_window=2, gaze_width=4 + int(rng.integers(0, 3)))
+        tables = {
+            "resistance": [list(dataset.RESISTANCE_COLUMNS)],
+            "hits": [list(dataset.HITS_COLUMNS)],
+            "gaze": [[*dataset.GAZE_KEY_COLUMNS, *(f"g{i + 1}" for i in range(cfg.gaze_width))]],
+            "participants": [list(dataset.PARTICIPANTS_COLUMNS)],
+        }
+        for i in range(int(rng.integers(1, 4))):
+            pid, direction = f"p{i}", (Direction.CW, Direction.CCW)[int(rng.integers(0, 2))]
+            tables["participants"].append([pid, direction.value])
+            for shape in TaskShape:
+                trace, events, gaze = synth_trace(seed % 1000 + i, pid, shape, direction, cfg)
+                tables["resistance"] += [[pid, shape.value, number(t), number(r)] for t, r in zip(trace.times, trace.values)]
+                tables["hits"] += [[pid, shape.value, str(ev.hit_index), number(ev.timestamp_ms)] for ev in events]
+                tables["gaze"] += [[pid, shape.value, str(k), *map(number, row)] for k, row in enumerate(gaze, start=1)]
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, (header, *rows) in tables.items():
+                order = rng.permutation(len(rows))
+                if keep_task_order:  # interleave the tasks, each keeping its own row order
+                    keys = [tuple(rows[j][:2]) for j in order]
+                    queues = {}
+                    for row in rows:
+                        queues.setdefault(tuple(row[:2]), []).append(row)
+                    rows = [queues[key].pop(0) for key in keys]
+                else:
+                    rows = [rows[j] for j in order]
+                lines = [",".join(row) for row in [header, *rows]]
+                if fault is not None:
+                    k = 1 + int(rng.integers(0, len(rows)))
+                    cells = lines[k].split(",")
+                    if fault == "drop":
+                        cells.pop()
+                    elif fault == "extra":
+                        cells.append("0.0")
+                    elif fault == "quote":
+                        cells[0] = f'"{cells[0]}"'
+                    elif fault == "sideways":
+                        cells[1] = fault
+                    else:
+                        cells[-1] = fault
+                    lines[k] = "" if fault == "blank" else ",".join(cells)
+                text = newline.join(lines) + (newline if trailing else "")
+                (Path(tmp) / f"{name}.csv").write_bytes(text.encode("utf-8"))
+            _assert_loads_as_per_row(Path(tmp))
+

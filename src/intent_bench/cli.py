@@ -36,7 +36,6 @@ CONFIG_KEYS = {
     "grid.steps": (str, ""),
     "run.two_step": (bool, True),
     "run.direction_setup": (str, "D6"),
-    "features.mmav2_positive_tail": (bool, False),
     # one train.<field> key per TrainParams field, with its type and default
     **{f"train.{f.name}": (type(f.default), f.default) for f in fields(TrainParams)},
 }
@@ -161,8 +160,8 @@ def cmd_features(cfg) -> int:
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     for shape in _shapes(cfg):
-        subset = pipeline.records_for_shape(records, shape)
-        features_dm, _gaze = pipeline.window_tables(subset, cfg["features.mmav2_positive_tail"])
+        subset = pipeline.records_for_shape(records, shape, least=1)
+        features_dm, _gaze = pipeline.window_tables(subset)
         path = outdir / f"features_{shape.value}.csv"
         export_features_csv(features_dm, path)
         print(f"wrote {features_dm.n_rows}x{features_dm.values.shape[1]} features: {path}")
@@ -180,7 +179,6 @@ def _run_configs(cfg, shapes: tuple[TaskShape, ...]) -> tuple[TwoStepConfig, Gri
         train_fraction=cfg["split.train_fraction"],
         stratify_by=cfg["split.stratify"],
         train=TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)}),
-        mmav2_positive_tail=cfg["features.mmav2_positive_tail"],
     )
     grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, **common) if cfg["grid.steps"] else None
     return TwoStepConfig(direction_setup=setup, **common), grid_cfg

@@ -45,20 +45,19 @@ FEATURE_NAMES = tuple(kind.value for kind in FEATURE_ORDER)
 FEATURE_COUNT = len(FEATURE_ORDER)
 
 
-def _mmav_weights(n_count: int, positive_tail: bool) -> tuple[np.ndarray, np.ndarray]:
+def _mmav_weights(n_count: int) -> tuple[np.ndarray, np.ndarray]:
     """MMAV1 and MMAV2 weights of an n-sample window, on the 1-based sample index."""
     n = np.arange(1, n_count + 1)
     mid = (0.25 * n_count <= n) & (n <= 0.75 * n_count)
-    low = 4.0 * n / n_count
-    high = 4.0 * (n_count - n) / n_count if positive_tail else 4.0 * (n - n_count) / n_count
-    return np.where(mid, 1.0, 0.5), np.where(mid, 1.0, np.where(n < 0.25 * n_count, low, high))
+    tails = np.where(n < 0.25 * n_count, 4.0 * n / n_count, 4.0 * (n - n_count) / n_count)
+    return np.where(mid, 1.0, 0.5), np.where(mid, 1.0, tails)
 
 
 def _samples(window) -> np.ndarray:
     return np.asarray(window.values if isinstance(window, SegmentWindow) else window, dtype=float).reshape(-1)
 
 
-def _feature_rows(x: np.ndarray, mmav2_positive_tail: bool) -> tuple[np.ndarray, np.ndarray]:
+def _feature_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 11 features of k windows of n samples each, (k, n) -> (k, 11) in FEATURE_ORDER,
     and the (k,) mask of constant windows, whose SKEW and KURT cells are meaningless.
     """
@@ -66,7 +65,7 @@ def _feature_rows(x: np.ndarray, mmav2_positive_tail: bool) -> tuple[np.ndarray,
     if n < 2:
         raise DegenerateWindow(f"window has {n} samples, need at least 2")
     constant = (x == x[:, :1]).all(axis=1)
-    mmav1_w, mmav2_w = _mmav_weights(n, mmav2_positive_tail)
+    mmav1_w, mmav2_w = _mmav_weights(n)
     a = np.abs(x)
     iav = a.sum(axis=1)
     ssi = (x * x).sum(axis=1)
@@ -90,20 +89,20 @@ def _feature_rows(x: np.ndarray, mmav2_positive_tail: bool) -> tuple[np.ndarray,
     ]).T, constant
 
 
-def compute_feature(kind: FeatureKind, window, mmav2_positive_tail: bool = False) -> float:
+def compute_feature(kind: FeatureKind, window) -> float:
     """One time-domain feature of a window (array-like or SegmentWindow)."""
-    values, constant = _feature_rows(_samples(window)[None, :], mmav2_positive_tail)
+    values, constant = _feature_rows(_samples(window)[None, :])
     if constant[0] and kind in (FeatureKind.SKEW, FeatureKind.KURT):
         raise ConstantWindow(kind)
     return float(values[0, FEATURE_ORDER.index(kind)])
 
 
-def extract_feature_vector(window, mmav2_positive_tail: bool = False) -> np.ndarray:
+def extract_feature_vector(window) -> np.ndarray:
     """All 11 features of one window, in canonical order."""
-    return feature_matrix([window], mmav2_positive_tail)[0]
+    return feature_matrix([window])[0]
 
 
-def feature_matrix(windows, mmav2_positive_tail: bool = False) -> np.ndarray:
+def feature_matrix(windows) -> np.ndarray:
     """One row of 11 features per window, computed per group of equal-length windows."""
     samples = [_samples(w) for w in windows]
     groups: dict[int, list[int]] = {}
@@ -111,7 +110,7 @@ def feature_matrix(windows, mmav2_positive_tail: bool = False) -> np.ndarray:
         groups.setdefault(x.size, []).append(i)
     out = np.empty((len(samples), FEATURE_COUNT))
     for rows in groups.values():
-        values, constant = _feature_rows(np.stack([samples[i] for i in rows]), mmav2_positive_tail)
+        values, constant = _feature_rows(np.stack([samples[i] for i in rows]))
         if constant.any():
             raise ConstantWindow(FeatureKind.SKEW)
         out[rows] = values

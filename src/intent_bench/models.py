@@ -31,12 +31,14 @@ def _as_batch(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _batches(rng: np.random.Generator, n: int, epochs: int, batch_size: int):
-    """Row indices of every mini-batch of every epoch; one permutation of the n rows per epoch."""
+def _batches(rng: np.random.Generator, epochs: int, batch_size: int, *arrays: np.ndarray):
+    """The rows of `arrays` in mini-batches: each epoch permutes the rows once and yields contiguous slices."""
+    n = arrays[0].shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
+        shuffled = [a[order] for a in arrays]
         for start in range(0, n, batch_size):
-            yield order[start : start + batch_size]
+            yield [a[start : start + batch_size] for a in shuffled]
 
 
 def _check_adam(cfg) -> None:
@@ -47,11 +49,11 @@ def _check_adam(cfg) -> None:
         raise InvalidConfig(f"learning rate ({cfg.lr}) must be positive and finite")
 
 
-def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, n: int, **decay) -> nn.Params:
-    """Seeded mini-batch Adam over n rows; `loss_grad(params, idx)` scores the rows idx."""
+def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, *arrays: np.ndarray, **decay) -> nn.Params:
+    """Seeded mini-batch Adam over the rows of `arrays`; `loss_grad(params, *batch)` scores one batch."""
     state = nn.AdamState(alpha=cfg.lr)
-    for idx in _batches(rng, n, cfg.epochs, cfg.batch_size):
-        params = nn.adam_step(state, params, loss_grad(params, idx)[1], **decay)
+    for batch in _batches(rng, cfg.epochs, cfg.batch_size, *arrays):
+        params = nn.adam_step(state, params, loss_grad(params, *batch)[1], **decay)
     return params
 
 
@@ -136,7 +138,7 @@ def train_mlp(x: np.ndarray, y: np.ndarray, cfg: MlpConfig) -> MlpModel:
     if x.shape[1] != cfg.input_width:
         raise ShapeMismatch(f"data width {x.shape[1]} != cfg.input_width {cfg.input_width}")
     rng = np.random.default_rng(cfg.seed)
-    params = _adam_fit(rng, mlp_init(rng, cfg), cfg, lambda p, idx: mlp_loss_grad(p, x[idx], y[idx]), x.shape[0])
+    params = _adam_fit(rng, mlp_init(rng, cfg), cfg, mlp_loss_grad, x, y)
     return MlpModel(params=params, cfg=cfg)
 
 
@@ -338,9 +340,8 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
     rows = train.any(axis=1)  # a row trains when it scores at least one training step
     if not rows.any():
         raise EmptyTrainingSet("no training steps")
-    x, y, train = x[rows], y[rows], train[rows]
     params = _adam_fit(
-        rng, params, cfg, lambda p, idx: lstm_loss_grad(p, cfg, x[idx], y[idx], train[idx]), x.shape[0],
+        rng, params, cfg, lambda p, *batch: lstm_loss_grad(p, cfg, *batch), x[rows], y[rows], train[rows],
         l2=cfg.l2, decay_masks=_decay_masks(params, cfg),
     )
     return LstmModel(params=params, cfg=cfg)
@@ -411,9 +412,8 @@ def train_svm(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> Line
     signs = np.where(y[:, None] == np.arange(num_classes), 1.0, -1.0)  # (n, K) one-vs-rest targets
     w = np.zeros((num_classes, x.shape[1]))
     b = np.zeros(num_classes)
-    for step, idx in enumerate(_batches(rng, x.shape[0], kind.epochs, kind.batch_size), start=1):
+    for step, (xb, t) in enumerate(_batches(rng, kind.epochs, kind.batch_size, x, signs), start=1):
         eta = 1.0 / (kind.lam * step)
-        xb, t = x[idx], signs[idx]
         viol = np.where(t * (xb @ w.T + b) < 1.0, t, 0.0)  # target sign of each margin violator, else 0
         scale = eta / np.maximum(1, np.count_nonzero(viol, axis=0))
         w *= 1.0 - eta * kind.lam
@@ -427,10 +427,9 @@ def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> L
     rng = np.random.default_rng(seed)
     w = np.zeros((num_classes, x.shape[1]))
     b = np.zeros(num_classes)
-    for idx in _batches(rng, x.shape[0], kind.epochs, kind.batch_size):
-        logits = x[idx] @ w.T + b
-        _, dlogits = nn.batch_softmax_cross_entropy(logits, y[idx])
-        w -= kind.lr * (dlogits.T @ x[idx])
+    for xb, yb in _batches(rng, kind.epochs, kind.batch_size, x, y):
+        _, dlogits = nn.batch_softmax_cross_entropy(xb @ w.T + b, yb)
+        w -= kind.lr * (dlogits.T @ xb)
         b -= kind.lr * dlogits.sum(axis=0)
     return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="logreg")
 
@@ -450,12 +449,7 @@ def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
     return train_logreg(x, y, num_classes, kind, seed)
 
 
-def random_guess_accuracy(labels, num_classes: int, seed: int = 0, draws: int = 100_000) -> float:
-    """Empirical accuracy (%) of distribution-matched random guessing."""
-    labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=num_classes).astype(float)
-    probs = counts / counts.sum()
-    rng = np.random.default_rng(seed)
-    preds = rng.choice(num_classes, size=draws, p=probs)
-    targets = rng.choice(num_classes, size=draws, p=probs)
-    return float(np.mean(preds == targets) * 100.0)
+def random_guess_accuracy(labels, num_classes: int) -> float:
+    """Expected accuracy (%) of guessing each label from the label distribution p: 100 * sum p_k^2."""
+    probs = np.bincount(np.asarray(labels), minlength=num_classes) / len(labels)
+    return float(100.0 * np.sum(probs * probs))

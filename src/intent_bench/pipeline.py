@@ -159,10 +159,11 @@ def metrics_from_confusion(cm: np.ndarray) -> Metrics:
 # --- table builders -----------------------------------------------------------
 
 
-def records_for_shape(records: list[ParticipantRecord], shape: TaskShape) -> list[ParticipantRecord]:
+def records_for_shape(records: list[ParticipantRecord], shape: TaskShape, least: int = 2) -> list[ParticipantRecord]:
+    """The records of one shape in participant order; a split needs at least 2 participants."""
     subset = sorted((r for r in records if r.shape is shape), key=lambda r: r.participant_id)
-    if len(subset) < 2:
-        raise TooFewRows(f"need at least 2 participants for shape {shape.value}, got {len(subset)}")
+    if len(subset) < least:
+        raise TooFewRows(f"need at least {least} participant(s) for shape {shape.value}, got {len(subset)}")
     return subset
 
 
@@ -179,13 +180,11 @@ def _row_labels(records: list[ParticipantRecord], hits: list[np.ndarray]) -> dic
     )
 
 
-def window_tables(
-    records: list[ParticipantRecord], mmav2_positive_tail: bool = False
-) -> tuple[DataMatrix, DataMatrix]:
+def window_tables(records: list[ParticipantRecord]) -> tuple[DataMatrix, DataMatrix]:
     """Window-level feature and gaze tables: one row per (participant, dest hit)."""
     dests = [np.array([w.dest_hit for w in rec.windows]) for rec in records]
     labels = _row_labels(records, dests)
-    feats = [feature_matrix(rec.windows, mmav2_positive_tail) for rec in records]
+    feats = [feature_matrix(rec.windows) for rec in records]
     features_dm = DataMatrix(values=np.vstack(feats), **labels)
     gaze_dm = DataMatrix(values=np.vstack([rec.gaze[d - 1] for rec, d in zip(records, dests)]), **labels)
     return features_dm, gaze_dm
@@ -320,7 +319,6 @@ class RunConfig:
     train_fraction: float = 0.8
     stratify_by: str = "none"
     train: TrainParams = field(default_factory=TrainParams)
-    mmav2_positive_tail: bool = False
 
     def __post_init__(self):
         SplitSpec(self.train_fraction, self.seed, self.stratify_by)
@@ -373,7 +371,7 @@ class ShapeState:
 def _prepare_shape(records, shape: TaskShape, cfg: RunConfig, step1: bool = True) -> ShapeState:
     """Shared per-shape state of a two-step or grid run; `step1` trains the segment MLP."""
     subset = records_for_shape(records, shape)
-    feats_dm, gaze_dm = window_tables(subset, cfg.mmav2_positive_tail)
+    feats_dm, gaze_dm = window_tables(subset)
     raw_dm = raw_table(subset)
     train_idx, test_idx = _split(feats_dm, cfg, "split")
     raw_train, raw_test = _split(raw_dm, cfg, "raw-split")
@@ -474,9 +472,7 @@ def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
         steps = tuple(_STEPS) if cfg.steps == "all" else (cfg.steps,)
         for step in steps:
             model_names, setups, num_classes = _STEPS[step]
-            random_guess[(step, shape.value)] = random_guess_accuracy(
-                getattr(state.raw, step), num_classes, seed=derive_seed(cfg.seed, "guess", step, shape.value)
-            )
+            random_guess[(step, shape.value)] = random_guess_accuracy(getattr(state.raw, step), num_classes)
             for setup in setups:
                 dm, train_idx, test_idx = state.setup_matrix(setup)
                 labels = getattr(dm, step)

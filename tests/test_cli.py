@@ -180,6 +180,25 @@ class TestFeaturesCommand:
         main(["features", "--data", str(data), "--out", str(out)])
         assert (out / "features_diamond.csv").read_bytes() == first
 
+    def test_one_participant_exports_but_does_not_run(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["synth", "--seed", "1", "--participants", "1", "--out", str(data)])
+        out = tmp_path / "feats"
+        assert main(["features", "--data", str(data), "--out", str(out)]) == 0
+        for shape in ("diamond", "circle"):
+            assert len((out / f"features_{shape}.csv").read_text().splitlines()) == 1 + 39
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error[TooFewRows]")
+
+    def test_shape_without_participants(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["synth", "--seed", "1", "--participants", "2", "--shape", "diamond", "--out", str(data)])
+        capsys.readouterr()
+        code = main(["features", "--data", str(data), "--shape", "circle", "--out", str(tmp_path / "feats")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[TooFewRows]")
+
     def test_missing_data_dir(self, tmp_path, capsys):
         code = main(["features", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2

@@ -57,11 +57,6 @@ class TestFrozenExamples:
         assert feat(FeatureKind.MMAV2, np.ones(4)) == pytest.approx(0.75, rel=1e-12)
         assert feat(FeatureKind.MMAV2, np.ones(8)) == pytest.approx(0.625, rel=1e-12)
 
-    def test_mmav2_positive_tail_switch(self):
-        # upper-tail weight becomes 4(N-n)/N: for ones of N=8, (0.5,1,1,1,1,1,0.5,0)
-        value = compute_feature(FeatureKind.MMAV2, np.ones(8), mmav2_positive_tail=True)
-        assert value == pytest.approx(0.75, rel=1e-12)
-
     def test_var(self):
         assert feat(FeatureKind.VAR, [1, 2, 3]) == pytest.approx(1.0, rel=1e-12)
 

@@ -15,6 +15,7 @@ from intent_bench.models import (
     MlpConfig,
     MlpModel,
     SequenceData,
+    _batches,
     lstm_rows,
     mlp_init,
     random_guess_accuracy,
@@ -223,10 +224,27 @@ class TestBaselines:
         probs = model.predict_proba(x[160:])
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_batches_walk_one_permutation_per_epoch(self):
+        x = np.arange(20.0).reshape(10, 2)
+        batches = list(_batches(np.random.default_rng(3), 2, 4, x, np.arange(10)))
+        assert [len(rows) for _, rows in batches] == [4, 4, 2, 4, 4, 2]
+        rng = np.random.default_rng(3)
+        for epoch in range(2):
+            order = rng.permutation(10)
+            xs, rows = zip(*batches[3 * epoch : 3 * epoch + 3])
+            np.testing.assert_array_equal(np.concatenate(rows), order)
+            np.testing.assert_array_equal(np.concatenate(xs), x[order])
+
     def test_random_guess_calibration(self):
         labels = np.tile(np.arange(4), 250)
-        acc = random_guess_accuracy(labels, 4, seed=0)
+        acc = random_guess_accuracy(labels, 4)
         assert abs(acc - 25.0) <= 1.0
+
+    def test_random_guess_is_exact(self):
+        labels = np.repeat(np.arange(4), [9, 10, 10, 10])
+        exact = 100.0 * (9**2 + 3 * 10**2) / 39**2  # 25.0493...
+        assert random_guess_accuracy(labels, 4) == pytest.approx(exact, rel=1e-15)
+        assert random_guess_accuracy(np.full(7, 2), 3) == 100.0
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):

@@ -28,13 +28,11 @@ from .features import (  # noqa: F401
     apply_scaler,
     assemble_setup,
     compute_feature,
-    extract_feature_vector,
     fit_scaler,
 )
 from .pipeline import (  # noqa: F401
     GridConfig,
     Metrics,
-    SplitSpec,
     TwoStepConfig,
     evaluate,
     run_grid,

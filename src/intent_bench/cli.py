@@ -8,7 +8,6 @@ flag overrides its config entry. Failures exit nonzero with a single
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -18,8 +17,6 @@ from .dataset import SynthConfig, TaskShape
 from .errors import IntentBenchError, InvalidConfig, IoError
 from .features import SetupId, export_features_csv
 from .pipeline import GridConfig, TrainParams, TwoStepConfig
-
-ENV_SEED = "INTENT_BENCH_SEED"
 
 # dotted config key -> (type, default)
 CONFIG_KEYS = {
@@ -32,7 +29,6 @@ CONFIG_KEYS = {
     # one data.<field> key per SynthConfig field, with its type and default
     **{f"data.{f.name}": (type(f.default), f.default) for f in fields(SynthConfig)},
     "split.train_fraction": (float, 0.8),
-    "split.stratify": (str, "none"),
     "grid.steps": (str, ""),
     "run.two_step": (bool, True),
     "run.direction_setup": (str, "D6"),
@@ -97,8 +93,6 @@ def load_config_file(path) -> dict:
 
 def resolve_config(args) -> dict:
     cfg = {key: default for key, (_typ, default) in CONFIG_KEYS.items()}
-    if os.environ.get(ENV_SEED):
-        cfg["seed"] = _parse_value(os.environ[ENV_SEED], int, ENV_SEED)
     if getattr(args, "config", None):
         cfg.update(load_config_file(args.config))
     overrides = {
@@ -177,7 +171,6 @@ def _run_configs(cfg, shapes: tuple[TaskShape, ...]) -> tuple[TwoStepConfig, Gri
     common = dict(
         seed=cfg["seed"],
         train_fraction=cfg["split.train_fraction"],
-        stratify_by=cfg["split.stratify"],
         train=TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)}),
     )
     grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, **common) if cfg["grid.steps"] else None
@@ -245,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key-value config file")
-        p.add_argument("--seed", type=int, help=f"root seed (fallback: ${ENV_SEED})")
+        p.add_argument("--seed", type=int, help="root seed (fallback: the config's seed, else 0)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--synthetic", action="store_true", help="use the synthetic data source")
         p.add_argument("--data", help="directory holding the dataset CSVs")

@@ -454,6 +454,26 @@ def _parse_hit(raw: str, row: int) -> int:
     return int(value)
 
 
+def _hit_order(path: Path, key, hits: np.ndarray):
+    """The order that sorts one task's rows by `hits`, which must number hits 1..40 once each."""
+    if np.array_equal(hits, _HIT_NUMBERS):
+        return slice(None)
+    order = np.argsort(hits, kind="stable")
+    if not np.array_equal(hits[order], _HIT_NUMBERS):
+        seen = [int(h) for h in hits.tolist()]
+        found = {
+            "repeated": sorted({h for h in seen if seen.count(h) > 1}),
+            "missing": sorted(set(_HIT_NUMBERS.tolist()) - set(seen)),
+            f"outside 1..{HITS_PER_TASK}": sorted({h for h in seen if not 1 <= h <= HITS_PER_TASK}),
+        }
+        detail = "; ".join(f"{what} {hit_list}" for what, hit_list in found.items() if hit_list)
+        raise InvalidConfig(
+            f"{path}: the rows of participant {key[0]}, shape {key[1].value} must number hits "
+            f"1..{HITS_PER_TASK} once each: {detail}"
+        )
+    return order
+
+
 def load_resistance_csv(path) -> list[ResistanceTrace]:
     """Load resistance traces, one per (participant, shape) pair, in file order.
 
@@ -470,17 +490,19 @@ def load_resistance_csv(path) -> list[ResistanceTrace]:
 
 
 def load_hits_csv(path) -> dict[tuple[str, TaskShape], list[HitEvent]]:
-    runs = _read_runs(Path(path), HITS_COLUMNS, lambda idx: [idx["hit_index"], idx["timestamp_ms"]], integral=True)
+    """Load the 40 hit events of each task; its rows may come in any order."""
+    path = Path(path)
+    runs = _read_runs(path, HITS_COLUMNS, lambda idx: [idx["hit_index"], idx["timestamp_ms"]], integral=True)
     grouped = {}
     for key, block in _grouped(runs).items():
-        block = block[np.argsort(block[:, 0], kind="stable")]
+        block = block[_hit_order(path, key, block[:, 0])]
         grouped[key] = [HitEvent(int(hit), t) for hit, t in block.tolist()]
         _check_events(grouped[key])
     return grouped
 
 
 def load_gaze_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
-    """Load (40, G) gaze tables; G is fixed by the header and every row must match it."""
+    """Load (40, G) gaze tables, rows in any order; G is fixed by the header and every row must match it."""
     path = Path(path)
 
     def columns(idx):
@@ -489,22 +511,21 @@ def load_gaze_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
             raise MissingColumn(f"{path}: no gaze feature columns")
         return [idx["hit_index"], *gcols]
 
-    tables = {}
-    for key, block in _grouped(_read_runs(path, GAZE_KEY_COLUMNS, columns, integral=True)).items():
-        if np.array_equal(block[:, 0], _HIT_NUMBERS):
-            tables[key] = block[:, 1:].copy()
-            continue
-        by_hit = {int(hit): row for hit, row in zip(block[:, 0].tolist(), block[:, 1:])}  # a later row wins
-        if sorted(by_hit) != list(range(1, HITS_PER_TASK + 1)):
-            raise InvalidConfig(f"gaze rows for {key} do not cover hits 1..{HITS_PER_TASK}")
-        tables[key] = np.vstack([by_hit[k] for k in range(1, HITS_PER_TASK + 1)])
-    return tables
+    return {
+        key: block[_hit_order(path, key, block[:, 0]), 1:].copy()
+        for key, block in _grouped(_read_runs(path, GAZE_KEY_COLUMNS, columns, integral=True)).items()
+    }
 
 
 def load_participants_csv(path) -> dict[str, Direction]:
+    """Each participant's direction; a participant listed more than once is refused."""
+    path = Path(path)
     directions = {}
-    for (pid, direction), _ in _read_runs(Path(path), PARTICIPANTS_COLUMNS, lambda idx: []):
-        directions[pid] = direction  # a later row wins
+    for (pid, direction), block in _read_runs(path, PARTICIPANTS_COLUMNS, lambda idx: []):
+        # a run holds a key's consecutive rows, so a repeat next to its first row is in the same block
+        if pid in directions or len(block) > 1:
+            raise InvalidConfig(f"{path}: participant {pid} is listed more than once")
+        directions[pid] = direction
     return directions
 
 

@@ -97,11 +97,6 @@ def compute_feature(kind: FeatureKind, window) -> float:
     return float(values[0, FEATURE_ORDER.index(kind)])
 
 
-def extract_feature_vector(window) -> np.ndarray:
-    """All 11 features of one window, in canonical order."""
-    return feature_matrix([window])[0]
-
-
 def feature_matrix(windows) -> np.ndarray:
     """One row of 11 features per window, computed per group of equal-length windows."""
     samples = [_samples(w) for w in windows]

@@ -21,14 +21,14 @@ from .errors import (
 )
 
 
-def _as_batch(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, width: int, what: str, ndim: int = 2) -> np.ndarray:
+    """`x` as a float batch of rank `ndim` whose last axis is `width` wide."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != ndim:
+        raise ShapeMismatch(f"{what}: input of rank {x.ndim}, model expects a batch of rank {ndim}")
     if x.shape[-1] != width:
         raise ShapeMismatch(f"{what}: input width {x.shape[-1]}, model expects {width}")
-    return x, single
+    return x
 
 
 def _batches(rng: np.random.Generator, epochs: int, batch_size: int, *arrays: np.ndarray):
@@ -117,13 +117,10 @@ class MlpModel:
     cfg: MlpConfig
 
     def predict_proba(self, x) -> np.ndarray:
-        xb, single = _as_batch(x, self.cfg.input_width, "mlp")
-        probs = nn.softmax(mlp_forward(self.params, xb))
-        return probs[0] if single else probs
+        return nn.softmax(mlp_forward(self.params, _as_batch(x, self.cfg.input_width, "mlp")))
 
     def predict(self, x) -> np.ndarray:
-        probs = self.predict_proba(x)
-        return np.argmax(probs, axis=-1)
+        return np.argmax(self.predict_proba(x), axis=-1)
 
     def parameter_count(self) -> int:
         return sum(arr.size for arr in self.params.values())
@@ -289,22 +286,15 @@ class LstmModel:
     cfg: LstmConfig
 
     def predict_proba(self, x) -> np.ndarray:
-        """Probabilities at every step of a (T, d) sequence or a (B, T, d) batch of them."""
-        xb = np.asarray(x, dtype=float)
-        single = xb.ndim == 2
-        if single:
-            xb = xb[None, ...]
-        if xb.shape[-1] != self.cfg.input_width:
-            raise ShapeMismatch(f"window width {xb.shape[-1]}, model expects {self.cfg.input_width}")
+        """Probabilities at every step of a (B, T, d) batch of sequences."""
+        xb = _as_batch(x, self.cfg.input_width, "lstm", ndim=3)
         if self.cfg.mode == "windowed" and xb.shape[1] != self.cfg.window_len:
             raise ShapeMismatch(f"window length {xb.shape[1]}, model expects {self.cfg.window_len}")
-        logits, _ = lstm_forward(self.params, self.cfg, xb)
-        probs = nn.softmax(logits)
-        return probs[0] if single else probs
+        return nn.softmax(lstm_forward(self.params, self.cfg, xb)[0])
 
     def predict(self, x) -> np.ndarray:
-        """The class at the last step."""
-        return np.argmax(self.predict_proba(x)[..., -1, :], axis=-1)
+        """The class at the last step of each sequence."""
+        return np.argmax(self.predict_proba(x)[:, -1, :], axis=-1)
 
     def parameter_count(self) -> int:
         return sum(arr.size for arr in self.params.values())
@@ -374,7 +364,7 @@ class KnnModel:
     k: int
 
     def predict(self, x) -> np.ndarray:
-        xb, single = _as_batch(x, self.train_x.shape[1], "knn")
+        xb = _as_batch(x, self.train_x.shape[1], "knn")
         out = np.empty(xb.shape[0], dtype=int)
         for i, row in enumerate(xb):
             d2 = np.sum((self.train_x - row) ** 2, axis=1)
@@ -382,7 +372,7 @@ class KnnModel:
             order = np.lexsort((self.train_y, d2))[: self.k]
             votes = np.bincount(self.train_y[order], minlength=self.num_classes)
             out[i] = int(np.argmax(votes))  # vote ties go to the smallest label
-        return out[0] if single else out
+        return out
 
 
 @dataclass
@@ -395,15 +385,10 @@ class LinearModel:
     kind: str = "linear"
 
     def decision(self, x) -> np.ndarray:
-        xb, single = _as_batch(x, self.weights.shape[1], self.kind)
-        scores = xb @ self.weights.T + self.bias
-        return scores[0] if single else scores
+        return _as_batch(x, self.weights.shape[1], self.kind) @ self.weights.T + self.bias
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.decision(x), axis=-1)
-
-    def predict_proba(self, x) -> np.ndarray:
-        return nn.softmax(self.decision(x))
 
 
 def train_svm(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> LinearModel:

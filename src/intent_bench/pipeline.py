@@ -78,44 +78,13 @@ def config_hash(doc) -> str:
 # --- splitting ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.8
-    seed: int = 0
-    stratify_by: str = "none"  # none | segment | direction
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidConfig("train_fraction must be in (0, 1)")
-        if self.stratify_by not in ("none", "segment", "direction"):
-            raise InvalidConfig(f"unknown stratify_by '{self.stratify_by}'")
-
-
-def split_indices(n: int, spec: SplitSpec, strat_labels=None) -> tuple[np.ndarray, np.ndarray]:
+def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded disjoint-exhaustive split; train size is floor(fraction * n)."""
     if n < 5:
         raise TooFewRows(f"{n} rows is too few to split")
-    rng = np.random.default_rng(spec.seed)
-    k = int(spec.train_fraction * n)
-    if spec.stratify_by == "none" or strat_labels is None:
-        perm = rng.permutation(n)
-        return np.sort(perm[:k]), np.sort(perm[k:])
-
-    strat_labels = np.asarray(strat_labels)
-    classes = np.unique(strat_labels)
-    pools = {c: rng.permutation(np.flatnonzero(strat_labels == c)) for c in classes}
-    takes = {c: int(spec.train_fraction * pools[c].size) for c in classes}
-    short = k - sum(takes.values())
-    # hand the leftover rows to the classes with the largest fractional remainder
-    remainders = sorted(
-        classes, key=lambda c: (-(spec.train_fraction * pools[c].size - takes[c]), c)
-    )
-    for c in remainders[:short]:
-        takes[c] += 1
-    train = np.sort(np.concatenate([pools[c][: takes[c]] for c in classes]))
-    mask = np.zeros(n, dtype=bool)
-    mask[train] = True
-    return train, np.flatnonzero(~mask)
+    perm = np.random.default_rng(seed).permutation(n)
+    k = int(train_fraction * n)
+    return np.sort(perm[:k]), np.sort(perm[k:])
 
 
 # --- metrics -----------------------------------------------------------------
@@ -125,7 +94,7 @@ def split_indices(n: int, spec: SplitSpec, strat_labels=None) -> tuple[np.ndarra
 class Metrics:
     accuracy: float  # percent
     macro_f1: float
-    confusion: np.ndarray | None = None
+    confusion: np.ndarray
 
 
 def evaluate(predictions, labels, num_classes: int) -> Metrics:
@@ -317,11 +286,11 @@ class RunConfig:
 
     seed: int = 0
     train_fraction: float = 0.8
-    stratify_by: str = "none"
     train: TrainParams = field(default_factory=TrainParams)
 
     def __post_init__(self):
-        SplitSpec(self.train_fraction, self.seed, self.stratify_by)
+        if not 0.0 < self.train_fraction < 1.0:
+            raise InvalidConfig(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 @dataclass(frozen=True)
@@ -340,9 +309,7 @@ class PipelineResult:
 
 
 def _split(dm: DataMatrix, cfg: RunConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
-    spec = SplitSpec(cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value), cfg.stratify_by)
-    labels = {"segment": dm.segment, "direction": dm.direction}.get(cfg.stratify_by)
-    return split_indices(dm.n_rows, spec, labels)
+    return split_indices(dm.n_rows, cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value))
 
 
 @dataclass(frozen=True)
@@ -472,7 +439,8 @@ def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
         steps = tuple(_STEPS) if cfg.steps == "all" else (cfg.steps,)
         for step in steps:
             model_names, setups, num_classes = _STEPS[step]
-            random_guess[(step, shape.value)] = random_guess_accuracy(getattr(state.raw, step), num_classes)
+            # the chance level of the window rows that D2..D8 are scored on
+            random_guess[(step, shape.value)] = random_guess_accuracy(getattr(state.features, step), num_classes)
             for setup in setups:
                 dm, train_idx, test_idx = state.setup_matrix(setup)
                 labels = getattr(dm, step)

@@ -229,6 +229,21 @@ def naive_load_resistance_csv(path):
     return [ResistanceTrace(pid, shape, np.asarray(ts), np.asarray(vs)) for (pid, shape), (ts, vs) in grouped.items()]
 
 
+def _check_hit_numbers(path, key, hits):
+    """The rows of one task must number hits 1..40 once each, in any order."""
+    if sorted(hits) == list(range(1, 41)):
+        return
+    found = [
+        ("repeated", sorted({h for h in hits if hits.count(h) > 1})),
+        ("missing", sorted(set(range(1, 41)) - set(hits))),
+        ("outside 1..40", sorted({h for h in hits if not 1 <= h <= 40})),
+    ]
+    detail = "; ".join(f"{what} {hit_list}" for what, hit_list in found if hit_list)
+    raise InvalidConfig(
+        f"{path}: the rows of participant {key[0]}, shape {key[1].value} must number hits 1..40 once each: {detail}"
+    )
+
+
 def naive_load_hits_csv(path):
     grouped = {}
     rows = _rows(path, ("participant_id", "shape", "hit_index", "timestamp_ms"))
@@ -239,7 +254,8 @@ def naive_load_hits_csv(path):
         hit = _hit(row[idx["hit_index"]], row_no)
         t = _float(row[idx["timestamp_ms"]], row_no)
         grouped.setdefault((pid, shape), []).append(HitEvent(hit, t))
-    for events in grouped.values():
+    for key, events in grouped.items():
+        _check_hit_numbers(path, key, [ev.hit_index for ev in events])
         events.sort(key=lambda ev: ev.hit_index)
         _check_events(events)
     return grouped
@@ -257,22 +273,26 @@ def naive_load_gaze_csv(path):
         pid = row[idx["participant_id"]]
         shape = _shape(row[idx["shape"]], row_no)
         hit = _hit(row[idx["hit_index"]], row_no)
-        grouped.setdefault((pid, shape), {})[hit] = np.asarray([_float(row[i], row_no) for i in gcols])
+        grouped.setdefault((pid, shape), []).append((hit, [_float(row[i], row_no) for i in gcols]))
     tables = {}
-    for key, by_hit in grouped.items():
-        if sorted(by_hit) != list(range(1, 41)):
-            raise InvalidConfig(f"gaze rows for {key} do not cover hits 1..40")
-        tables[key] = np.vstack([by_hit[k] for k in range(1, 41)])
+    for key, rows in grouped.items():
+        _check_hit_numbers(path, key, [hit for hit, _values in rows])
+        tables[key] = np.array([values for _hit, values in sorted(rows, key=lambda r: r[0])])
     return tables
 
 
 def naive_load_participants_csv(path):
-    directions = {}
+    listed = []
     rows = _rows(path, ("participant_id", "direction"))
     idx = next(rows)
     for row_no, row in rows:
         try:
-            directions[row[idx["participant_id"]]] = Direction(row[idx["direction"]])
+            listed.append((row[idx["participant_id"]], Direction(row[idx["direction"]])))
         except ValueError:
             raise NonNumericValue(row_no, f"unknown direction '{row[idx['direction']]}' at file row {row_no}") from None
+    directions = {}
+    for pid, direction in listed:
+        if pid in directions:
+            raise InvalidConfig(f"{path}: participant {pid} is listed more than once")
+        directions[pid] = direction
     return directions

@@ -11,7 +11,7 @@ import pytest
 from intent_bench import nn
 from intent_bench.cli import main
 from intent_bench.dataset import TaskShape
-from intent_bench.features import FeatureKind, SetupId, compute_feature, extract_feature_vector
+from intent_bench.features import FeatureKind, SetupId, compute_feature, feature_matrix
 from intent_bench.models import (
     BaselineKind,
     LstmConfig,
@@ -33,7 +33,6 @@ from intent_bench.pipeline import (
     run_two_step,
     sequences_from_matrix,
     split_indices,
-    SplitSpec,
 )
 
 from naive_reference import naive_features
@@ -52,7 +51,7 @@ def test_criterion_1_feature_oracle_suite():
         n = int(rng.integers(2, 201))
         values = rng.uniform(-10.0, 10.0, size=n)
         values[values == 0.0] = 0.5  # exact zeros excluded by construction
-        got = extract_feature_vector(values)
+        got = feature_matrix([values])[0]
         want = naive_features(values)
         for kind, a, b in zip(FeatureKind, got, want):
             # relative 1e-10 with a 1e-12 floor for features whose true value is ~0
@@ -203,7 +202,7 @@ def test_criterion_8_chance_floor(cohort4):
     accs = {name: [] for name in ("NN", "KNN", "SVM", "LR", "LSTM")}
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
-        train_idx, test_idx = split_indices(gaze.n_rows, SplitSpec(seed=seed))
+        train_idx, test_idx = split_indices(gaze.n_rows, 0.8, seed)
         seg_shuffled = rng.permutation(gaze.segment)
         x_tr, y_tr = gaze.values[train_idx], seg_shuffled[train_idx]
         x_te, y_te = gaze.values[test_idx], seg_shuffled[test_idx]

@@ -47,10 +47,10 @@ two_step = false
 
     def test_hash_inside_quoted_value_is_kept(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text('out = "runs/#1"  # the first run\n[split]\nstratify = \'none\'#x\n')
+        path.write_text('out = "runs/#1"  # the first run\n[run]\ndirection_setup = \'D6\'#x\n')
         values = load_config_file(path)
         assert values["out"] == "runs/#1"
-        assert values["split.stratify"] == "none"
+        assert values["run.direction_setup"] == "D6"
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -64,36 +64,13 @@ two_step = false
         with pytest.raises(InvalidConfig, match="seed"):
             load_config_file(path)
 
-    def test_env_seed_fallback(self, monkeypatch):
-        monkeypatch.setenv("INTENT_BENCH_SEED", "77")
-
-        class Args:
-            config = None
-            seed = None
-            out = None
-            shape = None
-            participants = None
-            grid = None
-            synthetic = True
-            data = None
-
-        cfg = resolve_config(Args())
-        assert cfg["seed"] == 77
-
-    def test_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("INTENT_BENCH_SEED", "77")
-
-        class Args:
-            config = None
-            seed = 5
-            out = None
-            shape = None
-            participants = None
-            grid = None
-            synthetic = True
-            data = None
-
-        assert resolve_config(Args())["seed"] == 5
+    def test_seed_from_flag_then_config_then_zero(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = 9\n")
+        parse = build_parser().parse_args
+        assert resolve_config(parse(["run", "--synthetic"]))["seed"] == 0
+        assert resolve_config(parse(["run", "--synthetic", "--config", str(path)]))["seed"] == 9
+        assert resolve_config(parse(["run", "--synthetic", "--config", str(path), "--seed", "5"]))["seed"] == 5
 
     def test_readme_example_builds_run_configs(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -272,12 +249,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error[InvalidConfig]")
         assert "grid.stepz" in err
-
-    def test_unknown_stratify_exits_nonzero(self, tmp_path, capsys):
-        cfgfile = write_config(tmp_path, '[split]\nstratify = "bogus"\n')
-        code = main(["run", "--synthetic", "--participants", "2", "--config", cfgfile, "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error[InvalidConfig]")
 
     @pytest.mark.parametrize(
         "line",

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -494,6 +495,41 @@ class TestColumnarLoader:
         path = csv_dir / f"{name}.csv"
         text = edit(path.read_text(encoding="utf-8"))
         path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+        _assert_loads_as_per_row(csv_dir, [name])
+
+    @pytest.mark.parametrize("adjacent", [True, False], ids=["next-to-first", "at-the-end"])
+    def test_participant_listed_twice(self, csv_dir, adjacent):
+        path = csv_dir / "participants.csv"
+        header, *rows = path.read_text().splitlines()
+        assert rows[0] == "p00,cw"
+        repeat = "p00,cw" if adjacent else "p00,ccw"
+        rows = [rows[0], repeat, *rows[1:]] if adjacent else [*rows, repeat]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(InvalidConfig, match=r"participants\.csv: participant p00 is listed more than once"):
+            load_participants_csv(path)
+        with pytest.raises(InvalidConfig, match="p00"):
+            records_from_csv_dir(csv_dir)
+        _assert_loads_as_per_row(csv_dir, ["participants"])
+
+    @pytest.mark.parametrize("name", ["hits", "gaze"])
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda rows, row: [*rows, row], "repeated [5]"),  # a copy of hit 5's row, at the end of the file
+            (lambda rows, row: [r if r != row else row.replace(",5,", ",6,", 1) for r in rows], "repeated [6]; missing [5]"),
+            (lambda rows, row: [r if r != row else row.replace(",5,", ",41,", 1) for r in rows],
+             "missing [5]; outside 1..40 [41]"),
+        ],
+        ids=["row-repeated", "hit-renumbered", "hit-out-of-range"],
+    )
+    def test_hit_rows_number_each_hit_once(self, csv_dir, name, edit, problem):
+        path = csv_dir / f"{name}.csv"
+        header, *rows = path.read_text().splitlines()
+        row = next(r for r in rows if r.startswith("p01,circle,5,"))
+        path.write_text("\n".join([header, *edit(rows, row)]) + "\n")
+        want = rf"{name}\.csv: the rows of participant p01, shape circle must number hits 1\.\.40 once each: "
+        with pytest.raises(InvalidConfig, match=want + re.escape(problem) + "$"):
+            LOADERS[name][0](path)
         _assert_loads_as_per_row(csv_dir, [name])
 
     def test_quoted_participant_id_with_comma(self, csv_dir):

@@ -22,7 +22,6 @@ from intent_bench.features import (
     assemble_setup,
     compute_feature,
     export_features_csv,
-    extract_feature_vector,
     feature_matrix,
     fit_scaler,
 )
@@ -78,7 +77,7 @@ class TestErrors:
 
     def test_vector_propagates_tagged_error(self):
         with pytest.raises(ConstantWindow) as err:
-            extract_feature_vector(np.full(5, 7.0))
+            feature_matrix([np.full(5, 7.0)])
         assert err.value.kind is FeatureKind.SKEW
 
 
@@ -87,7 +86,7 @@ class TestErrors:
 @example([10.0, 9.999999999999998, 9.999999999999998])  # samples an ulp apart; exact skew 0.7071
 def test_oracle_equivalence(values):
     assume(len(set(values)) > 1)  # constant windows are a typed error, not a value
-    got = extract_feature_vector(np.asarray(values))
+    got = feature_matrix([np.asarray(values)])[0]
     want = naive_features(values)
     for kind, a, b in zip(FeatureKind, got, want):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9), kind
@@ -143,7 +142,7 @@ def test_positive_window_ordering(values):
 def test_vector_matches_individual_calls():
     rng = np.random.default_rng(3)
     x = rng.uniform(-5, 5, size=17)
-    vec = extract_feature_vector(x)
+    vec = feature_matrix([x])[0]
     assert vec.shape == (11,)
     for i, kind in enumerate(FeatureKind):
         assert vec[i] == compute_feature(kind, x)
@@ -158,7 +157,7 @@ class TestBatching:
         got = feature_matrix(windows)
         assert got.shape == (len(windows), 11)
         for row, w in zip(got, windows):
-            assert (row == extract_feature_vector(w)).all()
+            assert (row == feature_matrix([w])[0]).all()
 
     def test_constant_window_in_batch(self):
         windows = [np.arange(5.0), np.full(5, 7.0), np.arange(6.0)]

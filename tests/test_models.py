@@ -12,10 +12,12 @@ from intent_bench.features import SetupId
 from intent_bench.models import (
     BaselineKind,
     LstmConfig,
+    LstmModel,
     MlpConfig,
     MlpModel,
     SequenceData,
     _batches,
+    lstm_init,
     lstm_rows,
     mlp_init,
     random_guess_accuracy,
@@ -58,13 +60,13 @@ class TestMlp:
     def test_fresh_init_zero_input_is_uniform(self):
         cfg = MlpConfig(input_width=24, seed=3)
         model = MlpModel(params=mlp_init(np.random.default_rng(3), cfg), cfg=cfg)
-        probs = model.predict_proba(np.zeros(24))
+        probs = model.predict_proba(np.zeros((1, 24)))
         np.testing.assert_allclose(probs, 0.25, atol=0.1)
 
     def test_training_point_argmax(self):
         x, y = four_blobs(rows=200)
         model = train_mlp(x, y, MlpConfig(input_width=24, seed=0))
-        assert model.predict(x[0]) == y[0]
+        assert model.predict(x[:1]) == y[:1]
 
     def test_determinism(self):
         x, y = four_blobs(rows=96)
@@ -77,7 +79,7 @@ class TestMlp:
         x, y = four_blobs(rows=64)
         model = train_mlp(x, y, MlpConfig(input_width=24, epochs=1, seed=0))
         with pytest.raises(ShapeMismatch):
-            model.predict(np.zeros(7))
+            model.predict(np.zeros((1, 7)))
         with pytest.raises(EmptyTrainingSet):
             train_mlp(np.empty((0, 24)), np.empty(0, dtype=int), MlpConfig(input_width=24))
 
@@ -131,16 +133,16 @@ class TestLstm:
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
         cfg = LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0)
         model = train_lstm(seqs, cfg)
-        probs = model.predict_proba(seqs[0].x[:5])
-        assert probs.shape == (5, 2)  # one distribution per step
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert model.predict(seqs[0].x[:5]) == np.argmax(probs[-1])
+        probs = model.predict_proba(seqs[0].x[None, :5])
+        assert probs.shape == (1, 5, 2)  # one distribution per step
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+        assert model.predict(seqs[0].x[None, :5]) == np.argmax(probs[0, -1])
 
     def test_width_mismatch(self, diamond_state):
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
         model = train_lstm(seqs, LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0))
         with pytest.raises(ShapeMismatch):
-            model.predict_proba(np.zeros((5, 7)))
+            model.predict_proba(np.zeros((1, 5, 7)))
 
     def test_determinism(self, diamond_state):
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
@@ -153,12 +155,12 @@ class TestLstm:
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D6)
         cfg = LstmConfig(input_width=15, hidden_size=16, epochs=30, mode="full", seed=2)
         model = train_lstm(seqs, cfg)
-        probs = model.predict_proba(seqs[0].x)
-        assert probs.shape == (39, 2)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        probs = model.predict_proba(seqs[0].x[None])
+        assert probs.shape == (1, 39, 2)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
         preds, labels = [], []
         for seq in seqs:
-            p = model.predict_proba(seq.x)
+            p = model.predict_proba(seq.x[None])[0]
             holdout = ~seq.train_mask
             preds.append(np.argmax(p[holdout], axis=1))
             labels.append(seq.labels[holdout])
@@ -217,12 +219,10 @@ class TestBaselines:
         np.testing.assert_allclose(model.bias, b, rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(model.predict(x), np.argmax(x @ w.T + b, axis=1))
 
-    def test_logreg_separable_and_simplex(self):
+    def test_logreg_separable(self):
         x, y = two_blobs(seed=3)
         model = train_baseline(BaselineKind("logreg"), x[:160], y[:160], 2, seed=0)
         assert np.mean(model.predict(x[160:]) == y[160:]) >= 0.95
-        probs = model.predict_proba(x[160:])
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_batches_walk_one_permutation_per_epoch(self):
         x = np.arange(20.0).reshape(10, 2)
@@ -249,3 +249,20 @@ class TestBaselines:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             train_baseline(BaselineKind("svm"), np.empty((0, 2)), np.empty(0, dtype=int), 2)
+
+
+def test_single_inputs_are_refused():
+    """Predictors take batches: a lone row or a lone sequence is a ShapeMismatch, a batch of one is not."""
+    x, y = four_blobs(rows=64)
+    row_models = [train_mlp(x, y, MlpConfig(input_width=24, epochs=1, seed=0))]
+    row_models += [train_baseline(BaselineKind(name), x, y, 4) for name in ("knn", "svm", "logreg")]
+    for model in row_models:
+        with pytest.raises(ShapeMismatch, match="rank 1"):
+            model.predict(x[0])
+        assert model.predict(x[:1]).shape == (1,)
+    cfg = LstmConfig(input_width=3, hidden_size=4, window_len=5)
+    lstm = LstmModel(params=lstm_init(np.random.default_rng(0), cfg), cfg=cfg)
+    for sequence in (np.zeros((5, 3)), np.zeros((1, 1, 5, 3))):
+        with pytest.raises(ShapeMismatch, match="rank"):
+            lstm.predict_proba(sequence)
+    assert lstm.predict(np.zeros((1, 5, 3))).shape == (1,)

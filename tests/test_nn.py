@@ -26,7 +26,7 @@ class TestDense:
         params = {"w1": np.ones((2, 3)), "b1": np.zeros(2)}
         model = MlpModel(params=params, cfg=MlpConfig(input_width=3, hidden=(), output=2))
         with pytest.raises(ShapeMismatch):
-            model.predict_proba(np.ones(4))
+            model.predict_proba(np.ones((1, 4)))
 
 
 class TestRelu:

@@ -10,7 +10,7 @@ from intent_bench.pipeline import (
     GridConfig,
     GridReport,
     Metrics,
-    SplitSpec,
+    RunConfig,
     TrainParams,
     TwoStepConfig,
     evaluate,
@@ -34,38 +34,32 @@ FAST = TrainParams(mlp_epochs=3, lstm_epochs=3, baseline_epochs=20, lstm_hidden=
 
 class TestSplit:
     def test_sizes(self):
-        train, test = split_indices(624, SplitSpec(seed=1))
+        train, test = split_indices(624, 0.8, 1)
         assert train.size == 499 and test.size == 125
 
     def test_partition(self):
-        train, test = split_indices(100, SplitSpec(seed=2))
+        train, test = split_indices(100, 0.8, 2)
         merged = np.sort(np.concatenate([train, test]))
         np.testing.assert_array_equal(merged, np.arange(100))
 
     def test_same_seed_identical(self):
-        a = split_indices(200, SplitSpec(seed=7))
-        b = split_indices(200, SplitSpec(seed=7))
+        a = split_indices(200, 0.8, 7)
+        b = split_indices(200, 0.8, 7)
         np.testing.assert_array_equal(a[0], b[0])
-
-    def test_stratified_balance(self):
-        labels = np.repeat([0, 1], 312)
-        train, test = split_indices(624, SplitSpec(seed=3, stratify_by="direction"), labels)
-        assert train.size == 499
-        counts = np.bincount(labels[test])
-        assert abs(counts[0] - counts[1]) <= 1
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
-            split_indices(4, SplitSpec(seed=0))
+            split_indices(4, 0.8, 0)
 
     def test_bad_spec(self):
-        with pytest.raises(InvalidConfig):
-            split_indices(100, SplitSpec(train_fraction=1.5, seed=0))
+        for fraction in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(InvalidConfig, match="train_fraction"):
+                RunConfig(train_fraction=fraction)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=5, max_value=500), st.integers(min_value=0, max_value=2**31))
     def test_partition_property(self, n, seed):
-        train, test = split_indices(n, SplitSpec(seed=seed))
+        train, test = split_indices(n, 0.8, seed)
         assert train.size == int(0.8 * n)
         merged = np.sort(np.concatenate([train, test]))
         np.testing.assert_array_equal(merged, np.arange(n))
@@ -171,6 +165,11 @@ def segment_report(cohort4):
     return run_grid(cohort4, cfg)
 
 
+@pytest.fixture(scope="module")
+def full_report(cohort4):
+    return run_grid(cohort4, GridConfig(seed=3, steps="all", shapes=(TaskShape.DIAMOND,), train=FAST))
+
+
 class TestGrid:
     def test_segment_cell_count(self, segment_report):
         assert len(segment_report.cells) == 16  # 4 models x 4 setups x 1 shape
@@ -198,6 +197,22 @@ class TestGrid:
         again = run_grid(cohort4, GridConfig(seed=3, steps="segment", shapes=(TaskShape.DIAMOND,), train=FAST))
         assert render_csv(again) == render_csv(segment_report)
 
+    def test_random_guess_is_the_window_rows_chance_level(self, cohort16):
+        # D2, D3 and D5 score window rows, which hold segments 9/10/10/10 times per participant
+        report = run_grid(cohort16, GridConfig(seed=3, steps="segment", train=FAST))
+        exact = 100.0 * (9**2 + 3 * 10**2) / 39**2  # 25.0493...
+        assert sorted(report.random_guess) == [("segment", "circle"), ("segment", "diamond")]
+        for guess in report.random_guess.values():
+            assert guess == pytest.approx(exact, rel=1e-15)
+
+    @settings(max_examples=4, deadline=None)
+    @given(order=st.permutations(range(8)))
+    def test_record_order_leaves_report_unchanged(self, cohort4, full_report, order):
+        assert len(cohort4) == 8
+        shuffled = [cohort4[i] for i in order]
+        again = run_grid(shuffled, GridConfig(seed=3, steps="all", shapes=(TaskShape.DIAMOND,), train=FAST))
+        assert render_csv(again) == render_csv(full_report)
+
     def test_direction_grid_cells(self, cohort4):
         cfg = GridConfig(seed=3, steps="direction", shapes=(TaskShape.CIRCLE,), train=FAST)
         report = run_grid(cohort4, cfg)
@@ -217,7 +232,7 @@ def _confusion(correct: int, total: int) -> np.ndarray:
 
 class TestRendering:
     def test_format_cell(self):
-        assert format_cell(Metrics(accuracy=96.7213, macro_f1=0.9456)) == "96.72 [0.946]"
+        assert format_cell(Metrics(accuracy=96.7213, macro_f1=0.9456, confusion=np.eye(2, dtype=int))) == "96.72 [0.946]"
 
     def _tiny_report(self):
         cells = [
@@ -268,10 +283,8 @@ class TestRendering:
 
 
 class TestReferenceNotes:
-    def test_notes_are_informational(self, cohort4):
-        cfg = GridConfig(seed=3, steps="all", shapes=(TaskShape.DIAMOND,), train=FAST)
-        report = run_grid(cohort4, cfg)
-        notes = reference_ordering_notes(report)
+    def test_notes_are_informational(self, full_report):
+        notes = reference_ordering_notes(full_report)
         assert notes, "expected ordering notes for a full grid"
         assert all(note.startswith(("ok:", "deviation:")) for note in notes)
 

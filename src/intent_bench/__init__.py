@@ -9,10 +9,8 @@ __version__ = "0.1.0"
 
 from .dataset import (  # noqa: F401
     Direction,
-    HitEvent,
     ParticipantRecord,
     ResistanceTrace,
-    SegmentWindow,
     SynthConfig,
     TaskShape,
     assign_segment_label,

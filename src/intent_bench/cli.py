@@ -227,25 +227,32 @@ def cmd_report(cfg) -> int:
     return 0
 
 
+_FLAGS = {
+    "config": dict(help="key-value config file"),
+    "seed": dict(type=int, help="root seed (fallback: the config's seed, else 0)"),
+    "out": dict(help="output directory"),
+    "synthetic": dict(action="store_true", help="use the synthetic data source"),
+    "data": dict(help="directory holding the dataset CSVs"),
+    "participants": dict(type=int, help="synthetic cohort size"),
+    "shape": dict(choices=["diamond", "circle", "both"], help="task shape(s)"),
+    "grid": dict(choices=["segment", "direction", "all"], help="grid scope"),
+}
+# subcommand -> (help, the flags it reads); argparse refuses any other flag
+_COMMANDS = {
+    "synth": ("generate synthetic dataset CSVs", "config seed out participants shape"),
+    "features": ("export window-level feature tables", "config seed out synthetic data participants shape"),
+    "run": ("run the two-step pipeline and/or the grid", "config seed out synthetic data participants shape grid"),
+    "report": ("re-render report.txt from run.json", "config out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="intent-bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("synth", "generate synthetic dataset CSVs"),
-        ("features", "export window-level feature tables"),
-        ("run", "run the two-step pipeline and/or the grid"),
-        ("report", "re-render report.txt from run.json"),
-    ):
+    for name, (helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="key-value config file")
-        p.add_argument("--seed", type=int, help="root seed (fallback: the config's seed, else 0)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--synthetic", action="store_true", help="use the synthetic data source")
-        p.add_argument("--data", help="directory holding the dataset CSVs")
-        p.add_argument("--participants", type=int, help="synthetic cohort size")
-        p.add_argument("--shape", choices=["diamond", "circle", "both"], help="task shape(s)")
-        if name == "run":
-            p.add_argument("--grid", choices=["segment", "direction", "all"], help="grid scope")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 

@@ -49,12 +49,6 @@ class Direction(Enum):
         return 0 if self is Direction.CW else 1
 
 
-@dataclass(frozen=True)
-class HitEvent:
-    hit_index: int
-    timestamp_ms: float
-
-
 @dataclass
 class ResistanceTrace:
     participant_id: str
@@ -64,18 +58,11 @@ class ResistanceTrace:
 
 
 @dataclass
-class SegmentWindow:
-    values: np.ndarray  # resistance samples, N >= 2
-    source_hit: int
-    dest_hit: int
-
-
-@dataclass
 class ParticipantRecord:
     participant_id: str
     shape: TaskShape
     direction: Direction
-    windows: list[SegmentWindow]  # exactly 39
+    windows: list[np.ndarray]  # the resistance samples (N >= 2) of the 39 windows, window k ending at hit k + 1
     gaze: np.ndarray  # (40, G)
     hit_values: np.ndarray  # (40,) resistance sampled at each hit instant
 
@@ -87,37 +74,31 @@ def assign_segment_label(hit_index: int) -> int:
     return (hit_index - 1) // HITS_PER_SEGMENT
 
 
-def _check_events(events: list[HitEvent]) -> None:
-    if len(events) != HITS_PER_TASK:
-        raise InvalidConfig(f"expected {HITS_PER_TASK} hit events, got {len(events)}")
-    for k, ev in enumerate(events, start=1):
-        if ev.hit_index != k:
-            raise OutOfRange(f"hit events must be numbered 1..{HITS_PER_TASK} in order")
-    ts = [ev.timestamp_ms for ev in events]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise InvalidConfig("hit event timestamps must be strictly increasing")
+def _check_hit_times(ts: np.ndarray) -> None:
+    """A task's hit times: 40 of them, strictly increasing (NaN fails too)."""
+    if ts.shape != (HITS_PER_TASK,):
+        raise InvalidConfig(f"expected {HITS_PER_TASK} hit times, got an array of shape {ts.shape}")
+    if not np.all(ts[1:] > ts[:-1]):
+        raise InvalidConfig("hit timestamps must be strictly increasing")
 
 
-def segment_trace(trace: ResistanceTrace, events: list[HitEvent]) -> list[SegmentWindow]:
-    """Partition a trace into the 39 half-open inter-hit windows [t_k, t_{k+1})."""
-    _check_events(events)
-    ts = np.asarray([ev.timestamp_ms for ev in events])
+def segment_trace(trace: ResistanceTrace, hit_times: np.ndarray) -> list[np.ndarray]:
+    """The samples of the 39 half-open inter-hit windows [t_k, t_{k+1}) of a trace, given its 40 hit times."""
+    ts = np.asarray(hit_times, dtype=float)
+    _check_hit_times(ts)
     bounds = np.searchsorted(trace.times, ts, side="left")
     windows = []
-    for k in range(WINDOWS_PER_TASK):
-        lo, hi = bounds[k], bounds[k + 1]
+    for source_hit, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
         if hi - lo < 2:
-            raise EmptyWindow(k + 1)
-        windows.append(
-            SegmentWindow(values=trace.values[lo:hi].copy(), source_hit=k + 1, dest_hit=k + 2)
-        )
+            raise EmptyWindow(source_hit)
+        windows.append(trace.values[lo:hi].copy())
     return windows
 
 
-def raw_at_hits(trace: ResistanceTrace, events: list[HitEvent]) -> np.ndarray:
+def raw_at_hits(trace: ResistanceTrace, hit_times: np.ndarray) -> np.ndarray:
     """Resistance sampled at each hit instant: nearest trace sample, ties to the earlier one."""
-    _check_events(events)
-    ts = np.asarray([ev.timestamp_ms for ev in events])
+    ts = np.asarray(hit_times, dtype=float)
+    _check_hit_times(ts)
     j = np.searchsorted(trace.times, ts, side="left")
     before = np.clip(j - 1, 0, len(trace.times) - 1)
     after = np.minimum(j, len(trace.times) - 1)
@@ -181,10 +162,10 @@ def _span_profile(shape: TaskShape, direction: Direction, span: int, amplitude: 
 
 def synth_trace(
     seed: int, participant_id: str, shape: TaskShape, direction: Direction, cfg: SynthConfig
-) -> tuple[ResistanceTrace, list[HitEvent], np.ndarray]:
-    """Generate one participant-task: trace, hit events, and (40, G) gaze rows."""
+) -> tuple[ResistanceTrace, np.ndarray, np.ndarray]:
+    """Generate one participant-task: trace, (40,) hit times, and (40, G) gaze rows."""
     rng = np.random.default_rng(_derive_seed("synth", seed, participant_id, shape.value, direction.value))
-    events = [HitEvent(k, (k - 1) * WINDOW_MS) for k in range(1, HITS_PER_TASK + 1)]
+    hit_times = np.arange(HITS_PER_TASK) * WINDOW_MS
     m = cfg.samples_per_window
 
     times = np.empty(WINDOWS_PER_TASK * m + 1)
@@ -195,7 +176,7 @@ def synth_trace(
         lo = (span - 1) * m
         times[lo : lo + m] = (span - 1) * WINDOW_MS + phase * WINDOW_MS
         values[lo : lo + m] = cfg.base_ohm + gain * 0.5 * (1.0 - np.cos(2 * math.pi * f * phase))
-    times[-1] = events[-1].timestamp_ms
+    times[-1] = hit_times[-1]
     values[-1] = cfg.base_ohm
     if cfg.noise_std > 0:
         values = values + rng.normal(0.0, cfg.noise_std, size=values.shape)
@@ -210,7 +191,7 @@ def synth_trace(
         gaze[:, :SEGMENT_COUNT] += rng.normal(0.0, cfg.gaze_noise, size=onehot.shape)
 
     trace = ResistanceTrace(participant_id=participant_id, shape=shape, times=times, values=values)
-    return trace, events, gaze
+    return trace, hit_times, gaze
 
 
 def build_record(
@@ -218,7 +199,7 @@ def build_record(
     shape: TaskShape,
     direction: Direction,
     trace: ResistanceTrace,
-    events: list[HitEvent],
+    hit_times: np.ndarray,
     gaze: np.ndarray,
 ) -> ParticipantRecord:
     if gaze.shape[0] != HITS_PER_TASK:
@@ -227,9 +208,9 @@ def build_record(
         participant_id=participant_id,
         shape=shape,
         direction=direction,
-        windows=segment_trace(trace, events),
+        windows=segment_trace(trace, hit_times),
         gaze=np.asarray(gaze, dtype=float),
-        hit_values=raw_at_hits(trace, events),
+        hit_values=raw_at_hits(trace, hit_times),
     )
 
 
@@ -243,14 +224,13 @@ def synth_participant(
     """Deterministic synthetic participant-task; identical (seed, cfg) gives an identical record."""
     cfg = cfg or SynthConfig()
     pid = participant_id if participant_id is not None else f"s{seed}"
-    trace, events, gaze = synth_trace(seed, pid, shape, direction, cfg)
-    return build_record(pid, shape, direction, trace, events, gaze)
+    return build_record(pid, shape, direction, *synth_trace(seed, pid, shape, direction, cfg))
 
 
 def synth_tasks(
     seed: int, participants: int, cfg: SynthConfig, shapes: tuple[TaskShape, ...]
-) -> list[tuple[str, TaskShape, Direction, ResistanceTrace, list[HitEvent], np.ndarray]]:
-    """(participant, shape, direction, trace, hit events, gaze) per participant and shape.
+) -> list[tuple[str, TaskShape, Direction, ResistanceTrace, np.ndarray, np.ndarray]]:
+    """(participant, shape, direction, trace, hit times, gaze) per participant and shape.
 
     Participants are p00, p01, ... with directions alternating cw/ccw; participant i
     uses seed + i.
@@ -489,15 +469,14 @@ def load_resistance_csv(path) -> list[ResistanceTrace]:
     ]
 
 
-def load_hits_csv(path) -> dict[tuple[str, TaskShape], list[HitEvent]]:
-    """Load the 40 hit events of each task; its rows may come in any order."""
+def load_hits_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
+    """Load the (40,) hit times of each task, hit 1 first; its rows may come in any order."""
     path = Path(path)
     runs = _read_runs(path, HITS_COLUMNS, lambda idx: [idx["hit_index"], idx["timestamp_ms"]], integral=True)
     grouped = {}
     for key, block in _grouped(runs).items():
-        block = block[_hit_order(path, key, block[:, 0])]
-        grouped[key] = [HitEvent(int(hit), t) for hit, t in block.tolist()]
-        _check_events(grouped[key])
+        grouped[key] = block[_hit_order(path, key, block[:, 0]), 1].copy()
+        _check_hit_times(grouped[key])
     return grouped
 
 
@@ -538,7 +517,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_dataset_csvs(
-    tasks: list[tuple[str, TaskShape, Direction, ResistanceTrace, list[HitEvent], np.ndarray]],
+    tasks: list[tuple[str, TaskShape, Direction, ResistanceTrace, np.ndarray, np.ndarray]],
     outdir,
 ) -> dict[str, Path]:
     """Write resistance/hits/gaze/participants CSVs for a list of generated tasks."""
@@ -553,8 +532,8 @@ def write_dataset_csvs(
             [pid, shape.value, repr(float(t)), repr(float(r))]
             for pid, shape, _, trace, _, _ in tasks for t, r in zip(trace.times, trace.values))),
         "hits": (HITS_COLUMNS, (
-            [pid, shape.value, ev.hit_index, repr(float(ev.timestamp_ms))]
-            for pid, shape, _, _, events, _ in tasks for ev in events)),
+            [pid, shape.value, k, repr(float(t))]
+            for pid, shape, _, _, hit_times, _ in tasks for k, t in enumerate(hit_times, start=1))),
         "gaze": (GAZE_KEY_COLUMNS + tuple(f"g{i + 1}" for i in range(width)), (
             [pid, shape.value, k] + [repr(float(v)) for v in gaze_row]
             for pid, shape, _, _, _, gaze in tasks for k, gaze_row in enumerate(gaze, start=1))),

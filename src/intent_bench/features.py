@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import SegmentWindow, TaskShape, write_csv
+from .dataset import TaskShape, write_csv
 from .errors import (
     ColumnMismatch,
     ConstantWindow,
@@ -53,10 +53,6 @@ def _mmav_weights(n_count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(mid, 1.0, 0.5), np.where(mid, 1.0, tails)
 
 
-def _samples(window) -> np.ndarray:
-    return np.asarray(window.values if isinstance(window, SegmentWindow) else window, dtype=float).reshape(-1)
-
-
 def _feature_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 11 features of k windows of n samples each, (k, n) -> (k, 11) in FEATURE_ORDER,
     and the (k,) mask of constant windows, whose SKEW and KURT cells are meaningless.
@@ -90,16 +86,16 @@ def _feature_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_feature(kind: FeatureKind, window) -> float:
-    """One time-domain feature of a window (array-like or SegmentWindow)."""
-    values, constant = _feature_rows(_samples(window)[None, :])
+    """One time-domain feature of a window of samples."""
+    values, constant = _feature_rows(np.asarray(window, dtype=float).reshape(1, -1))
     if constant[0] and kind in (FeatureKind.SKEW, FeatureKind.KURT):
         raise ConstantWindow(kind)
     return float(values[0, FEATURE_ORDER.index(kind)])
 
 
 def feature_matrix(windows) -> np.ndarray:
-    """One row of 11 features per window, computed per group of equal-length windows."""
-    samples = [_samples(w) for w in windows]
+    """One row of 11 features per window of samples, computed per group of equal-length windows."""
+    samples = [np.asarray(w, dtype=float).reshape(-1) for w in windows]
     groups: dict[int, list[int]] = {}
     for i, x in enumerate(samples):
         groups.setdefault(x.size, []).append(i)

@@ -8,11 +8,14 @@ config. Probability outputs are simplexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
 from .errors import (
+    BadTarget,
     EmptyTrainingSet,
     InvalidConfig,
     NotEnoughNeighbors,
@@ -39,6 +42,12 @@ def _batches(rng: np.random.Generator, epochs: int, batch_size: int, *arrays: np
         shuffled = [a[order] for a in arrays]
         for start in range(0, n, batch_size):
             yield [a[start : start + batch_size] for a in shuffled]
+
+
+def _check_labels(y: np.ndarray, num_classes: int) -> None:
+    """Training labels must index the output classes; checked once per fit, as the loss kernel checks none."""
+    if np.any((y < 0) | (y >= num_classes)):
+        raise BadTarget(f"training label outside 0..{num_classes - 1}")
 
 
 def _check_adam(cfg) -> None:
@@ -134,6 +143,7 @@ def train_mlp(x: np.ndarray, y: np.ndarray, cfg: MlpConfig) -> MlpModel:
         raise EmptyTrainingSet("no training rows")
     if x.shape[1] != cfg.input_width:
         raise ShapeMismatch(f"data width {x.shape[1]} != cfg.input_width {cfg.input_width}")
+    _check_labels(y, cfg.output)
     rng = np.random.default_rng(cfg.seed)
     params = _adam_fit(rng, mlp_init(rng, cfg), cfg, mlp_loss_grad, x, y)
     return MlpModel(params=params, cfg=cfg)
@@ -153,15 +163,14 @@ class LstmConfig:
     epochs: int = 50
     batch_size: int = 32
     window_len: int = 5
-    mode: str = "windowed"  # or "full"
     seed: int = 0
+    # the one regime: each window is a row scored at its last step; read by the benchmark's train_lstm count hook
+    mode: ClassVar[str] = "windowed"
 
     def __post_init__(self):
         _check_adam(self)
-        if self.mode not in ("windowed", "full"):
-            raise InvalidConfig(f"unknown lstm mode '{self.mode}'")
-        if self.mode == "windowed" and self.window_len < 2:
-            raise InvalidConfig("window_len must be at least 2 in windowed mode")
+        if self.window_len < 2:
+            raise InvalidConfig(f"window_len ({self.window_len}) must be at least 2")
         if self.hidden_layers < 1 or self.hidden_size < 1:
             raise InvalidConfig(f"lstm layers ({self.hidden_layers}) and hidden size ({self.hidden_size}) must be >= 1")
         if not 0 <= self.l2 < np.inf:
@@ -177,33 +186,18 @@ class SequenceData:
     train_mask: np.ndarray  # (T,) bool: split membership of each step
 
 
-def _windows(seqs: list[SequenceData], window_len: int):
-    """Sliding windows of length W, stride 1, of each sequence's inputs, labels and split flags."""
+def lstm_rows(seqs: list[SequenceData], cfg: LstmConfig):
+    """Windows (N, W, d) of length W, stride 1, and the label and split flag of each window's last step."""
     width = seqs[0].x.shape[1]
     for seq in seqs:
         if seq.x.shape[1] != width:
             raise ShapeMismatch(f"sequence width {seq.x.shape[1]} != {width}")
-        if seq.x.shape[0] < window_len:
-            raise SequenceTooShort(f"sequence of length {seq.x.shape[0]} shorter than window {window_len}")
-    spans = [(seq, slice(t, t + window_len)) for seq in seqs for t in range(seq.x.shape[0] - window_len + 1)]
-    return [np.stack([getattr(seq, name)[span] for seq, span in spans]) for name in ("x", "labels", "train_mask")]
-
-
-def lstm_rows(seqs: list[SequenceData], cfg: LstmConfig):
-    """Inputs (N, T, d), per-step labels (N, T), and masks of the steps scored in training and held out.
-
-    In windowed mode each window is a row that scores its last step; in full
-    mode each sequence is a row that scores every step.
-    """
-    if cfg.mode == "windowed":
-        x, labels, train = _windows(seqs, cfg.window_len)
-        last = np.arange(cfg.window_len) == cfg.window_len - 1
-        return x, labels, train & last, ~train & last
-    lengths = {seq.x.shape[0] for seq in seqs}
-    if len(lengths) != 1:
-        raise ShapeMismatch(f"full-sequence mode needs equal lengths, got {sorted(lengths)}")
-    train = np.stack([seq.train_mask for seq in seqs])
-    return np.stack([seq.x for seq in seqs]), np.stack([seq.labels for seq in seqs]), train, ~train
+        if seq.x.shape[0] < cfg.window_len:
+            raise SequenceTooShort(f"sequence of length {seq.x.shape[0]} shorter than window {cfg.window_len}")
+    last = cfg.window_len - 1
+    x = np.concatenate([sliding_window_view(seq.x, cfg.window_len, axis=0).swapaxes(1, 2) for seq in seqs])
+    y = np.concatenate([seq.labels[last:] for seq in seqs])
+    return x, y, np.concatenate([seq.train_mask[last:] for seq in seqs])
 
 
 def lstm_init(rng: np.random.Generator, cfg: LstmConfig) -> nn.Params:
@@ -227,7 +221,7 @@ def _lstm_cells(params: nn.Params, cfg: LstmConfig) -> list[nn.LstmCell]:
 
 
 def lstm_forward(params: nn.Params, cfg: LstmConfig, x: np.ndarray):
-    """Stacked LSTM over (B, T, d) with ReLU between layers; per-step logits."""
+    """Stacked LSTM over (B, T, d) with ReLU between layers; logits of the last step."""
     cells = _lstm_cells(params, cfg)
     caches = []
     inputs = x
@@ -235,39 +229,18 @@ def lstm_forward(params: nn.Params, cfg: LstmConfig, x: np.ndarray):
         hs, layer_caches = nn.lstm_sequence_forward(cell, inputs)
         caches.append((inputs, hs, layer_caches))
         inputs = nn.relu(hs) if layer < len(cells) - 1 else hs
-    batch, steps, hidden = inputs.shape
-    logits = inputs.reshape(-1, hidden) @ params["head_w"].T + params["head_b"]
-    return logits.reshape(batch, steps, -1), caches
+    return inputs[:, -1] @ params["head_w"].T + params["head_b"], caches
 
 
-def lstm_loss_grad(params: nn.Params, cfg: LstmConfig, x: np.ndarray, y: np.ndarray, mask: np.ndarray | None = None):
-    """Masked softmax-CE loss and full BPTT gradients.
-
-    mask of shape (B, T) selects the timesteps entering the loss; None means
-    last timestep only (windowed regime).
-    """
+def lstm_loss_grad(params: nn.Params, cfg: LstmConfig, x: np.ndarray, y: np.ndarray):
+    """Softmax-CE loss of the last step's logits against the (B,) labels, and full BPTT gradients."""
     logits, caches = lstm_forward(params, cfg, x)
-    batch, steps, out = logits.shape
-    targets_seq = np.asarray(y)
-    if mask is None:
-        mask = np.broadcast_to(np.arange(steps) == steps - 1, (batch, steps))
-        targets_seq = np.repeat(targets_seq[:, None], steps, axis=1)
-    flat_mask = mask.reshape(-1)
-    if not flat_mask.any():
-        raise EmptyTrainingSet("loss mask selects no timesteps")
-    flat_logits = logits.reshape(-1, out)[flat_mask]
-    flat_targets = targets_seq.reshape(-1)[flat_mask]
-    loss, d_flat = nn.batch_softmax_cross_entropy(flat_logits, flat_targets)
+    loss, d_logits = nn.batch_softmax_cross_entropy(logits, y)
 
-    d_logits = np.zeros((batch * steps, out))
-    d_logits[flat_mask] = d_flat
-    d_logits = d_logits.reshape(batch, steps, out)
-
-    grads = {}
-    top = caches[-1][1]  # last layer's raw hidden sequence feeds the head
-    grads["head_w"] = d_logits.reshape(-1, out).T @ top.reshape(-1, top.shape[-1])
-    grads["head_b"] = d_logits.reshape(-1, out).sum(axis=0)
-    d_stream = d_logits @ params["head_w"]
+    top = caches[-1][1]  # last layer's raw hidden sequence; its last step feeds the head
+    grads = {"head_w": d_logits.T @ top[:, -1], "head_b": d_logits.sum(axis=0)}
+    d_stream = np.zeros_like(top)
+    d_stream[:, -1] = d_logits @ params["head_w"]
 
     cells = _lstm_cells(params, cfg)
     for layer in range(len(cells) - 1, -1, -1):
@@ -286,15 +259,14 @@ class LstmModel:
     cfg: LstmConfig
 
     def predict_proba(self, x) -> np.ndarray:
-        """Probabilities at every step of a (B, T, d) batch of sequences."""
+        """(B, 2) probabilities of a (B, W, d) batch of windows, from each window's last step."""
         xb = _as_batch(x, self.cfg.input_width, "lstm", ndim=3)
-        if self.cfg.mode == "windowed" and xb.shape[1] != self.cfg.window_len:
+        if xb.shape[1] != self.cfg.window_len:
             raise ShapeMismatch(f"window length {xb.shape[1]}, model expects {self.cfg.window_len}")
         return nn.softmax(lstm_forward(self.params, self.cfg, xb)[0])
 
     def predict(self, x) -> np.ndarray:
-        """The class at the last step of each sequence."""
-        return np.argmax(self.predict_proba(x)[:, -1, :], axis=-1)
+        return np.argmax(self.predict_proba(x), axis=-1)
 
     def parameter_count(self) -> int:
         return sum(arr.size for arr in self.params.values())
@@ -324,14 +296,14 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
         raise EmptyTrainingSet("no sequences")
     if seqs[0].x.shape[1] != cfg.input_width:
         raise ShapeMismatch(f"sequence width {seqs[0].x.shape[1]} != cfg.input_width {cfg.input_width}")
+    x, y, train = lstm_rows(seqs, cfg)
+    if not train.any():
+        raise EmptyTrainingSet("no training windows")
+    _check_labels(y[train], cfg.output)
     rng = np.random.default_rng(cfg.seed)
     params = lstm_init(rng, cfg)
-    x, y, train, _ = lstm_rows(seqs, cfg)
-    rows = train.any(axis=1)  # a row trains when it scores at least one training step
-    if not rows.any():
-        raise EmptyTrainingSet("no training steps")
     params = _adam_fit(
-        rng, params, cfg, lambda p, *batch: lstm_loss_grad(p, cfg, *batch), x[rows], y[rows], train[rows],
+        rng, params, cfg, lambda p, *batch: lstm_loss_grad(p, cfg, *batch), x[train], y[train],
         l2=cfg.l2, decay_masks=_decay_masks(params, cfg),
     )
     return LstmModel(params=params, cfg=cfg)
@@ -425,6 +397,7 @@ def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
     y = np.asarray(y)
     if x.shape[0] == 0:
         raise EmptyTrainingSet("no training rows")
+    _check_labels(y, num_classes)
     if kind.name == "knn":
         if x.shape[0] < kind.k:
             raise NotEnoughNeighbors(f"{x.shape[0]} rows < k={kind.k}")

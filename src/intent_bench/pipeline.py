@@ -150,12 +150,10 @@ def _row_labels(records: list[ParticipantRecord], hits: list[np.ndarray]) -> dic
 
 
 def window_tables(records: list[ParticipantRecord]) -> tuple[DataMatrix, DataMatrix]:
-    """Window-level feature and gaze tables: one row per (participant, dest hit)."""
-    dests = [np.array([w.dest_hit for w in rec.windows]) for rec in records]
-    labels = _row_labels(records, dests)
-    feats = [feature_matrix(rec.windows) for rec in records]
-    features_dm = DataMatrix(values=np.vstack(feats), **labels)
-    gaze_dm = DataMatrix(values=np.vstack([rec.gaze[d - 1] for rec, d in zip(records, dests)]), **labels)
+    """Window-level feature and gaze tables: one row per (participant, dest hit 2..40)."""
+    labels = _row_labels(records, [np.arange(2, HITS_PER_TASK + 1)] * len(records))
+    features_dm = DataMatrix(values=np.vstack([feature_matrix(rec.windows) for rec in records]), **labels)
+    gaze_dm = DataMatrix(values=np.vstack([rec.gaze[1:] for rec in records]), **labels)
     return features_dm, gaze_dm
 
 
@@ -205,7 +203,6 @@ class TrainParams:
     lstm_hidden: int = 50
     lstm_layers: int = 2
     window_len: int = 5
-    lstm_mode: str = "windowed"
     baseline_epochs: int = 200
     knn_k: int = 5
     svm_lambda: float = 0.01
@@ -239,7 +236,6 @@ def _lstm_config(width: int, params: TrainParams, seed: int) -> LstmConfig:
         epochs=params.lstm_epochs,
         batch_size=params.lstm_batch,
         window_len=params.window_len,
-        mode=params.lstm_mode,
         seed=seed,
     )
 
@@ -248,11 +244,8 @@ def fit_eval_lstm(dm: DataMatrix, train_idx, cfg: LstmConfig):
     """Train the direction LSTM on a setup matrix and score the held-out side."""
     seqs = sequences_from_matrix(dm, train_idx)
     model = train_lstm(seqs, cfg)
-    x, labels, _train, test = lstm_rows(seqs, cfg)
-    rows = test.any(axis=1)
-    probs = model.predict_proba(x[rows])
-    held = test[rows]
-    return model, evaluate(np.argmax(probs[held], axis=-1), labels[rows][held], DIRECTION_CLASSES)
+    x, y, train = lstm_rows(seqs, cfg)
+    return model, evaluate(model.predict(x[~train]), y[~train], DIRECTION_CLASSES)
 
 
 _BASELINES = {"KNN": "knn", "SVM": "svm", "LR": "logreg"}  # row model name -> BaselineKind name

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from intent_bench.dataset import Direction, HitEvent, ResistanceTrace, TaskShape, _check_events
+from intent_bench.dataset import Direction, ResistanceTrace, TaskShape, _check_hit_times
 from intent_bench.errors import (
     InvalidConfig,
     IoError,
@@ -253,12 +253,13 @@ def naive_load_hits_csv(path):
         shape = _shape(row[idx["shape"]], row_no)
         hit = _hit(row[idx["hit_index"]], row_no)
         t = _float(row[idx["timestamp_ms"]], row_no)
-        grouped.setdefault((pid, shape), []).append(HitEvent(hit, t))
-    for key, events in grouped.items():
-        _check_hit_numbers(path, key, [ev.hit_index for ev in events])
-        events.sort(key=lambda ev: ev.hit_index)
-        _check_events(events)
-    return grouped
+        grouped.setdefault((pid, shape), []).append((hit, t))
+    times = {}
+    for key, rows in grouped.items():
+        _check_hit_numbers(path, key, [hit for hit, _t in rows])
+        times[key] = np.array([t for _hit, t in sorted(rows, key=lambda r: r[0])])
+        _check_hit_times(times[key])
+    return times
 
 
 def naive_load_gaze_csv(path):

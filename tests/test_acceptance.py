@@ -221,8 +221,7 @@ def test_criterion_8_chance_floor(cohort4):
         seqs = sequences_from_matrix(dir_shuffled, train_idx)
         lstm_cfg = LstmConfig(input_width=15, seed=seed)
         lstm = train_lstm(seqs, lstm_cfg)
-        wx, labels, train, _held = lstm_rows(seqs, lstm_cfg)
-        wy, wtrain = labels[:, -1], train[:, -1]
+        wx, wy, wtrain = lstm_rows(seqs, lstm_cfg)
         accs["LSTM"].append(evaluate(lstm.predict(wx[~wtrain]), wy[~wtrain], 2).accuracy)
 
     lines = []

@@ -176,12 +176,59 @@ class TestFeaturesCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error[TooFewRows]")
 
+    def test_participant_in_one_shape_only(self, tmp_path):
+        # p02 traced the diamond only: its circle rows are absent from every per-task file
+        data = tmp_path / "data"
+        main(["synth", "--seed", "1", "--participants", "3", "--out", str(data)])
+        for name in ("resistance", "hits", "gaze"):
+            path = data / f"{name}.csv"
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if not line.startswith("p02,circle,")))
+        out = tmp_path / "feats"
+        assert main(["features", "--data", str(data), "--out", str(out)]) == 0
+        for shape, participants in (("diamond", ["p00", "p01", "p02"]), ("circle", ["p00", "p01"])):
+            rows = (out / f"features_{shape}.csv").read_text().splitlines()[1:]
+            assert len(rows) == 39 * len(participants)
+            assert sorted({row.split(",")[0] for row in rows}) == participants
+        run = tmp_path / "run"
+        args = ["run", "--data", str(data), "--grid", "segment", "--config", write_config(tmp_path), "--out", str(run)]
+        assert main(args) == 0
+        totals = {
+            (c["shape"], c["setup"]): sum(map(sum, c["confusion"]))
+            for c in json.loads((run / "run.json").read_text())["cells"]
+        }
+        # the held-out rows of each shape's own split: 117 - 93 and 78 - 62 windows, 120 - 96 and 80 - 64 hits
+        assert totals[("diamond", "D2")] == 24 and totals[("circle", "D2")] == 16
+        assert totals[("diamond", "D1")] == 24 and totals[("circle", "D1")] == 16
+
     def test_missing_data_dir(self, tmp_path, capsys):
         code = main(["features", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error[IoError]")
         assert "resistance.csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--data", "/nonexistent"],
+        ["synth", "--synthetic"],
+        ["report", "--seed", "9"],
+        ["report", "--participants", "3"],
+        ["report", "--shape", "circle"],
+        ["report", "--synthetic"],
+        ["report", "--data", "/nonexistent"],
+    ],
+    ids=" ".join,
+)
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRunCommand:
@@ -284,7 +331,6 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "setting, grid",
         [
-            pytest.param('[train]\nlstm_mode = "bogus"\n', True, id="lstm_mode"),
             pytest.param("[train]\nwindow_len = 1\n", True, id="window_len"),
             pytest.param("[train]\nlstm_epochs = 0\n", True, id="lstm_epochs"),
             pytest.param('[run]\ndirection_setup = "D9"\n', True, id="direction_setup"),

@@ -13,7 +13,6 @@ from intent_bench import dataset
 from intent_bench.cli import main
 from intent_bench.dataset import (
     Direction,
-    HitEvent,
     ResistanceTrace,
     SynthConfig,
     TaskShape,
@@ -63,50 +62,57 @@ class TestSegmentLabel:
 def _uniform_trace(samples_per_span=10, spans=39, step=1.0):
     times = np.arange(spans * samples_per_span + 1) * step
     values = np.sin(times * 0.1) + 2.0
-    events = [HitEvent(k, (k - 1) * samples_per_span * step) for k in range(1, 41)]
-    return ResistanceTrace("p0", TaskShape.DIAMOND, times, values), events
+    hit_times = np.arange(40) * samples_per_span * step
+    return ResistanceTrace("p0", TaskShape.DIAMOND, times, values), hit_times
 
 
 class TestSegmentTrace:
     def test_uniform_partition(self):
-        trace, events = _uniform_trace()
-        windows = segment_trace(trace, events)
+        trace, hit_times = _uniform_trace()
+        windows = segment_trace(trace, hit_times)
         assert len(windows) == 39
-        assert all(w.values.size == 10 for w in windows)
-        assert [w.dest_hit for w in windows] == list(range(2, 41))
+        # window k holds the samples from hit k up to, not including, hit k + 1
+        for k, w in enumerate(windows):
+            np.testing.assert_array_equal(w, trace.values[10 * k : 10 * k + 10])
 
     def test_empty_window(self):
-        trace, events = _uniform_trace()
+        trace, hit_times = _uniform_trace()
         # empty the span between hits 7 and 8
-        keep = (trace.times < events[6].timestamp_ms + 1) | (trace.times >= events[7].timestamp_ms)
+        keep = (trace.times < hit_times[6] + 1) | (trace.times >= hit_times[7])
         sparse = ResistanceTrace("p0", TaskShape.DIAMOND, trace.times[keep], trace.values[keep])
         with pytest.raises(EmptyWindow) as err:
-            segment_trace(sparse, events)
+            segment_trace(sparse, hit_times)
         assert err.value.source_hit == 7
 
     def test_bad_events(self):
-        trace, events = _uniform_trace()
-        with pytest.raises(InvalidConfig):
-            segment_trace(trace, events[:39])
-        shuffled = [events[0], events[2], events[1]] + events[3:]
-        with pytest.raises(OutOfRange):
-            segment_trace(trace, shuffled)
+        trace, hit_times = _uniform_trace()
+        swapped = hit_times.copy()
+        swapped[[1, 2]] = swapped[[2, 1]]
+        repeated = hit_times.copy()
+        repeated[5] = repeated[4]
+        with_nan = hit_times.copy()
+        with_nan[20] = np.nan
+        for bad in (hit_times[:39], np.append(hit_times, 1e9), hit_times[None, :], swapped, repeated, with_nan):
+            with pytest.raises(InvalidConfig):
+                segment_trace(trace, bad)
+            with pytest.raises(InvalidConfig):
+                raw_at_hits(trace, bad)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))
     def test_partition_property(self, seed):
         # random sample times: windows concatenate back to exactly [t_1, t_40)
         rng = np.random.default_rng(seed)
-        events = [HitEvent(k, float(t)) for k, t in enumerate(np.arange(40) * 100.0, start=1)]
+        hit_times = np.arange(40) * 100.0
         times = np.sort(rng.uniform(0.0, 3900.0 + 50.0, size=1200))
         values = rng.normal(1000.0, 5.0, size=times.size)
         trace = ResistanceTrace("p", TaskShape.CIRCLE, times, values)
         in_task = (times >= 0.0) & (times < 3900.0)
         try:
-            windows = segment_trace(trace, events)
+            windows = segment_trace(trace, hit_times)
         except EmptyWindow:
             return  # sparse draw; contract allows rejection
-        merged = np.concatenate([w.values for w in windows])
+        merged = np.concatenate(windows)
         np.testing.assert_array_equal(merged, values[in_task])
 
     def test_cohort_window_arithmetic(self):
@@ -119,13 +125,9 @@ class TestRawAtHits:
         times = np.array([0.0, 4.0, 6.0, 10.0, 20.0, 30.0])
         values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         trace = ResistanceTrace("p", TaskShape.DIAMOND, times, values)
-        events = [HitEvent(k, t) for k, t in enumerate(np.arange(40) * 1.0, start=1)]
-        # only checking the helper's selection rule needs a small event list;
-        # build a 40-event list whose first timestamps match the interesting spots
-        events = [HitEvent(1, 0.0), HitEvent(2, 5.0), HitEvent(3, 9.0)] + [
-            HitEvent(k, 9.0 + k) for k in range(4, 41)
-        ]
-        out = raw_at_hits(trace, events)
+        # the selection rule needs only the first three hits; the other 37 follow in order
+        hit_times = np.concatenate([[0.0, 5.0, 9.0], 9.0 + np.arange(4, 41)])
+        out = raw_at_hits(trace, hit_times)
         assert out[0] == 1.0  # exact
         assert out[1] == 2.0  # tie between 4.0 and 6.0 -> earlier
         assert out[2] == 4.0  # nearest is 10.0
@@ -135,7 +137,7 @@ class TestSynth:
     def test_determinism(self):
         a = synth_participant(7, TaskShape.DIAMOND, Direction.CW)
         b = synth_participant(7, TaskShape.DIAMOND, Direction.CW)
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a.windows, b.windows))
+        assert all(np.array_equal(x, y) for x, y in zip(a.windows, b.windows))
         assert np.array_equal(a.gaze, b.gaze)
         assert np.array_equal(a.hit_values, b.hit_values)
 
@@ -149,15 +151,15 @@ class TestSynth:
         cfg = SynthConfig(noise_std=0.0)
         cw = synth_participant(3, TaskShape.CIRCLE, Direction.CW, cfg)
         ccw = synth_participant(3, TaskShape.CIRCLE, Direction.CCW, cfg)
-        m_cw = np.array([w.values.mean() for w in cw.windows])
-        m_ccw = np.array([w.values.mean() for w in ccw.windows])
+        m_cw = np.array([w.mean() for w in cw.windows])
+        m_ccw = np.array([w.mean() for w in ccw.windows])
         np.testing.assert_allclose(m_cw, m_ccw[::-1], rtol=1e-12, atol=1e-12)
 
     def test_noise_free_periodicity(self):
         cfg = SynthConfig(noise_std=0.0)
         rec = synth_participant(9, TaskShape.DIAMOND, Direction.CW, cfg)
         for j in range(39 - 13):
-            np.testing.assert_allclose(rec.windows[j].values, rec.windows[j + 13].values, rtol=1e-12)
+            np.testing.assert_allclose(rec.windows[j], rec.windows[j + 13], rtol=1e-12)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
@@ -211,22 +213,22 @@ class TestCsvRoundTrip:
             pid = f"p{i:02d}"
             direction = Direction.CW if i % 2 == 0 else Direction.CCW
             for shape in (TaskShape.DIAMOND, TaskShape.CIRCLE):
-                trace, events, gaze = synth_trace(50 + i, pid, shape, direction, cfg)
-                tasks.append((pid, shape, direction, trace, events, gaze))
+                tasks.append((pid, shape, direction, *synth_trace(50 + i, pid, shape, direction, cfg)))
         write_dataset_csvs(tasks, tmp_path)
         return tmp_path
 
     def test_round_trip(self, csv_dir):
+        # repr() writes every float exactly, so each loaded record equals its in-memory twin bit for bit
         records = records_from_csv_dir(csv_dir)
         assert len(records) == 4
-        direct = synth_participant(50, TaskShape.DIAMOND, Direction.CW, participant_id="p00")
-        loaded = next(
-            r for r in records if r.participant_id == "p00" and r.shape is TaskShape.DIAMOND
-        )
-        np.testing.assert_allclose(loaded.gaze, direct.gaze, rtol=1e-15)
-        np.testing.assert_allclose(loaded.hit_values, direct.hit_values, rtol=1e-15)
-        for a, b in zip(loaded.windows, direct.windows):
-            np.testing.assert_allclose(a.values, b.values, rtol=1e-15)
+        for loaded in records:
+            seed = 50 + int(loaded.participant_id[1:])
+            direct = synth_participant(seed, loaded.shape, loaded.direction, participant_id=loaded.participant_id)
+            np.testing.assert_array_equal(loaded.gaze, direct.gaze)
+            np.testing.assert_array_equal(loaded.hit_values, direct.hit_values)
+            assert len(loaded.windows) == len(direct.windows) == 39
+            for a, b in zip(loaded.windows, direct.windows):
+                np.testing.assert_array_equal(a, b)
 
     def test_trace_count(self, csv_dir):
         traces = load_resistance_csv(csv_dir / "resistance.csv")
@@ -319,8 +321,8 @@ class TestLoaderErrors:
             load_gaze_csv(gaze)
         # an integral value written with a decimal point still loads
         hits.write_text("\n".join(rows + [f"p0,diamond,{float(k)},{k * 10.0}" for k in range(1, 41)]) + "\n")
-        events = load_hits_csv(hits)[("p0", TaskShape.DIAMOND)]
-        assert [ev.hit_index for ev in events] == list(range(1, 41))
+        hit_times = load_hits_csv(hits)[("p0", TaskShape.DIAMOND)]
+        np.testing.assert_array_equal(hit_times, np.arange(1, 41) * 10.0)
 
     def test_gaze_row_width_mismatch(self, tmp_path):
         p = tmp_path / "gaze.csv"
@@ -576,10 +578,13 @@ class TestColumnarLoader:
             pid, direction = f"p{i}", (Direction.CW, Direction.CCW)[int(rng.integers(0, 2))]
             tables["participants"].append([pid, direction.value])
             for shape in TaskShape:
-                trace, events, gaze = synth_trace(seed % 1000 + i, pid, shape, direction, cfg)
-                tables["resistance"] += [[pid, shape.value, number(t), number(r)] for t, r in zip(trace.times, trace.values)]
-                tables["hits"] += [[pid, shape.value, str(ev.hit_index), number(ev.timestamp_ms)] for ev in events]
-                tables["gaze"] += [[pid, shape.value, str(k), *map(number, row)] for k, row in enumerate(gaze, start=1)]
+                trace, hit_times, gaze = synth_trace(seed % 1000 + i, pid, shape, direction, cfg)
+                # tolist() gives Python floats, whose repr is the number alone (numpy 2 adds "np.float64(...)")
+                tables["resistance"] += [
+                    [pid, shape.value, number(t), number(r)] for t, r in zip(trace.times.tolist(), trace.values.tolist())
+                ]
+                tables["hits"] += [[pid, shape.value, str(k), number(t)] for k, t in enumerate(hit_times.tolist(), start=1)]
+                tables["gaze"] += [[pid, shape.value, str(k), *map(number, row)] for k, row in enumerate(gaze.tolist(), start=1)]
         with tempfile.TemporaryDirectory() as tmp:
             for name, (header, *rows) in tables.items():
                 order = rng.permutation(len(rows))

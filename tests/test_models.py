@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from intent_bench.errors import (
+    BadTarget,
     EmptyTrainingSet,
+    InvalidConfig,
     NotEnoughNeighbors,
     SequenceTooShort,
     ShapeMismatch,
@@ -99,8 +101,27 @@ class TestLstm:
         seq = SequenceData(
             x=np.zeros((39, 3)), labels=np.zeros(39, dtype=int), train_mask=np.ones(39, dtype=bool)
         )
-        x, _labels, _train, _held = lstm_rows([seq], LstmConfig(input_width=3, window_len=5))
-        assert x.shape == (35, 5, 3)
+        x, y, train = lstm_rows([seq], LstmConfig(input_width=3, window_len=5))
+        assert x.shape == (35, 5, 3) and y.shape == train.shape == (35,)
+
+    def test_rows_are_windows_scored_at_their_last_step(self):
+        rng = np.random.default_rng(0)
+        seqs = [
+            SequenceData(x=rng.normal(size=(t, 3)), labels=rng.integers(0, 2, t), train_mask=rng.random(t) < 0.5)
+            for t in (7, 9)
+        ]
+        x, y, train = lstm_rows(seqs, LstmConfig(input_width=3, window_len=4))
+        spans = [(seq, t) for seq in seqs for t in range(seq.x.shape[0] - 3)]
+        assert x.shape == (len(spans), 4, 3) and x.flags.c_contiguous
+        for i, (seq, t) in enumerate(spans):
+            np.testing.assert_array_equal(x[i], seq.x[t : t + 4])
+            assert y[i] == seq.labels[t + 3] and train[i] == seq.train_mask[t + 3]
+
+    def test_config(self):
+        with pytest.raises(TypeError):
+            LstmConfig(input_width=3, mode="full")
+        with pytest.raises(InvalidConfig, match="window_len"):
+            LstmConfig(input_width=3, window_len=1)
 
     def test_sequence_too_short(self):
         seq = SequenceData(
@@ -114,8 +135,7 @@ class TestLstm:
         assert dm.values.shape[1] == 15
         cfg = _lstm_config(15, TrainParams(), 99)
         model = train_lstm(seqs, cfg)
-        wx, labels, train, _held = lstm_rows(seqs, cfg)
-        wy, wtrain = labels[:, -1], train[:, -1]
+        wx, wy, wtrain = lstm_rows(seqs, cfg)
         acc = np.mean(model.predict(wx[~wtrain]) == wy[~wtrain])
         assert acc >= 0.90
 
@@ -123,8 +143,8 @@ class TestLstm:
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
         cfg = _lstm_config(11, TrainParams(), 99)
         model = train_lstm(seqs, cfg)
-        wx, _labels, train, _held = lstm_rows(seqs, cfg)
-        held = wx[~train[:, -1]]
+        wx, _y, train = lstm_rows(seqs, cfg)
+        held = wx[~train]
         forward = model.predict(held)
         reversed_ = model.predict(held[:, ::-1, :])
         assert np.mean(forward != reversed_) >= 0.80
@@ -134,9 +154,9 @@ class TestLstm:
         cfg = LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0)
         model = train_lstm(seqs, cfg)
         probs = model.predict_proba(seqs[0].x[None, :5])
-        assert probs.shape == (1, 5, 2)  # one distribution per step
+        assert probs.shape == (1, 2)  # one distribution per window, from its last step
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        assert model.predict(seqs[0].x[None, :5]) == np.argmax(probs[0, -1])
+        assert model.predict(seqs[0].x[None, :5]) == np.argmax(probs[0])
 
     def test_width_mismatch(self, diamond_state):
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
@@ -150,22 +170,6 @@ class TestLstm:
         m1, m2 = train_lstm(seqs, cfg), train_lstm(seqs, cfg)
         for name in m1.params:
             np.testing.assert_array_equal(m1.params[name], m2.params[name])
-
-    def test_full_sequence_mode(self, diamond_state):
-        _dm, seqs = _setup_sequences(diamond_state, SetupId.D6)
-        cfg = LstmConfig(input_width=15, hidden_size=16, epochs=30, mode="full", seed=2)
-        model = train_lstm(seqs, cfg)
-        probs = model.predict_proba(seqs[0].x[None])
-        assert probs.shape == (1, 39, 2)
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        preds, labels = [], []
-        for seq in seqs:
-            p = model.predict_proba(seq.x[None])[0]
-            holdout = ~seq.train_mask
-            preds.append(np.argmax(p[holdout], axis=1))
-            labels.append(seq.labels[holdout])
-        acc = np.mean(np.concatenate(preds) == np.concatenate(labels))
-        assert acc >= 0.80
 
 
 def two_blobs(seed=0, rows=200):
@@ -266,3 +270,20 @@ def test_single_inputs_are_refused():
         with pytest.raises(ShapeMismatch, match="rank"):
             lstm.predict_proba(sequence)
     assert lstm.predict(np.zeros((1, 5, 3))).shape == (1,)
+
+
+def test_trainers_refuse_a_label_outside_the_classes():
+    """Each trainer checks its labels once per fit; the loss kernel checks none."""
+    x, y = four_blobs(rows=64)
+    bad = y.copy()
+    bad[5] = 7
+    with pytest.raises(BadTarget):
+        train_mlp(x, bad, MlpConfig(input_width=24, epochs=1, seed=0))
+    for name in ("knn", "svm", "logreg"):
+        with pytest.raises(BadTarget):
+            train_baseline(BaselineKind(name), x, bad, 4)
+        with pytest.raises(BadTarget):
+            train_baseline(BaselineKind(name), x, np.where(y == 0, -1, y), 4)
+    seq = SequenceData(x=np.zeros((9, 3)), labels=np.full(9, 2), train_mask=np.ones(9, dtype=bool))
+    with pytest.raises(BadTarget):
+        train_lstm([seq], LstmConfig(input_width=3, hidden_size=4, epochs=1, window_len=5))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import dataset, pipeline
@@ -32,6 +33,7 @@ CONFIG_KEYS = {
     "grid.steps": (str, ""),
     "run.two_step": (bool, True),
     "run.direction_setup": (str, "D6"),
+    "run.workers": (int, pipeline.usable_cores()),
     # one train.<field> key per TrainParams field, with its type and default
     **{f"train.{f.name}": (type(f.default), f.default) for f in fields(TrainParams)},
 }
@@ -110,10 +112,6 @@ def resolve_config(args) -> dict:
     if getattr(args, "data", None):
         cfg["data.source"] = "csv"
         cfg["data.dir"] = args.data
-    if cfg["data.source"] not in ("synthetic", "csv"):
-        raise InvalidConfig(f"unknown data source '{cfg['data.source']}'")
-    if cfg["data.source"] == "csv" and not cfg["data.dir"]:
-        raise InvalidConfig("csv data source needs --data DIR (or data.dir in the config)")
     return cfg
 
 
@@ -134,7 +132,12 @@ def _synth_config(cfg) -> SynthConfig:
 
 
 def _load_records(cfg):
+    """The records of the configured data source; only the subcommands that read data check the source."""
+    if cfg["data.source"] not in ("synthetic", "csv"):
+        raise InvalidConfig(f"unknown data source '{cfg['data.source']}'")
     if cfg["data.source"] == "csv":
+        if not cfg["data.dir"]:
+            raise InvalidConfig("csv data source needs --data DIR (or data.dir in the config)")
         return dataset.records_from_csv_dir(cfg["data.dir"])
     return dataset.synth_cohort(cfg["seed"], cfg["data.participants"], _synth_config(cfg))
 
@@ -173,7 +176,10 @@ def _run_configs(cfg, shapes: tuple[TaskShape, ...]) -> tuple[TwoStepConfig, Gri
         train_fraction=cfg["split.train_fraction"],
         train=TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)}),
     )
-    grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, **common) if cfg["grid.steps"] else None
+    workers = pipeline.check_workers(cfg["run.workers"])  # the two-step run uses it too
+    grid_cfg = None
+    if cfg["grid.steps"]:
+        grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, workers=workers, **common)
     return TwoStepConfig(direction_setup=setup, **common), grid_cfg
 
 
@@ -186,11 +192,11 @@ def cmd_run(cfg) -> int:
 
     two_step_results = []
     if cfg["run.two_step"]:
-        for shape in shapes:
-            result = pipeline.run_two_step(records, shape, ts_cfg)
-            two_step_results.append(result)
+        two_step = partial(pipeline.run_two_step, records, cfg=ts_cfg)
+        two_step_results = pipeline.map_shapes(two_step, shapes, cfg["run.workers"])
+        for result in two_step_results:
             print(
-                f"two-step {shape.value}: step-1 {pipeline.format_cell(result.step1)} | "
+                f"two-step {result.shape.value}: step-1 {pipeline.format_cell(result.step1)} | "
                 f"step-2 {pipeline.format_cell(result.step2)} on {ts_cfg.direction_setup.value}"
             )
 
@@ -204,7 +210,8 @@ def cmd_run(cfg) -> int:
 
     run_meta = {
         "root_seed": cfg["seed"],
-        "config_hash": pipeline.config_hash({k: v for k, v in cfg.items() if k != "out"}),
+        # where the outputs go and how many processes make them change no output
+        "config_hash": pipeline.config_hash({k: v for k, v in cfg.items() if k not in ("out", "run.workers")}),
         "data_source": cfg["data.source"],
         "shapes": [s.value for s in shapes],
     }

@@ -6,7 +6,22 @@ can map failures to one-line diagnostics.
 
 
 class IntentBenchError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Pickling rebuilds an error from its message and attributes, not through
+    `__init__`, so an error raised in a worker process reaches the caller with
+    its type, message and attributes, whatever arguments its class takes.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.args = args
+    error.__dict__.update(state)
+    return error
 
 
 # --- dataset ingestion / segmentation ---

@@ -161,10 +161,16 @@ def adam_step(
     The effective gradient is g + l2 * mask * theta on the parameters named in
     `decay_masks` (name -> 0/1 array), so the decay can cover a subset of a
     tensor, e.g. the input-kernel columns of a recurrent layer.
-    Mutates `state` (moment accumulators and step count) and returns the new
-    parameter dict. Deterministic: iteration follows sorted parameter names.
+    Updates `state` in place (moment accumulators and step count) and returns
+    the new parameter dict; `params` and `grads` are left as they are. Each
+    element goes through the operations of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g², theta - alpha*m_hat/(sqrt(v_hat)+eps)
+    in that order, so the in-place form gives the same bits.
+    Deterministic: iteration follows sorted parameter names.
     """
     state.t += 1
+    m_correction = 1.0 - state.beta1**state.t
+    v_correction = 1.0 - state.beta2**state.t
     out = {}
     for name in sorted(params):
         theta = params[name]
@@ -175,13 +181,18 @@ def adam_step(
             g = g + l2 * decay_masks[name] * theta
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(theta), np.zeros_like(theta)
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - state.beta1 ** state.t)
-        v_hat = v / (1.0 - state.beta2 ** state.t)
-        out[name] = theta - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        step = m / m_correction
+        step *= state.alpha
+        denom = v / v_correction
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        out[name] = theta - step
     return out
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from intent_bench import dataset, pipeline
 from intent_bench.cli import _run_configs, _shapes, build_parser, load_config_file, main, resolve_config
 from intent_bench.dataset import TaskShape
 from intent_bench.errors import InvalidConfig
@@ -132,6 +133,13 @@ class TestSynthCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error[InvalidConfig]") and "participants" in captured.err
         assert not out.exists()
+
+    def test_the_data_source_is_not_read(self, tmp_path):
+        # synth makes its data, so a csv source without a directory is no error
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text('[data]\nsource = "csv"\nparticipants = 2\n')
+        assert main(["synth", "--config", str(cfgfile), "--out", str(tmp_path / "data")]) == 0
+        assert (tmp_path / "data" / "resistance.csv").exists()
 
     def test_default_cohort_hit_rows(self, tmp_path):
         out = tmp_path / "data"
@@ -361,7 +369,70 @@ class TestRunCommand:
         assert code == 2
         assert "error[InvalidConfig]" in capsys.readouterr().err
 
+    def test_unknown_data_source(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text('[data]\nsource = "parquet"\n')
+        code = main(["features", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown data source 'parquet'" in capsys.readouterr().err
+
     def test_report_without_csv(self, tmp_path, capsys):
         code = main(["report", "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error[IoError]")
+
+
+class TestWorkers:
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)  # two workers on a one-core host too
+
+    def test_one_worker_and_two_write_the_same_outputs(self, tmp_path):
+        for workers in (1, 2):
+            args = ["run", "--synthetic", "--seed", "2", "--participants", "4", "--grid", "all"]
+            cfgfile = write_config(tmp_path, f"[run]\nworkers = {workers}\n")
+            assert main(args + ["--config", cfgfile, "--out", str(tmp_path / f"w{workers}")]) == 0
+        one, two = tmp_path / "w1", tmp_path / "w2"
+        names = ["report.csv", "report.txt", "reference_checks.txt"]
+        names += sorted(f"confusions/{p.name}" for p in (one / "confusions").iterdir())
+        assert len(names) == 3 + 96  # 4 x 4 segment and 4 x 8 direction cells per shape
+        assert sorted(p.name for p in (two / "confusions").iterdir()) == [n[11:] for n in names[3:]]
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        metas = [json.loads((out / "run.json").read_text()) for out in (one, two)]
+        assert metas[0]["config_hash"] == metas[1]["config_hash"]
+        assert metas[0]["grid_config_hash"] == metas[1]["grid_config_hash"]
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "two-step"])
+    @pytest.mark.parametrize("workers", ["0", "above"])
+    def test_workers_outside_the_usable_cores_exit_before_any_data_is_made(
+        self, tmp_path, capsys, monkeypatch, workers, grid
+    ):
+        made = []
+        monkeypatch.setattr(dataset, "synth_cohort", lambda *args, **kwargs: made.append(args))
+        value = 3 if workers == "above" else 0
+        out = tmp_path / "o"
+        args = ["run", "--synthetic", "--config", write_config(tmp_path, f"[run]\nworkers = {value}\n")]
+        code = main(args + (["--grid", "segment"] if grid else []) + ["--out", str(out)])
+        assert code == 2
+        want = f"error[InvalidConfig]: workers must be in 1..2 (the usable cores), got {value}\n"
+        assert capsys.readouterr().err == want
+        assert made == [] and not out.exists()
+
+    @pytest.mark.parametrize("two_step", ["true", "false"])
+    def test_an_error_in_the_workers_shape_exits_as_with_one_worker(self, tmp_path, capsys, two_step):
+        # p01 traced the diamond only, so the circle, the shape a worker runs, has too few participants
+        data = tmp_path / "data"
+        main(["synth", "--seed", "1", "--participants", "2", "--out", str(data)])
+        for name in ("resistance", "hits", "gaze"):
+            path = data / f"{name}.csv"
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if not line.startswith("p01,circle,")))
+        errs = []
+        for workers in (1, 2):
+            cfgfile = write_config(tmp_path, f"[run]\nworkers = {workers}\ntwo_step = {two_step}\n")
+            capsys.readouterr()
+            args = ["run", "--data", str(data), "--grid", "segment", "--config", cfgfile]
+            assert main(args + ["--out", str(tmp_path / f"w{workers}")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == ["error[TooFewRows]: need at least 2 participant(s) for shape circle, got 1\n"] * 2

@@ -158,6 +158,37 @@ class TestAdam:
         with pytest.raises(ShapeMismatch):
             nn.adam_step(nn.AdamState(), {"w": np.zeros(2)}, {"w": np.zeros(3)})
 
+    def test_in_place_update_gives_the_bits_of_the_written_out_rule(self):
+        # the out-of-place rule, written out per step, at the shapes of a 2-layer LSTM with a masked decay
+        b1, b2, eps, alpha, l2 = 0.9, 0.999, 1e-8, 0.001, 0.01
+        rng = np.random.default_rng(5)
+        shapes = {"layer0_w": (200, 65), "layer0_b": (200,), "layer1_w": (200, 100), "head_w": (2, 50)}
+        masks = {name: (rng.random(s) < 0.5).astype(float) for name, s in shapes.items() if name.endswith("_w")}
+        params = {name: rng.normal(size=s) for name, s in shapes.items()}
+        want = dict(params)
+        want_m = {name: np.zeros(s) for name, s in shapes.items()}
+        want_v = {name: np.zeros(s) for name, s in shapes.items()}
+        state = nn.AdamState(alpha=alpha)
+        for t in range(1, 201):
+            grads = {name: rng.normal(size=s) for name, s in shapes.items()}
+            seen = {name: (params[name].copy(), grads[name].copy()) for name in shapes}
+            new = nn.adam_step(state, params, grads, l2=l2, decay_masks=masks)
+            for name in shapes:  # neither input is written to
+                np.testing.assert_array_equal(params[name], seen[name][0])
+                np.testing.assert_array_equal(grads[name], seen[name][1])
+            for name in sorted(shapes):
+                g = grads[name] + l2 * masks[name] * want[name] if name in masks else grads[name]
+                want_m[name] = b1 * want_m[name] + (1.0 - b1) * g
+                want_v[name] = b2 * want_v[name] + (1.0 - b2) * (g * g)
+                m_hat = want_m[name] / (1.0 - b1**t)
+                v_hat = want_v[name] / (1.0 - b2**t)
+                want[name] = want[name] - alpha * m_hat / (np.sqrt(v_hat) + eps)
+            params = new
+        for name in shapes:
+            np.testing.assert_array_equal(params[name], want[name])
+            np.testing.assert_array_equal(state.m[name], want_m[name])
+            np.testing.assert_array_equal(state.v[name], want_v[name])
+
 
 class TestGradCheck:
     def test_quadratic(self):

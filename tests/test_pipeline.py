@@ -1,9 +1,13 @@
+import multiprocessing
+import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intent_bench import pipeline
 from intent_bench.dataset import (
     SynthConfig,
     TaskShape,
@@ -12,7 +16,7 @@ from intent_bench.dataset import (
     synth_tasks,
     write_dataset_csvs,
 )
-from intent_bench.errors import IncompleteTable, InvalidConfig, LengthMismatch, OutOfRange, TooFewRows
+from intent_bench.errors import EmptyWindow, IncompleteTable, InvalidConfig, LengthMismatch, OutOfRange, TooFewRows
 from intent_bench.features import SetupId
 from intent_bench.pipeline import (
     CellResult,
@@ -24,6 +28,7 @@ from intent_bench.pipeline import (
     TwoStepConfig,
     evaluate,
     format_cell,
+    map_shapes,
     metrics_from_confusion,
     raw_table,
     read_run_outputs,
@@ -34,6 +39,7 @@ from intent_bench.pipeline import (
     run_grid,
     run_two_step,
     split_indices,
+    usable_cores,
     window_tables,
     write_run_outputs,
 )
@@ -172,6 +178,75 @@ def full_report(cohort4):
     return run_grid(cohort4, GridConfig(seed=3, steps="all", shapes=(TaskShape.DIAMOND,), train=FAST))
 
 
+BOTH = (TaskShape.DIAMOND, TaskShape.CIRCLE)
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the shape pool forks its workers"
+)
+
+
+class TestShapePool:
+    @needs_fork
+    def test_first_shape_runs_here_the_rest_on_workers_in_order(self):
+        # a lambda reaches the worker: it is inherited from the fork, not pickled
+        got = map_shapes(lambda shape: (shape, os.getpid()), BOTH, 2)
+        assert [shape for shape, _pid in got] == list(BOTH)
+        assert got[0][1] == os.getpid() != got[1][1]
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_blas_keeps_to_one_thread_per_process_while_the_pool_runs(self):
+        calls = pipeline._openblas_threads()
+        if calls is None:
+            pytest.skip("this numpy loaded no OpenBLAS")
+        get_threads = calls[0]
+        before = get_threads()
+        assert map_shapes(lambda shape: get_threads(), BOTH, 2) == [1, 1]
+        assert get_threads() == before
+
+    def test_one_worker_one_shape_or_no_fork_runs_here(self, monkeypatch):
+        here = [os.getpid()] * 2
+        assert map_shapes(lambda shape: os.getpid(), BOTH, 1) == here
+        assert map_shapes(lambda shape: os.getpid(), BOTH[:1], 2) == here[:1]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert map_shapes(lambda shape: os.getpid(), BOTH, 2) == here
+
+    @needs_fork
+    @pytest.mark.parametrize("failing", [("diamond",), ("circle",), ("diamond", "circle")], ids="+".join)
+    def test_the_first_error_in_shape_order_comes_back_typed(self, failing):
+        def fn(shape):
+            if shape.value in failing:
+                raise EmptyWindow(7, f"no samples on {shape.value}")
+            return shape
+
+        with pytest.raises(EmptyWindow, match=f"no samples on {failing[0]}") as info:
+            map_shapes(fn, BOTH, 2)
+        assert info.value.source_hit == 7
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [0, -1, "above"])
+    def test_workers_outside_the_usable_cores_are_refused(self, workers):
+        with pytest.raises(InvalidConfig, match="workers"):
+            GridConfig(workers=usable_cores() + 1 if workers == "above" else workers)
+
+    def test_workers_default_to_the_usable_cores(self):
+        assert GridConfig().workers == usable_cores()
+
+    def test_no_child_outlives_run_grid(self, cohort4, monkeypatch):
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)  # two workers on a one-core host too
+        cfg = GridConfig(seed=3, steps="segment", train=FAST, workers=2)
+        one = run_grid(cohort4, replace(cfg, workers=1))
+        two = run_grid(cohort4, cfg)
+        assert multiprocessing.active_children() == []
+        assert render_text(two) == render_text(one)  # the header holds the config hash, which leaves out workers
+        assert [(c.seed, c.metrics.confusion.tolist()) for c in two.cells] == [
+            (c.seed, c.metrics.confusion.tolist()) for c in one.cells
+        ]
+        diamond_only = [r for r in cohort4 if r.shape is TaskShape.DIAMOND]
+        with pytest.raises(TooFewRows, match="circle"):
+            run_grid(diamond_only, cfg)
+        assert multiprocessing.active_children() == []
+
+
 class TestGrid:
     def test_segment_cell_count(self, segment_report):
         assert len(segment_report.cells) == 16  # 4 models x 4 setups x 1 shape
@@ -182,8 +257,6 @@ class TestGrid:
         assert len(set(seeds)) == len(seeds)
 
     def test_segment_grid_trains_mlp_for_nn_cells_only(self, cohort4, monkeypatch):
-        import intent_bench.pipeline as pipeline
-
         calls = []
         original = pipeline.train_mlp
 
@@ -192,7 +265,8 @@ class TestGrid:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "train_mlp", counting)
-        run_grid(cohort4, GridConfig(seed=3, steps="segment", train=FAST))
+        # one worker: the counting wrapper sees only the calls made in this process
+        run_grid(cohort4, GridConfig(seed=3, steps="segment", train=FAST, workers=1))
         assert len(calls) == 8  # NN x D1/D2/D3/D5 per shape; no setup reads step-1 probabilities
 
     def test_grid_determinism(self, cohort4, segment_report):

@@ -7,7 +7,15 @@ direction. Everything trains from scratch and is deterministic per seed.
 
 __version__ = "0.1.0"
 
-from .dataset import (  # noqa: F401
+import os
+
+# One BLAS thread per process unless the environment sets a count, read when numpy
+# loads its BLAS: `run` trains the two shapes in two processes, whose BLAS threads
+# would otherwise contend for the cores.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .dataset import (  # noqa: E402, F401
     Direction,
     ParticipantRecord,
     ResistanceTrace,
@@ -18,7 +26,7 @@ from .dataset import (  # noqa: F401
     synth_cohort,
     synth_participant,
 )
-from .features import (  # noqa: F401
+from .features import (  # noqa: E402, F401
     FEATURE_NAMES,
     FeatureKind,
     Scaler,
@@ -28,7 +36,7 @@ from .features import (  # noqa: F401
     compute_feature,
     fit_scaler,
 )
-from .pipeline import (  # noqa: F401
+from .pipeline import (  # noqa: E402, F401
     GridConfig,
     Metrics,
     TwoStepConfig,

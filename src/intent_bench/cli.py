@@ -33,7 +33,6 @@ CONFIG_KEYS = {
     "grid.steps": (str, ""),
     "run.two_step": (bool, True),
     "run.direction_setup": (str, "D6"),
-    "run.workers": (int, pipeline.usable_cores()),
     # one train.<field> key per TrainParams field, with its type and default
     **{f"train.{f.name}": (type(f.default), f.default) for f in fields(TrainParams)},
 }
@@ -176,10 +175,7 @@ def _run_configs(cfg, shapes: tuple[TaskShape, ...]) -> tuple[TwoStepConfig, Gri
         train_fraction=cfg["split.train_fraction"],
         train=TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)}),
     )
-    workers = pipeline.check_workers(cfg["run.workers"])  # the two-step run uses it too
-    grid_cfg = None
-    if cfg["grid.steps"]:
-        grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, workers=workers, **common)
+    grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, **common) if cfg["grid.steps"] else None
     return TwoStepConfig(direction_setup=setup, **common), grid_cfg
 
 
@@ -193,7 +189,7 @@ def cmd_run(cfg) -> int:
     two_step_results = []
     if cfg["run.two_step"]:
         two_step = partial(pipeline.run_two_step, records, cfg=ts_cfg)
-        two_step_results = pipeline.map_shapes(two_step, shapes, cfg["run.workers"])
+        two_step_results = pipeline.map_shapes(two_step, shapes)
         for result in two_step_results:
             print(
                 f"two-step {result.shape.value}: step-1 {pipeline.format_cell(result.step1)} | "
@@ -210,8 +206,7 @@ def cmd_run(cfg) -> int:
 
     run_meta = {
         "root_seed": cfg["seed"],
-        # where the outputs go and how many processes make them change no output
-        "config_hash": pipeline.config_hash({k: v for k, v in cfg.items() if k not in ("out", "run.workers")}),
+        "config_hash": pipeline.config_hash({k: v for k, v in cfg.items() if k != "out"}),
         "data_source": cfg["data.source"],
         "shapes": [s.value for s in shapes],
     }

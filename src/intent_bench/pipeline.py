@@ -9,14 +9,12 @@ seed, then renders the comparison tables.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict, replace
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +77,7 @@ def config_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-# --- worker processes ----------------------------------------------------------
+# --- the shapes side by side -----------------------------------------------------
 
 
 def usable_cores() -> int:
@@ -90,101 +88,50 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def check_workers(workers: int) -> int:
-    """`workers` if it lies in 1..usable_cores(), else InvalidConfig."""
-    cores = usable_cores()
-    if not 1 <= workers <= cores:
-        raise InvalidConfig(f"workers must be in 1..{cores} (the usable cores), got {workers}")
-    return workers
-
-
-# (prefix, suffix) of the OpenBLAS symbols: numpy wheels add a prefix and, for 64-bit integers, a suffix
-_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", ""))
-
-
-@cache
-def _openblas_threads():
-    """The (get, set) thread-count calls of the OpenBLAS this process has loaded, or None if none is found."""
+def _send_shapes(fn, shapes, conn) -> None:
+    """The worker's body: send (True, [fn(shape), ...]) through `conn`, or (False, the first error)."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a map entry that is not a loadable path, such as a deleted file
-            continue
-        for prefix, suffix in _OPENBLAS_NAMES:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            if get is not None:
-                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                return get, set_threads
-    return None
+        conn.send((True, [fn(shape) for shape in shapes]))
+    except Exception as error:
+        conn.send((False, error))
 
 
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread inside the block; forked workers inherit the setting.
+def map_shapes(fn, shapes) -> list:
+    """[fn(shape) for shape in shapes], the first shape in this process and the rest in one forked worker.
 
-    Without it every pooled process runs one BLAS thread per core, and the
-    threads contend for the cores: on a 2-vCPU host, the seed-42 direction
-    grid on 2 workers took 117 s against 46 s serial. With it, 24 s.
+    The worker inherits `fn`, and the records it holds, from the fork, so only
+    its results are pickled. With fewer than two usable cores or shapes, or
+    where `fork` is not a start method, every shape runs here. The error
+    raised is the first in shape order, as in a serial run; when this
+    process's shape fails, the worker is ended at once. No worker outlives
+    the call.
     """
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    get, set_threads = calls
-    before = get()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
-_task = None  # the function a forked worker maps over shapes, set by the pool's initializer
-
-
-def _set_task(fn) -> None:
-    global _task
-    _task = fn
-
-
-def _run_task(shape):
-    return _task(shape)
-
-
-def map_shapes(fn, shapes, workers: int) -> list:
-    """[fn(shape) for shape in shapes], the shapes after the first on up to `workers - 1` forked processes.
-
-    This process runs the first shape itself. The workers inherit `fn`, and the
-    records it holds, from the fork, so only each shape and its result are
-    pickled. With one worker or one shape, or where `fork` is not a start
-    method, every shape runs here. The pool is shut down, with pending shapes
-    cancelled, before this returns or raises; an error is the first shape's in
-    shape order, as in a serial run.
-    """
-    # imported here, so that a program that maps no shapes does not pay for them (about 2 MB and 20 ms)
+    # imported here, so that a program that maps no shapes does not pay for it (about 1.3 MB)
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(workers, len(shapes))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if min(usable_cores(), len(shapes)) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(shape) for shape in shapes]
-    with _one_blas_thread():
-        pool = ProcessPoolExecutor(
-            workers - 1, mp_context=multiprocessing.get_context("fork"), initializer=_set_task, initargs=(fn,)
-        )
+    context = multiprocessing.get_context("fork")
+    results, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_send_shapes, args=(fn, shapes[1:], sender), daemon=True)
+    worker.start()
+    sender.close()  # the worker holds the only write end, so its death reads as end of file
+    try:
+        first = fn(shapes[0])
         try:
-            futures = [pool.submit(_run_task, shape) for shape in shapes[1:]]
-            first = fn(shapes[0])
-            return [first, *(f.result() for f in futures)]
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+            ok, rest = results.recv()
+        except EOFError:
+            worker.join()
+            raise ChildProcessError(f"the shape worker exited with code {worker.exitcode} and no result") from None
+        if not ok:
+            raise rest
+        return [first, *rest]
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        worker.join()
+        results.close()
 
 
 # --- splitting ---------------------------------------------------------------
@@ -502,14 +449,11 @@ def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoSte
 class GridConfig(RunConfig):
     steps: str = "all"  # segment | direction | all
     shapes: tuple[TaskShape, ...] = (TaskShape.DIAMOND, TaskShape.CIRCLE)
-    # processes that train the shapes side by side; no output depends on it, so it is not hashed
-    workers: int = field(default_factory=usable_cores)
 
     def __post_init__(self):
         super().__post_init__()
         if self.steps not in (*_STEPS, "all"):
             raise InvalidConfig(f"unknown grid steps '{self.steps}'")
-        check_workers(self.workers)
 
 
 @dataclass
@@ -577,12 +521,12 @@ def _grid_shape(records: list[ParticipantRecord], shape: TaskShape, cfg: GridCon
 
 def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
     """Train and score every requested (model, setup, shape) cell independently, the shapes side by side."""
-    per_shape = map_shapes(partial(_grid_shape, records, cfg=cfg), cfg.shapes, cfg.workers)
+    per_shape = map_shapes(partial(_grid_shape, records, cfg=cfg), cfg.shapes)
     return GridReport(
         cells=[cell for cells, _guesses in per_shape for cell in cells],
         random_guess={key: acc for _cells, guesses in per_shape for key, acc in guesses.items()},
         root_seed=cfg.seed,
-        config_hash=config_hash({k: v for k, v in asdict(cfg).items() if k != "workers"}),
+        config_hash=config_hash(asdict(cfg)),
     )
 
 

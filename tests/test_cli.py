@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from intent_bench import dataset, pipeline
+from intent_bench import pipeline
 from intent_bench.cli import _run_configs, _shapes, build_parser, load_config_file, main, resolve_config
 from intent_bench.dataset import TaskShape
 from intent_bench.errors import InvalidConfig
@@ -382,17 +382,15 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error[IoError]")
 
 
-class TestWorkers:
-    @pytest.fixture(autouse=True)
-    def two_cores(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)  # two workers on a one-core host too
+class TestShapesSideBySide:
+    """`run` on one usable core (serial) and on two (the second shape in a forked worker)."""
 
-    def test_one_worker_and_two_write_the_same_outputs(self, tmp_path):
-        for workers in (1, 2):
+    def test_one_core_and_two_write_the_same_outputs(self, tmp_path, monkeypatch):
+        for cores in (1, 2):
+            monkeypatch.setattr(pipeline, "usable_cores", lambda: cores)
             args = ["run", "--synthetic", "--seed", "2", "--participants", "4", "--grid", "all"]
-            cfgfile = write_config(tmp_path, f"[run]\nworkers = {workers}\n")
-            assert main(args + ["--config", cfgfile, "--out", str(tmp_path / f"w{workers}")]) == 0
-        one, two = tmp_path / "w1", tmp_path / "w2"
+            assert main(args + ["--out", str(tmp_path / f"c{cores}")]) == 0
+        one, two = tmp_path / "c1", tmp_path / "c2"
         names = ["report.csv", "report.txt", "reference_checks.txt"]
         names += sorted(f"confusions/{p.name}" for p in (one / "confusions").iterdir())
         assert len(names) == 3 + 96  # 4 x 4 segment and 4 x 8 direction cells per shape
@@ -403,36 +401,21 @@ class TestWorkers:
         assert metas[0]["config_hash"] == metas[1]["config_hash"]
         assert metas[0]["grid_config_hash"] == metas[1]["grid_config_hash"]
 
-    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "two-step"])
-    @pytest.mark.parametrize("workers", ["0", "above"])
-    def test_workers_outside_the_usable_cores_exit_before_any_data_is_made(
-        self, tmp_path, capsys, monkeypatch, workers, grid
-    ):
-        made = []
-        monkeypatch.setattr(dataset, "synth_cohort", lambda *args, **kwargs: made.append(args))
-        value = 3 if workers == "above" else 0
-        out = tmp_path / "o"
-        args = ["run", "--synthetic", "--config", write_config(tmp_path, f"[run]\nworkers = {value}\n")]
-        code = main(args + (["--grid", "segment"] if grid else []) + ["--out", str(out)])
-        assert code == 2
-        want = f"error[InvalidConfig]: workers must be in 1..2 (the usable cores), got {value}\n"
-        assert capsys.readouterr().err == want
-        assert made == [] and not out.exists()
-
     @pytest.mark.parametrize("two_step", ["true", "false"])
-    def test_an_error_in_the_workers_shape_exits_as_with_one_worker(self, tmp_path, capsys, two_step):
-        # p01 traced the diamond only, so the circle, the shape a worker runs, has too few participants
+    def test_an_error_in_the_workers_shape_exits_as_on_one_core(self, tmp_path, capsys, monkeypatch, two_step):
+        # p01 traced the diamond only, so the circle, the shape the worker runs, has too few participants
         data = tmp_path / "data"
         main(["synth", "--seed", "1", "--participants", "2", "--out", str(data)])
         for name in ("resistance", "hits", "gaze"):
             path = data / f"{name}.csv"
             lines = path.read_text().splitlines(keepends=True)
             path.write_text("".join(line for line in lines if not line.startswith("p01,circle,")))
+        cfgfile = write_config(tmp_path, f"[run]\ntwo_step = {two_step}\n")
         errs = []
-        for workers in (1, 2):
-            cfgfile = write_config(tmp_path, f"[run]\nworkers = {workers}\ntwo_step = {two_step}\n")
+        for cores in (1, 2):
+            monkeypatch.setattr(pipeline, "usable_cores", lambda: cores)
             capsys.readouterr()
             args = ["run", "--data", str(data), "--grid", "segment", "--config", cfgfile]
-            assert main(args + ["--out", str(tmp_path / f"w{workers}")]) == 2
+            assert main(args + ["--out", str(tmp_path / f"c{cores}")]) == 2
             errs.append(capsys.readouterr().err)
         assert errs == ["error[TooFewRows]: need at least 2 participant(s) for shape circle, got 1\n"] * 2

@@ -1,7 +1,7 @@
 import multiprocessing
 import os
 import tempfile
-from dataclasses import replace
+import time
 
 import numpy as np
 import pytest
@@ -39,7 +39,6 @@ from intent_bench.pipeline import (
     run_grid,
     run_two_step,
     split_indices,
-    usable_cores,
     window_tables,
     write_run_outputs,
 )
@@ -180,64 +179,80 @@ def full_report(cohort4):
 
 BOTH = (TaskShape.DIAMOND, TaskShape.CIRCLE)
 needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="the shape pool forks its workers"
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the shape worker is forked"
 )
 
 
-class TestShapePool:
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the usable cores `map_shapes` sees: 2 runs the worker on a one-core host too, 1 runs serially."""
+    return lambda n: monkeypatch.setattr(pipeline, "usable_cores", lambda: n)
+
+
+class TestShapeWorker:
     @needs_fork
-    def test_first_shape_runs_here_the_rest_on_workers_in_order(self):
+    def test_first_shape_runs_here_the_rest_in_one_worker_in_order(self, cores):
+        cores(2)
         # a lambda reaches the worker: it is inherited from the fork, not pickled
-        got = map_shapes(lambda shape: (shape, os.getpid()), BOTH, 2)
-        assert [shape for shape, _pid in got] == list(BOTH)
-        assert got[0][1] == os.getpid() != got[1][1]
+        got = map_shapes(lambda shape: (shape, os.getpid()), (1, 2, 3))
+        assert [shape for shape, _pid in got] == [1, 2, 3]
+        assert got[0][1] == os.getpid() != got[1][1] == got[2][1]
         assert multiprocessing.active_children() == []
 
-    @needs_fork
-    def test_blas_keeps_to_one_thread_per_process_while_the_pool_runs(self):
-        calls = pipeline._openblas_threads()
-        if calls is None:
-            pytest.skip("this numpy loaded no OpenBLAS")
-        get_threads = calls[0]
-        before = get_threads()
-        assert map_shapes(lambda shape: get_threads(), BOTH, 2) == [1, 1]
-        assert get_threads() == before
-
-    def test_one_worker_one_shape_or_no_fork_runs_here(self, monkeypatch):
+    def test_one_core_one_shape_or_no_fork_runs_here(self, cores, monkeypatch):
         here = [os.getpid()] * 2
-        assert map_shapes(lambda shape: os.getpid(), BOTH, 1) == here
-        assert map_shapes(lambda shape: os.getpid(), BOTH[:1], 2) == here[:1]
+        cores(1)
+        assert map_shapes(lambda shape: os.getpid(), BOTH) == here
+        cores(2)
+        assert map_shapes(lambda shape: os.getpid(), BOTH[:1]) == here[:1]
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert map_shapes(lambda shape: os.getpid(), BOTH, 2) == here
+        assert map_shapes(lambda shape: os.getpid(), BOTH) == here
 
     @needs_fork
     @pytest.mark.parametrize("failing", [("diamond",), ("circle",), ("diamond", "circle")], ids="+".join)
-    def test_the_first_error_in_shape_order_comes_back_typed(self, failing):
+    def test_the_first_error_in_shape_order_comes_back_typed(self, cores, failing):
+        cores(2)
+
         def fn(shape):
             if shape.value in failing:
                 raise EmptyWindow(7, f"no samples on {shape.value}")
             return shape
 
         with pytest.raises(EmptyWindow, match=f"no samples on {failing[0]}") as info:
-            map_shapes(fn, BOTH, 2)
+            map_shapes(fn, BOTH)
         assert info.value.source_hit == 7
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [0, -1, "above"])
-    def test_workers_outside_the_usable_cores_are_refused(self, workers):
-        with pytest.raises(InvalidConfig, match="workers"):
-            GridConfig(workers=usable_cores() + 1 if workers == "above" else workers)
+    @needs_fork
+    def test_an_error_here_ends_the_worker_at_once(self, cores):
+        cores(2)
 
-    def test_workers_default_to_the_usable_cores(self):
-        assert GridConfig().workers == usable_cores()
+        def fn(shape):
+            if shape is TaskShape.DIAMOND:
+                raise EmptyWindow(7)
+            time.sleep(60)  # the worker's shape, far longer than the error takes to come back
 
-    def test_no_child_outlives_run_grid(self, cohort4, monkeypatch):
-        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)  # two workers on a one-core host too
-        cfg = GridConfig(seed=3, steps="segment", train=FAST, workers=2)
-        one = run_grid(cohort4, replace(cfg, workers=1))
+        started = time.perf_counter()
+        with pytest.raises(EmptyWindow):
+            map_shapes(fn, BOTH)
+        assert time.perf_counter() - started < 10
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_a_worker_that_dies_without_a_result_is_an_error(self, cores):
+        cores(2)
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
+            map_shapes(lambda shape: os._exit(3) if shape is TaskShape.CIRCLE else shape, BOTH)
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_run_grid(self, cohort4, cores):
+        cfg = GridConfig(seed=3, steps="segment", train=FAST)
+        cores(1)
+        one = run_grid(cohort4, cfg)
+        cores(2)
         two = run_grid(cohort4, cfg)
         assert multiprocessing.active_children() == []
-        assert render_text(two) == render_text(one)  # the header holds the config hash, which leaves out workers
+        assert render_text(two) == render_text(one)
         assert [(c.seed, c.metrics.confusion.tolist()) for c in two.cells] == [
             (c.seed, c.metrics.confusion.tolist()) for c in one.cells
         ]
@@ -256,7 +271,7 @@ class TestGrid:
         seeds = [c.seed for c in segment_report.cells]
         assert len(set(seeds)) == len(seeds)
 
-    def test_segment_grid_trains_mlp_for_nn_cells_only(self, cohort4, monkeypatch):
+    def test_segment_grid_trains_mlp_for_nn_cells_only(self, cohort4, monkeypatch, cores):
         calls = []
         original = pipeline.train_mlp
 
@@ -265,8 +280,8 @@ class TestGrid:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "train_mlp", counting)
-        # one worker: the counting wrapper sees only the calls made in this process
-        run_grid(cohort4, GridConfig(seed=3, steps="segment", train=FAST, workers=1))
+        cores(1)  # serial: the counting wrapper sees only the calls made in this process
+        run_grid(cohort4, GridConfig(seed=3, steps="segment", train=FAST))
         assert len(calls) == 8  # NN x D1/D2/D3/D5 per shape; no setup reads step-1 probabilities
 
     def test_grid_determinism(self, cohort4, segment_report):

@@ -18,16 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyWindow,
-    InvalidConfig,
-    IoError,
-    MissingColumn,
-    NonMonotonicTimestamp,
-    NonNumericValue,
-    OutOfRange,
-    RowWidthMismatch,
-)
+from .errors import BadArgument, DataError, InvalidConfig, IoError
 
 HITS_PER_TASK = 40
 WINDOWS_PER_TASK = HITS_PER_TASK - 1
@@ -70,16 +61,16 @@ class ParticipantRecord:
 def assign_segment_label(hit_index: int) -> int:
     """Segment of a hit point: four contiguous arcs of 10 hits each."""
     if not 1 <= hit_index <= HITS_PER_TASK:
-        raise OutOfRange(f"hit_index {hit_index} outside 1..{HITS_PER_TASK}")
+        raise BadArgument(f"hit_index {hit_index} outside 1..{HITS_PER_TASK}")
     return (hit_index - 1) // HITS_PER_SEGMENT
 
 
 def _check_hit_times(ts: np.ndarray) -> None:
     """A task's hit times: 40 of them, strictly increasing (NaN fails too)."""
     if ts.shape != (HITS_PER_TASK,):
-        raise InvalidConfig(f"expected {HITS_PER_TASK} hit times, got an array of shape {ts.shape}")
+        raise DataError(f"expected {HITS_PER_TASK} hit times, got an array of shape {ts.shape}")
     if not np.all(ts[1:] > ts[:-1]):
-        raise InvalidConfig("hit timestamps must be strictly increasing")
+        raise DataError("hit timestamps must be strictly increasing")
 
 
 def segment_trace(trace: ResistanceTrace, hit_times: np.ndarray) -> list[np.ndarray]:
@@ -90,7 +81,7 @@ def segment_trace(trace: ResistanceTrace, hit_times: np.ndarray) -> list[np.ndar
     windows = []
     for source_hit, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
         if hi - lo < 2:
-            raise EmptyWindow(source_hit)
+            raise DataError(f"fewer than 2 samples between hits {source_hit} and {source_hit + 1}")
         windows.append(trace.values[lo:hi].copy())
     return windows
 
@@ -203,7 +194,7 @@ def build_record(
     gaze: np.ndarray,
 ) -> ParticipantRecord:
     if gaze.shape[0] != HITS_PER_TASK:
-        raise InvalidConfig(f"expected {HITS_PER_TASK} gaze rows, got {gaze.shape[0]}")
+        raise DataError(f"expected {HITS_PER_TASK} gaze rows, got {gaze.shape[0]}")
     return ParticipantRecord(
         participant_id=participant_id,
         shape=shape,
@@ -305,11 +296,11 @@ def _read_runs(path: Path, required: tuple[str, ...], floats, integral=False, mo
     with handle:
         header = next(csv.reader(handle), None)
         if header is None:
-            raise MissingColumn(f"{path}: empty file")
+            raise DataError(f"{path}: empty file")
         idx = {name: i for i, name in enumerate(header)}
         for name in required:
             if name not in idx:
-                raise MissingColumn(f"{path}: missing column '{name}'")
+                raise DataError(f"{path}: missing column '{name}'")
         cols = _Columns(
             len(header), idx[required[0]], idx[required[1]], required[1], floats(idx), integral, monotonic
         )
@@ -381,7 +372,7 @@ def _walk_runs(handle, path: Path, cols: _Columns):
     keys, rows, last = [], [], {}
     for row_no, row in enumerate(reader, start=2):
         if len(row) != cols.width:
-            raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {cols.width}")
+            raise DataError(f"{path}: row {row_no} has {len(row)} fields, header has {cols.width}")
         key = (row[cols.pid], _parse_label(cols.label_name, row[cols.label], row_no))
         values = [
             _parse_hit(row[i], row_no) if cols.integral and j == 0 else _parse_float(row[i], row_no)
@@ -389,7 +380,7 @@ def _walk_runs(handle, path: Path, cols: _Columns):
         ]
         if cols.monotonic:
             if key in last and values[0] < last[key]:
-                raise NonMonotonicTimestamp(row_no)
+                raise DataError(f"timestamp decreases at file row {row_no}")
             last[key] = values[0]
         keys.append(key)
         rows.append(values)
@@ -414,9 +405,9 @@ def _parse_float(raw: str, row: int) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise NonNumericValue(row, f"cannot parse '{raw}' as a number at file row {row}") from None
+        raise DataError(f"cannot parse '{raw}' as a number at file row {row}") from None
     if not math.isfinite(value):
-        raise NonNumericValue(row, f"non-finite value '{raw}' at file row {row}")
+        raise DataError(f"non-finite value '{raw}' at file row {row}")
     return value
 
 
@@ -424,13 +415,13 @@ def _parse_label(column: str, raw: str, row: int):
     try:
         return _LABELS[column](raw)
     except ValueError:
-        raise NonNumericValue(row, f"unknown {column} '{raw}' at file row {row}") from None
+        raise DataError(f"unknown {column} '{raw}' at file row {row}") from None
 
 
 def _parse_hit(raw: str, row: int) -> int:
     value = _parse_float(raw, row)
     if not value.is_integer():
-        raise NonNumericValue(row, f"hit_index '{raw}' is not an integer at file row {row}")
+        raise DataError(f"hit_index '{raw}' is not an integer at file row {row}")
     return int(value)
 
 
@@ -447,7 +438,7 @@ def _hit_order(path: Path, key, hits: np.ndarray):
             f"outside 1..{HITS_PER_TASK}": sorted({h for h in seen if not 1 <= h <= HITS_PER_TASK}),
         }
         detail = "; ".join(f"{what} {hit_list}" for what, hit_list in found.items() if hit_list)
-        raise InvalidConfig(
+        raise DataError(
             f"{path}: the rows of participant {key[0]}, shape {key[1].value} must number hits "
             f"1..{HITS_PER_TASK} once each: {detail}"
         )
@@ -487,7 +478,7 @@ def load_gaze_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
     def columns(idx):
         gcols = [i for name, i in idx.items() if name not in GAZE_KEY_COLUMNS]
         if not gcols:
-            raise MissingColumn(f"{path}: no gaze feature columns")
+            raise DataError(f"{path}: no gaze feature columns")
         return [idx["hit_index"], *gcols]
 
     return {
@@ -503,7 +494,7 @@ def load_participants_csv(path) -> dict[str, Direction]:
     for (pid, direction), block in _read_runs(path, PARTICIPANTS_COLUMNS, lambda idx: []):
         # a run holds a key's consecutive rows, so a repeat next to its first row is in the same block
         if pid in directions or len(block) > 1:
-            raise InvalidConfig(f"{path}: participant {pid} is listed more than once")
+            raise DataError(f"{path}: participant {pid} is listed more than once")
         directions[pid] = direction
     return directions
 
@@ -558,17 +549,17 @@ def records_from_csv_dir(data_dir) -> list[ParticipantRecord]:
     traced = {(trace.participant_id, trace.shape) for trace in traces}
     for key in [*hits, *gaze]:
         if key not in traced:
-            raise IoError(f"no resistance rows for {key}")
+            raise DataError(f"no resistance rows for {key}")
 
     records = []
     for trace in traces:
         key = (trace.participant_id, trace.shape)
         if key not in hits:
-            raise IoError(f"no hit events for {key}")
+            raise DataError(f"no hit events for {key}")
         if key not in gaze:
-            raise IoError(f"no gaze rows for {key}")
+            raise DataError(f"no gaze rows for {key}")
         if trace.participant_id not in directions:
-            raise IoError(f"no direction for participant {trace.participant_id}")
+            raise DataError(f"no direction for participant {trace.participant_id}")
         records.append(
             build_record(
                 trace.participant_id,

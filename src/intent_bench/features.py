@@ -14,14 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import TaskShape, write_csv
-from .errors import (
-    ColumnMismatch,
-    ConstantWindow,
-    DegenerateWindow,
-    EmptyMatrix,
-    MissingPart,
-    RowCountMismatch,
-)
+from .errors import BadArgument, DataError, TooFewRows
 
 LOG_EPS = 1e-12  # |x| clamp before log10; raw resistance is positive but synthetic data may not be
 
@@ -59,7 +52,7 @@ def _feature_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = x.shape[1]
     if n < 2:
-        raise DegenerateWindow(f"window has {n} samples, need at least 2")
+        raise DataError(f"window has {n} samples, need at least 2")
     constant = (x == x[:, :1]).all(axis=1)
     mmav1_w, mmav2_w = _mmav_weights(n)
     a = np.abs(x)
@@ -89,7 +82,7 @@ def compute_feature(kind: FeatureKind, window) -> float:
     """One time-domain feature of a window of samples."""
     values, constant = _feature_rows(np.asarray(window, dtype=float).reshape(1, -1))
     if constant[0] and kind in (FeatureKind.SKEW, FeatureKind.KURT):
-        raise ConstantWindow(kind)
+        raise DataError(f"{kind} undefined on a constant window (zero second moment)")
     return float(values[0, FEATURE_ORDER.index(kind)])
 
 
@@ -103,7 +96,7 @@ def feature_matrix(windows) -> np.ndarray:
     for rows in groups.values():
         values, constant = _feature_rows(np.stack([samples[i] for i in rows]))
         if constant.any():
-            raise ConstantWindow(FeatureKind.SKEW)
+            raise DataError(f"{FeatureKind.SKEW} undefined on a constant window (zero second moment)")
         out[rows] = values
     return out
 
@@ -120,7 +113,7 @@ class Scaler:
 def fit_scaler(matrix) -> Scaler:
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
-        raise EmptyMatrix("cannot fit a scaler on an empty matrix")
+        raise TooFewRows("cannot fit a scaler on an empty matrix")
     if m.ndim == 1:
         m = m[:, None]
     return Scaler(mins=m.min(axis=0), maxs=m.max(axis=0))
@@ -132,7 +125,7 @@ def apply_scaler(scaler: Scaler, matrix) -> np.ndarray:
     if m.ndim == 1:
         m = m[:, None]
     if m.shape[1] != scaler.mins.shape[0]:
-        raise ColumnMismatch(
+        raise BadArgument(
             f"scaler fitted on {scaler.mins.shape[0]} columns, got {m.shape[1]}"
         )
     span = scaler.maxs - scaler.mins
@@ -184,7 +177,7 @@ class DataMatrix:
 
     def with_values(self, values: np.ndarray) -> "DataMatrix":
         if values.shape[0] != self.n_rows:
-            raise RowCountMismatch(f"{values.shape[0]} value rows for {self.n_rows} labels")
+            raise BadArgument(f"{values.shape[0]} value rows for {self.n_rows} labels")
         return DataMatrix(values, self.segment, self.direction, self.participant, self.hit, self.shape)
 
 
@@ -202,12 +195,12 @@ def assemble_setup(
     """
     if setup is SetupId.D1:
         if raw is None:
-            raise MissingPart(setup, "raw")
+            raise BadArgument(f"setup {setup} requires missing part 'raw'")
         return raw
 
     label_source = features if features is not None else gaze
     if label_source is None:
-        raise MissingPart(setup, "features")
+        raise BadArgument(f"setup {setup} requires missing part 'features'")
 
     given = {
         "features": None if features is None else features.values,
@@ -217,19 +210,19 @@ def assemble_setup(
     blocks = []
     for part in _SETUP_PARTS[setup]:
         if given[part] is None:
-            raise MissingPart(setup, part)
+            raise BadArgument(f"setup {setup} requires missing part '{part}'")
         blocks.append(np.asarray(given[part], dtype=float))
 
     rows = {b.shape[0] for b in blocks} | {label_source.n_rows}
     if len(rows) != 1:
-        raise RowCountMismatch(f"setup {setup.value}: inconsistent row counts {sorted(rows)}")
+        raise BadArgument(f"setup {setup.value}: inconsistent row counts {sorted(rows)}")
     return label_source.with_values(np.hstack(blocks))
 
 
 def export_features_csv(dm: DataMatrix, path) -> None:
     """Write a window-level feature table with the canonical 11-column header."""
     if dm.values.shape[1] != FEATURE_COUNT:
-        raise ColumnMismatch(f"expected {FEATURE_COUNT} feature columns, got {dm.values.shape[1]}")
+        raise BadArgument(f"expected {FEATURE_COUNT} feature columns, got {dm.values.shape[1]}")
     write_csv(path, ("participant_id", "shape", "dest_hit", "segment", "direction") + FEATURE_NAMES, (
         [dm.participant[i], dm.shape.value, int(dm.hit[i]), int(dm.segment[i]), int(dm.direction[i])]
         + [repr(v) for v in dm.values[i].tolist()]

@@ -14,23 +14,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
-from .errors import (
-    BadTarget,
-    EmptyTrainingSet,
-    InvalidConfig,
-    NotEnoughNeighbors,
-    SequenceTooShort,
-    ShapeMismatch,
-)
+from .errors import BadArgument, InvalidConfig, TooFewRows
 
 
 def _as_batch(x: np.ndarray, width: int, what: str, ndim: int = 2) -> np.ndarray:
     """`x` as a float batch of rank `ndim` whose last axis is `width` wide."""
     x = np.asarray(x, dtype=float)
     if x.ndim != ndim:
-        raise ShapeMismatch(f"{what}: input of rank {x.ndim}, model expects a batch of rank {ndim}")
+        raise BadArgument(f"{what}: input of rank {x.ndim}, model expects a batch of rank {ndim}")
     if x.shape[-1] != width:
-        raise ShapeMismatch(f"{what}: input width {x.shape[-1]}, model expects {width}")
+        raise BadArgument(f"{what}: input width {x.shape[-1]}, model expects {width}")
     return x
 
 
@@ -47,7 +40,7 @@ def _batches(rng: np.random.Generator, epochs: int, batch_size: int, *arrays: np
 def _check_labels(y: np.ndarray, num_classes: int) -> None:
     """Training labels must index the output classes; checked once per fit, as the loss kernel checks none."""
     if np.any((y < 0) | (y >= num_classes)):
-        raise BadTarget(f"training label outside 0..{num_classes - 1}")
+        raise BadArgument(f"training label outside 0..{num_classes - 1}")
 
 
 def _check_adam(cfg) -> None:
@@ -140,9 +133,9 @@ def train_mlp(x: np.ndarray, y: np.ndarray, cfg: MlpConfig) -> MlpModel:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.shape[0] == 0:
-        raise EmptyTrainingSet("no training rows")
+        raise TooFewRows("no training rows")
     if x.shape[1] != cfg.input_width:
-        raise ShapeMismatch(f"data width {x.shape[1]} != cfg.input_width {cfg.input_width}")
+        raise BadArgument(f"data width {x.shape[1]} != cfg.input_width {cfg.input_width}")
     _check_labels(y, cfg.output)
     rng = np.random.default_rng(cfg.seed)
     params = _adam_fit(rng, mlp_init(rng, cfg), cfg, mlp_loss_grad, x, y)
@@ -191,9 +184,9 @@ def lstm_rows(seqs: list[SequenceData], cfg: LstmConfig):
     width = seqs[0].x.shape[1]
     for seq in seqs:
         if seq.x.shape[1] != width:
-            raise ShapeMismatch(f"sequence width {seq.x.shape[1]} != {width}")
+            raise BadArgument(f"sequence width {seq.x.shape[1]} != {width}")
         if seq.x.shape[0] < cfg.window_len:
-            raise SequenceTooShort(f"sequence of length {seq.x.shape[0]} shorter than window {cfg.window_len}")
+            raise TooFewRows(f"sequence of length {seq.x.shape[0]} shorter than window {cfg.window_len}")
     last = cfg.window_len - 1
     x = np.concatenate([sliding_window_view(seq.x, cfg.window_len, axis=0).swapaxes(1, 2) for seq in seqs])
     y = np.concatenate([seq.labels[last:] for seq in seqs])
@@ -262,7 +255,7 @@ class LstmModel:
         """(B, 2) probabilities of a (B, W, d) batch of windows, from each window's last step."""
         xb = _as_batch(x, self.cfg.input_width, "lstm", ndim=3)
         if xb.shape[1] != self.cfg.window_len:
-            raise ShapeMismatch(f"window length {xb.shape[1]}, model expects {self.cfg.window_len}")
+            raise BadArgument(f"window length {xb.shape[1]}, model expects {self.cfg.window_len}")
         return nn.softmax(lstm_forward(self.params, self.cfg, xb)[0])
 
     def predict(self, x) -> np.ndarray:
@@ -293,12 +286,12 @@ def _decay_masks(params: nn.Params, cfg: LstmConfig) -> dict:
 def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
     """Train the direction LSTM on the training side of the given sequences."""
     if not seqs:
-        raise EmptyTrainingSet("no sequences")
+        raise TooFewRows("no sequences")
     if seqs[0].x.shape[1] != cfg.input_width:
-        raise ShapeMismatch(f"sequence width {seqs[0].x.shape[1]} != cfg.input_width {cfg.input_width}")
+        raise BadArgument(f"sequence width {seqs[0].x.shape[1]} != cfg.input_width {cfg.input_width}")
     x, y, train = lstm_rows(seqs, cfg)
     if not train.any():
-        raise EmptyTrainingSet("no training windows")
+        raise TooFewRows("no training windows")
     _check_labels(y[train], cfg.output)
     rng = np.random.default_rng(cfg.seed)
     params = lstm_init(rng, cfg)
@@ -396,11 +389,11 @@ def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.shape[0] == 0:
-        raise EmptyTrainingSet("no training rows")
+        raise TooFewRows("no training rows")
     _check_labels(y, num_classes)
     if kind.name == "knn":
         if x.shape[0] < kind.k:
-            raise NotEnoughNeighbors(f"{x.shape[0]} rows < k={kind.k}")
+            raise TooFewRows(f"{x.shape[0]} rows < k={kind.k}")
         return KnnModel(train_x=x.copy(), train_y=y.copy(), num_classes=num_classes, k=kind.k)
     if kind.name == "svm":
         return train_svm(x, y, num_classes, kind, seed)

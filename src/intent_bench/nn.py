@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import BadArgument
 
 Params = dict  # name -> np.ndarray
 
@@ -87,7 +87,7 @@ def lstm_sequence_forward(cell: LstmCell, x: np.ndarray):
     from the zero state, and the gate activations (B, T, 4H).
     """
     if x.shape[-1] != cell.input_size:
-        raise ShapeMismatch(f"sequence width {x.shape[-1]} does not match cell input {cell.input_size}")
+        raise BadArgument(f"sequence width {x.shape[-1]} does not match cell input {cell.input_size}")
     batch, steps, n_in = x.shape
     hidden = cell.hidden_size
     w_h = cell.w_gates[:, n_in:]
@@ -176,7 +176,7 @@ def adam_step(
         theta = params[name]
         g = grads[name]
         if g.shape != theta.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {theta.shape} for '{name}'")
+            raise BadArgument(f"gradient shape {g.shape} != parameter shape {theta.shape} for '{name}'")
         if l2 > 0.0 and decay_masks is not None and name in decay_masks:
             g = g + l2 * decay_masks[name] * theta
         if name not in state.m:

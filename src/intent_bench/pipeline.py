@@ -26,13 +26,7 @@ from .dataset import (
     TaskShape,
     assign_segment_label,
 )
-from .errors import (
-    IncompleteTable,
-    InvalidConfig,
-    LengthMismatch,
-    OutOfRange,
-    TooFewRows,
-)
+from .errors import BadArgument, InvalidConfig, TooFewRows
 from .features import (
     DataMatrix,
     SetupId,
@@ -161,12 +155,12 @@ def evaluate(predictions, labels, num_classes: int) -> Metrics:
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape[0] != labels.shape[0]:
-        raise LengthMismatch(f"{predictions.shape[0]} predictions for {labels.shape[0]} labels")
+        raise BadArgument(f"{predictions.shape[0]} predictions for {labels.shape[0]} labels")
     if labels.shape[0] == 0:
         raise TooFewRows("cannot score zero rows")
     for name, values in (("label", labels), ("prediction", predictions)):
         if np.any((values < 0) | (values >= num_classes)):
-            raise OutOfRange(f"{name} outside 0..{num_classes - 1}")
+            raise BadArgument(f"{name} outside 0..{num_classes - 1}")
     cells = labels.astype(int) * num_classes + predictions.astype(int)
     return metrics_from_confusion(np.bincount(cells, minlength=num_classes**2).reshape(num_classes, num_classes))
 
@@ -548,7 +542,7 @@ def _table_cells(report: GridReport, step: str, shape: str, models_: tuple, setu
         missing = [
             (m, s) for m in models_ for s in setups if (m, s) not in written
         ]
-        raise IncompleteTable(f"{step}/{shape}: missing cells {missing}")
+        raise BadArgument(f"{step}/{shape}: missing cells {missing}")
     return written
 
 
@@ -710,19 +704,13 @@ def write_run_outputs(
     run_meta: dict,
     reference_notes: list[str] | None = None,
 ) -> None:
-    """Write report.txt/report.csv, per-cell confusions, provenance, and notes."""
+    """Write report.txt, report.csv, run.json (provenance and every confusion matrix), and notes."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.txt").write_text(report_text(report, two_step), encoding="utf-8")
 
     if report is not None:
         (outdir / "report.csv").write_text(render_csv(report), encoding="utf-8")
-        confusion_dir = outdir / "confusions"
-        confusion_dir.mkdir(exist_ok=True)
-        for c in report.cells:
-            name = f"{c.step}_{c.shape}_{c.model}_{c.setup}.csv"
-            rows = "\n".join(",".join(str(v) for v in row) for row in c.metrics.confusion)
-            (confusion_dir / name).write_text(rows + "\n", encoding="utf-8")
 
     meta = dict(run_meta)
     if report is not None:

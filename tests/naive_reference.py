@@ -16,14 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from intent_bench.dataset import Direction, ResistanceTrace, TaskShape, _check_hit_times
-from intent_bench.errors import (
-    InvalidConfig,
-    IoError,
-    MissingColumn,
-    NonMonotonicTimestamp,
-    NonNumericValue,
-    RowWidthMismatch,
-)
+from intent_bench.errors import DataError, IoError
 
 LOG_EPS = 1e-12
 
@@ -176,15 +169,15 @@ def _rows(path, required):
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise MissingColumn(f"{path}: empty file")
+            raise DataError(f"{path}: empty file")
         idx = {name: i for i, name in enumerate(header)}
         for name in required:
             if name not in idx:
-                raise MissingColumn(f"{path}: missing column '{name}'")
+                raise DataError(f"{path}: missing column '{name}'")
         yield idx
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise RowWidthMismatch(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
+                raise DataError(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
             yield row_no, row
 
 
@@ -192,9 +185,9 @@ def _float(raw, row):
     try:
         value = float(raw)
     except ValueError:
-        raise NonNumericValue(row, f"cannot parse '{raw}' as a number at file row {row}") from None
+        raise DataError(f"cannot parse '{raw}' as a number at file row {row}") from None
     if not math.isfinite(value):
-        raise NonNumericValue(row, f"non-finite value '{raw}' at file row {row}")
+        raise DataError(f"non-finite value '{raw}' at file row {row}")
     return value
 
 
@@ -202,13 +195,13 @@ def _shape(raw, row):
     try:
         return TaskShape(raw)
     except ValueError:
-        raise NonNumericValue(row, f"unknown shape '{raw}' at file row {row}") from None
+        raise DataError(f"unknown shape '{raw}' at file row {row}") from None
 
 
 def _hit(raw, row):
     value = _float(raw, row)
     if not value.is_integer():
-        raise NonNumericValue(row, f"hit_index '{raw}' is not an integer at file row {row}")
+        raise DataError(f"hit_index '{raw}' is not an integer at file row {row}")
     return int(value)
 
 
@@ -223,7 +216,7 @@ def naive_load_resistance_csv(path):
         r = _float(row[idx["resistance_ohm"]], row_no)
         times, values = grouped.setdefault((pid, shape), ([], []))
         if times and t < times[-1]:
-            raise NonMonotonicTimestamp(row_no)
+            raise DataError(f"timestamp decreases at file row {row_no}")
         times.append(t)
         values.append(r)
     return [ResistanceTrace(pid, shape, np.asarray(ts), np.asarray(vs)) for (pid, shape), (ts, vs) in grouped.items()]
@@ -239,7 +232,7 @@ def _check_hit_numbers(path, key, hits):
         ("outside 1..40", sorted({h for h in hits if not 1 <= h <= 40})),
     ]
     detail = "; ".join(f"{what} {hit_list}" for what, hit_list in found if hit_list)
-    raise InvalidConfig(
+    raise DataError(
         f"{path}: the rows of participant {key[0]}, shape {key[1].value} must number hits 1..40 once each: {detail}"
     )
 
@@ -269,7 +262,7 @@ def naive_load_gaze_csv(path):
     idx = next(rows)
     gcols = [i for name, i in idx.items() if name not in keys]
     if not gcols:
-        raise MissingColumn(f"{path}: no gaze feature columns")
+        raise DataError(f"{path}: no gaze feature columns")
     for row_no, row in rows:
         pid = row[idx["participant_id"]]
         shape = _shape(row[idx["shape"]], row_no)
@@ -290,10 +283,10 @@ def naive_load_participants_csv(path):
         try:
             listed.append((row[idx["participant_id"]], Direction(row[idx["direction"]])))
         except ValueError:
-            raise NonNumericValue(row_no, f"unknown direction '{row[idx['direction']]}' at file row {row_no}") from None
+            raise DataError(f"unknown direction '{row[idx['direction']]}' at file row {row_no}") from None
     directions = {}
     for pid, direction in listed:
         if pid in directions:
-            raise InvalidConfig(f"{path}: participant {pid} is listed more than once")
+            raise DataError(f"{path}: participant {pid} is listed more than once")
         directions[pid] = direction
     return directions

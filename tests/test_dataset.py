@@ -29,17 +29,7 @@ from intent_bench.dataset import (
     synth_trace,
     write_dataset_csvs,
 )
-from intent_bench.errors import (
-    EmptyWindow,
-    IntentBenchError,
-    InvalidConfig,
-    IoError,
-    MissingColumn,
-    NonMonotonicTimestamp,
-    NonNumericValue,
-    OutOfRange,
-    RowWidthMismatch,
-)
+from intent_bench.errors import BadArgument, DataError, IntentBenchError, InvalidConfig, IoError
 
 
 class TestSegmentLabel:
@@ -51,7 +41,7 @@ class TestSegmentLabel:
 
     def test_out_of_range(self):
         for bad in (0, 41, -3):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(BadArgument, match=f"^hit_index {bad} outside 1..40$"):
                 assign_segment_label(bad)
 
     def test_destination_histogram(self):
@@ -80,9 +70,8 @@ class TestSegmentTrace:
         # empty the span between hits 7 and 8
         keep = (trace.times < hit_times[6] + 1) | (trace.times >= hit_times[7])
         sparse = ResistanceTrace("p0", TaskShape.DIAMOND, trace.times[keep], trace.values[keep])
-        with pytest.raises(EmptyWindow) as err:
+        with pytest.raises(DataError, match="^fewer than 2 samples between hits 7 and 8$"):
             segment_trace(sparse, hit_times)
-        assert err.value.source_hit == 7
 
     def test_bad_events(self):
         trace, hit_times = _uniform_trace()
@@ -93,9 +82,9 @@ class TestSegmentTrace:
         with_nan = hit_times.copy()
         with_nan[20] = np.nan
         for bad in (hit_times[:39], np.append(hit_times, 1e9), hit_times[None, :], swapped, repeated, with_nan):
-            with pytest.raises(InvalidConfig):
+            with pytest.raises(DataError, match="hit time"):
                 segment_trace(trace, bad)
-            with pytest.raises(InvalidConfig):
+            with pytest.raises(DataError, match="hit time"):
                 raw_at_hits(trace, bad)
 
     @settings(max_examples=50, deadline=None)
@@ -110,7 +99,7 @@ class TestSegmentTrace:
         in_task = (times >= 0.0) & (times < 3900.0)
         try:
             windows = segment_trace(trace, hit_times)
-        except EmptyWindow:
+        except DataError:
             return  # sparse draw; contract allows rejection
         merged = np.concatenate(windows)
         np.testing.assert_array_equal(merged, values[in_task])
@@ -241,18 +230,17 @@ class TestCsvRoundTrip:
 
     def test_one_sample_span(self, csv_dir, capsys):
         _thin_span_7(csv_dir)
-        with pytest.raises(EmptyWindow) as err:
+        with pytest.raises(DataError, match="^fewer than 2 samples between hits 7 and 8$"):
             records_from_csv_dir(csv_dir)
-        assert err.value.source_hit == 7
         assert main(["features", "--data", str(csv_dir), "--out", str(csv_dir / "features")]) == 2
-        assert "error[EmptyWindow]" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error[DataError]: fewer than 2 samples between hits 7 and 8\n"
 
     def test_gaze_error_before_empty_window(self, csv_dir):
         # every file is read before any trace is segmented
         _thin_span_7(csv_dir)
         with open(csv_dir / "gaze.csv", "a") as handle:
             handle.write("p00,diamond,1\n")
-        with pytest.raises(RowWidthMismatch):
+        with pytest.raises(DataError, match="gaze.csv: row .* fields, header has"):
             records_from_csv_dir(csv_dir)
 
     def test_task_without_resistance_rows(self, tmp_path):
@@ -261,7 +249,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "resistance.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(line for line in lines if not line.startswith("p01,circle,")) + "\n")
-        with pytest.raises(IoError) as err:
+        with pytest.raises(DataError) as err:
             records_from_csv_dir(tmp_path)
         assert "no resistance rows" in str(err.value) and "p01" in str(err.value)
 
@@ -270,7 +258,7 @@ class TestLoaderErrors:
     def test_missing_column(self, tmp_path):
         p = tmp_path / "resistance.csv"
         p.write_text("participant_id,shape,timestamp_ms\n")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(DataError, match="missing column 'resistance_ohm'$"):
             load_resistance_csv(p)
 
     def test_non_monotonic_timestamp(self, tmp_path):
@@ -278,9 +266,8 @@ class TestLoaderErrors:
         rows = ["participant_id,shape,timestamp_ms,resistance_ohm"]
         rows += [f"p0,diamond,{t},1000.0" for t in (0.0, 10.0, 5.0)]
         p.write_text("\n".join(rows) + "\n")
-        with pytest.raises(NonMonotonicTimestamp) as err:
+        with pytest.raises(DataError, match="^timestamp decreases at file row 4$"):
             load_resistance_csv(p)
-        assert err.value.row == 4
 
     def test_non_numeric_value_reports_row(self, tmp_path):
         p = tmp_path / "resistance.csv"
@@ -288,9 +275,8 @@ class TestLoaderErrors:
         rows += [f"p0,diamond,{float(t)},1000.0" for t in range(15)]
         rows.append("p0,diamond,15.0,NaN")  # file row 17
         p.write_text("\n".join(rows) + "\n")
-        with pytest.raises(NonNumericValue) as err:
+        with pytest.raises(DataError, match="^non-finite value 'NaN' at file row 17$"):
             load_resistance_csv(p)
-        assert err.value.row == 17
 
     @pytest.mark.parametrize(
         "loader, header, row",
@@ -305,19 +291,18 @@ class TestLoaderErrors:
     def test_row_longer_than_header(self, tmp_path, loader, header, row):
         p = tmp_path / "data.csv"
         p.write_text(f"{header}\n{row}\n{row},7\n")
-        with pytest.raises(RowWidthMismatch, match="row 3 has"):
+        with pytest.raises(DataError, match="row 3 has"):
             loader(p)
 
     def test_fractional_hit_index(self, tmp_path):
         hits = tmp_path / "hits.csv"
         rows = ["participant_id,shape,hit_index,timestamp_ms"]
         hits.write_text("\n".join(rows + [f"p0,diamond,{k + 0.5},{k * 10.0}" for k in range(1, 41)]) + "\n")
-        with pytest.raises(NonNumericValue) as err:
+        with pytest.raises(DataError, match="^hit_index '1.5' is not an integer at file row 2$"):
             load_hits_csv(hits)
-        assert err.value.row == 2
         gaze = tmp_path / "gaze.csv"
         gaze.write_text("participant_id,shape,hit_index,g1\np0,diamond,1.5,0.5\n")
-        with pytest.raises(NonNumericValue):
+        with pytest.raises(DataError, match="^hit_index '1.5' is not an integer at file row 2$"):
             load_gaze_csv(gaze)
         # an integral value written with a decimal point still loads
         hits.write_text("\n".join(rows + [f"p0,diamond,{float(k)},{k * 10.0}" for k in range(1, 41)]) + "\n")
@@ -327,7 +312,7 @@ class TestLoaderErrors:
     def test_gaze_row_width_mismatch(self, tmp_path):
         p = tmp_path / "gaze.csv"
         p.write_text("participant_id,shape,hit_index,g1,g2\np0,diamond,1,0.5\n")
-        with pytest.raises(RowWidthMismatch):
+        with pytest.raises(DataError, match="row 2 has 4 fields, header has 5$"):
             load_gaze_csv(p)
 
     def test_gaze_must_cover_all_hits(self, tmp_path):
@@ -335,13 +320,13 @@ class TestLoaderErrors:
         rows = ["participant_id,shape,hit_index,g1"]
         rows += [f"p0,diamond,{k},0.5" for k in range(1, 40)]  # hit 40 missing
         p.write_text("\n".join(rows) + "\n")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DataError, match=r"once each: missing \[40\]$"):
             load_gaze_csv(p)
 
     def test_participants_bad_direction(self, tmp_path):
         p = tmp_path / "participants.csv"
         p.write_text("participant_id,direction\np0,sideways\n")
-        with pytest.raises(NonNumericValue):
+        with pytest.raises(DataError, match="^unknown direction 'sideways' at file row 2$"):
             load_participants_csv(p)
 
     def test_hits_must_be_complete(self, tmp_path):
@@ -349,7 +334,7 @@ class TestLoaderErrors:
         rows = ["participant_id,shape,hit_index,timestamp_ms"]
         rows += [f"p0,diamond,{k},{k * 10.0}" for k in range(1, 40)]
         p.write_text("\n".join(rows) + "\n")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DataError, match=r"once each: missing \[40\]$"):
             load_hits_csv(p)
 
 
@@ -362,11 +347,11 @@ LOADERS = {
 
 
 def _outcome(load, path):
-    """("ok", result), or the error as (type, message, file row)."""
+    """("ok", result), or the error as (type, message); a message names the file row."""
     try:
         return "ok", load(path)
     except (IntentBenchError, csv.Error, UnicodeDecodeError) as exc:
-        return type(exc), str(exc), getattr(exc, "row", None)
+        return type(exc), str(exc)
 
 
 def _assert_same(a, b):
@@ -455,9 +440,8 @@ class TestColumnarLoader:
         circle = [r for r in rows if r.startswith("p00,circle,")]
         mixed = [diamond[0], circle[0], diamond[2], circle[1], diamond[1], *diamond[3:], *circle[2:]]
         path.write_text("\n".join([header, *mixed]) + "\n")
-        with pytest.raises(NonMonotonicTimestamp) as err:
+        with pytest.raises(DataError, match="^timestamp decreases at file row 6$"):
             load_resistance_csv(path)
-        assert err.value.row == 6
         _assert_loads_as_per_row(csv_dir, ["resistance"])
 
     @pytest.mark.parametrize("name", list(LOADERS))
@@ -465,7 +449,7 @@ class TestColumnarLoader:
         path = csv_dir / f"{name}.csv"
         self._edit(path, lambda text: text.replace("\r\n", "\r\n\r\n", 3).replace("\r\n\r\n", "\r\n", 2))
         assert path.read_text().splitlines()[3] == ""  # file row 4
-        with pytest.raises(RowWidthMismatch, match="row 4 has 0 fields"):
+        with pytest.raises(DataError, match="row 4 has 0 fields"):
             LOADERS[name][0](path)
         _assert_loads_as_per_row(csv_dir, [name])
 
@@ -478,7 +462,7 @@ class TestColumnarLoader:
         lines[4] += ",0.5" * lines[0].count(",")
         lines.insert(3 if blank_first else 6, "")
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RowWidthMismatch, match="row 4 has 0 fields" if blank_first else "row 5 has"):
+        with pytest.raises(DataError, match="row 4 has 0 fields" if blank_first else "row 5 has"):
             LOADERS[name][0](path)
         _assert_loads_as_per_row(csv_dir, [name])
 
@@ -507,9 +491,9 @@ class TestColumnarLoader:
         repeat = "p00,cw" if adjacent else "p00,ccw"
         rows = [rows[0], repeat, *rows[1:]] if adjacent else [*rows, repeat]
         path.write_text("\n".join([header, *rows]) + "\n")
-        with pytest.raises(InvalidConfig, match=r"participants\.csv: participant p00 is listed more than once"):
+        with pytest.raises(DataError, match=r"participants\.csv: participant p00 is listed more than once"):
             load_participants_csv(path)
-        with pytest.raises(InvalidConfig, match="p00"):
+        with pytest.raises(DataError, match="p00"):
             records_from_csv_dir(csv_dir)
         _assert_loads_as_per_row(csv_dir, ["participants"])
 
@@ -530,7 +514,7 @@ class TestColumnarLoader:
         row = next(r for r in rows if r.startswith("p01,circle,5,"))
         path.write_text("\n".join([header, *edit(rows, row)]) + "\n")
         want = rf"{name}\.csv: the rows of participant p01, shape circle must number hits 1\.\.40 once each: "
-        with pytest.raises(InvalidConfig, match=want + re.escape(problem) + "$"):
+        with pytest.raises(DataError, match=want + re.escape(problem) + "$"):
             LOADERS[name][0](path)
         _assert_loads_as_per_row(csv_dir, [name])
 

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from intent_bench.dataset import TaskShape
-from intent_bench.errors import (
-    ColumnMismatch,
-    ConstantWindow,
-    DegenerateWindow,
-    EmptyMatrix,
-    MissingPart,
-    RowCountMismatch,
-)
+from intent_bench.errors import BadArgument, DataError, TooFewRows
 from intent_bench.features import (
     FEATURE_NAMES,
     DataMatrix,
@@ -66,19 +59,17 @@ class TestFrozenExamples:
 
 class TestErrors:
     def test_degenerate_window(self):
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(DataError, match="^window has 1 samples, need at least 2$"):
             feat(FeatureKind.IAV, [1.0])
 
     def test_constant_window_skew_kurt(self):
         for kind in (FeatureKind.SKEW, FeatureKind.KURT):
-            with pytest.raises(ConstantWindow) as err:
+            with pytest.raises(DataError, match=rf"^{kind} undefined on a constant window"):
                 feat(kind, [2.0, 2.0, 2.0])
-            assert err.value.kind is kind
 
     def test_vector_propagates_tagged_error(self):
-        with pytest.raises(ConstantWindow) as err:
+        with pytest.raises(DataError, match=r"^FeatureKind\.SKEW undefined on a constant window"):
             feature_matrix([np.full(5, 7.0)])
-        assert err.value.kind is FeatureKind.SKEW
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,12 +152,11 @@ class TestBatching:
 
     def test_constant_window_in_batch(self):
         windows = [np.arange(5.0), np.full(5, 7.0), np.arange(6.0)]
-        with pytest.raises(ConstantWindow) as err:
+        with pytest.raises(DataError, match=r"^FeatureKind\.SKEW undefined on a constant window"):
             feature_matrix(windows)
-        assert err.value.kind is FeatureKind.SKEW
 
     def test_one_sample_window_in_batch(self):
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(DataError, match="^window has 1 samples, need at least 2$"):
             feature_matrix([np.arange(5.0), np.array([1.0]), np.arange(6.0)])
 
     def test_nan_window_is_not_constant(self):
@@ -197,12 +187,12 @@ class TestScaler:
         np.testing.assert_allclose(out, [[0.5, 0.5]])
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(TooFewRows, match="empty matrix"):
             fit_scaler(np.empty((0, 3)))
 
     def test_column_mismatch(self):
         s = fit_scaler(np.ones((3, 2)))
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(BadArgument, match="^scaler fitted on"):
             apply_scaler(s, np.ones((3, 5)))
 
     @settings(max_examples=60, deadline=None)
@@ -256,14 +246,13 @@ class TestAssembly:
         np.testing.assert_array_equal(dm.values[:, 35:], self.probs)
 
     def test_missing_part(self):
-        with pytest.raises(MissingPart) as err:
+        with pytest.raises(BadArgument, match="^setup SetupId.D6 requires missing part 'probs'$"):
             assemble_setup(SetupId.D6, features=self.features, probs=None)
-        assert err.value.part == "probs"
-        with pytest.raises(MissingPart):
+        with pytest.raises(BadArgument, match="^setup SetupId.D1 requires missing part 'raw'$"):
             assemble_setup(SetupId.D1, raw=None)
 
     def test_row_count_mismatch(self):
-        with pytest.raises(RowCountMismatch):
+        with pytest.raises(BadArgument, match="inconsistent row counts"):
             assemble_setup(SetupId.D5, features=self.features, gaze=_labeled(np.ones((100, 24))))
 
     def test_labels_carried_through(self):

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from intent_bench.errors import (
-    BadTarget,
-    EmptyTrainingSet,
-    InvalidConfig,
-    NotEnoughNeighbors,
-    SequenceTooShort,
-    ShapeMismatch,
-)
+from intent_bench.errors import BadArgument, InvalidConfig, TooFewRows
 from intent_bench.dataset import TaskShape
 from intent_bench.features import SetupId
 from intent_bench.models import (
@@ -80,9 +73,9 @@ class TestMlp:
     def test_shape_errors(self):
         x, y = four_blobs(rows=64)
         model = train_mlp(x, y, MlpConfig(input_width=24, epochs=1, seed=0))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadArgument, match="input width 7"):
             model.predict(np.zeros((1, 7)))
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(TooFewRows, match="^no training rows$"):
             train_mlp(np.empty((0, 24)), np.empty(0, dtype=int), MlpConfig(input_width=24))
 
 
@@ -127,7 +120,7 @@ class TestLstm:
         seq = SequenceData(
             x=np.zeros((3, 2)), labels=np.zeros(3, dtype=int), train_mask=np.ones(3, dtype=bool)
         )
-        with pytest.raises(SequenceTooShort):
+        with pytest.raises(TooFewRows, match="shorter than window 5$"):
             lstm_rows([seq], LstmConfig(input_width=2, window_len=5))
 
     def test_direction_separable_d6(self, diamond_state):
@@ -161,7 +154,7 @@ class TestLstm:
     def test_width_mismatch(self, diamond_state):
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
         model = train_lstm(seqs, LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadArgument, match="input width 7"):
             model.predict_proba(np.zeros((1, 5, 7)))
 
     def test_determinism(self, diamond_state):
@@ -198,7 +191,7 @@ class TestBaselines:
         np.testing.assert_array_equal(base, shuffled)
 
     def test_knn_not_enough_neighbors(self):
-        with pytest.raises(NotEnoughNeighbors):
+        with pytest.raises(TooFewRows, match="^3 rows < k=5$"):
             train_baseline(BaselineKind("knn", k=5), np.ones((3, 2)), np.zeros(3, dtype=int), 2)
 
     def test_svm_separable(self):
@@ -251,23 +244,23 @@ class TestBaselines:
         assert random_guess_accuracy(np.full(7, 2), 3) == 100.0
 
     def test_empty_training_set(self):
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(TooFewRows, match="^no training rows$"):
             train_baseline(BaselineKind("svm"), np.empty((0, 2)), np.empty(0, dtype=int), 2)
 
 
 def test_single_inputs_are_refused():
-    """Predictors take batches: a lone row or a lone sequence is a ShapeMismatch, a batch of one is not."""
+    """Predictors take batches: a lone row or a lone sequence is a BadArgument, a batch of one is not."""
     x, y = four_blobs(rows=64)
     row_models = [train_mlp(x, y, MlpConfig(input_width=24, epochs=1, seed=0))]
     row_models += [train_baseline(BaselineKind(name), x, y, 4) for name in ("knn", "svm", "logreg")]
     for model in row_models:
-        with pytest.raises(ShapeMismatch, match="rank 1"):
+        with pytest.raises(BadArgument, match="rank 1"):
             model.predict(x[0])
         assert model.predict(x[:1]).shape == (1,)
     cfg = LstmConfig(input_width=3, hidden_size=4, window_len=5)
     lstm = LstmModel(params=lstm_init(np.random.default_rng(0), cfg), cfg=cfg)
     for sequence in (np.zeros((5, 3)), np.zeros((1, 1, 5, 3))):
-        with pytest.raises(ShapeMismatch, match="rank"):
+        with pytest.raises(BadArgument, match="rank"):
             lstm.predict_proba(sequence)
     assert lstm.predict(np.zeros((1, 5, 3))).shape == (1,)
 
@@ -277,13 +270,13 @@ def test_trainers_refuse_a_label_outside_the_classes():
     x, y = four_blobs(rows=64)
     bad = y.copy()
     bad[5] = 7
-    with pytest.raises(BadTarget):
+    with pytest.raises(BadArgument, match="^training label outside"):
         train_mlp(x, bad, MlpConfig(input_width=24, epochs=1, seed=0))
     for name in ("knn", "svm", "logreg"):
-        with pytest.raises(BadTarget):
+        with pytest.raises(BadArgument, match="^training label outside"):
             train_baseline(BaselineKind(name), x, bad, 4)
-        with pytest.raises(BadTarget):
+        with pytest.raises(BadArgument, match="^training label outside"):
             train_baseline(BaselineKind(name), x, np.where(y == 0, -1, y), 4)
     seq = SequenceData(x=np.zeros((9, 3)), labels=np.full(9, 2), train_mask=np.ones(9, dtype=bool))
-    with pytest.raises(BadTarget):
+    with pytest.raises(BadArgument, match="^training label outside"):
         train_lstm([seq], LstmConfig(input_width=3, hidden_size=4, epochs=1, window_len=5))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intent_bench import nn
-from intent_bench.errors import ShapeMismatch
+from intent_bench.errors import BadArgument
 from intent_bench.models import MlpConfig, MlpModel, mlp_forward
 from naive_reference import naive_lstm_backward, naive_lstm_forward
 
@@ -25,7 +25,7 @@ class TestDense:
     def test_shape_mismatch(self):
         params = {"w1": np.ones((2, 3)), "b1": np.zeros(2)}
         model = MlpModel(params=params, cfg=MlpConfig(input_width=3, hidden=(), output=2))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadArgument, match="input width 4"):
             model.predict_proba(np.ones((1, 4)))
 
 
@@ -97,7 +97,7 @@ class TestLstmCell:
 
     def test_shape_mismatch(self):
         cell = self._zero_cell()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadArgument, match="does not match cell input"):
             nn.lstm_sequence_forward(cell, np.ones((1, 1, 5)))
 
 
@@ -155,7 +155,7 @@ class TestAdam:
         assert out["w"][0, 1] == 1.0  # masked out
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadArgument, match="^gradient shape"):
             nn.adam_step(nn.AdamState(), {"w": np.zeros(2)}, {"w": np.zeros(3)})
 
     def test_in_place_update_gives_the_bits_of_the_written_out_rule(self):

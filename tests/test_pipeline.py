@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import tempfile
@@ -16,7 +17,7 @@ from intent_bench.dataset import (
     synth_tasks,
     write_dataset_csvs,
 )
-from intent_bench.errors import EmptyWindow, IncompleteTable, InvalidConfig, LengthMismatch, OutOfRange, TooFewRows
+from intent_bench.errors import BadArgument, DataError, InvalidConfig, TooFewRows
 from intent_bench.features import SetupId
 from intent_bench.pipeline import (
     CellResult,
@@ -107,7 +108,7 @@ class TestEvaluate:
         assert m1.accuracy == m2.accuracy and m1.macro_f1 == m2.macro_f1
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(BadArgument, match="^2 predictions for 1 labels$"):
             evaluate([0, 1], [0], 2)
 
     def test_empty_input(self):
@@ -119,7 +120,7 @@ class TestEvaluate:
         [([-1, 0], [0, 0]), ([0, 2], [0, 1]), ([0, 0], [-1, 0]), ([0, 1], [2, 1])],
     )
     def test_out_of_range_class(self, predictions, labels):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(BadArgument, match="outside 0..1$"):
             evaluate(predictions, labels, 2)
 
 
@@ -215,12 +216,13 @@ class TestShapeWorker:
 
         def fn(shape):
             if shape.value in failing:
-                raise EmptyWindow(7, f"no samples on {shape.value}")
+                raise DataError(f"fewer than 2 samples between hits 7 and 8 on {shape.value}")
             return shape
 
-        with pytest.raises(EmptyWindow, match=f"no samples on {failing[0]}") as info:
+        with pytest.raises(DataError) as info:
             map_shapes(fn, BOTH)
-        assert info.value.source_hit == 7
+        assert type(info.value) is DataError
+        assert str(info.value) == f"fewer than 2 samples between hits 7 and 8 on {failing[0]}"
         assert multiprocessing.active_children() == []
 
     @needs_fork
@@ -229,11 +231,11 @@ class TestShapeWorker:
 
         def fn(shape):
             if shape is TaskShape.DIAMOND:
-                raise EmptyWindow(7)
+                raise DataError("fewer than 2 samples between hits 7 and 8")
             time.sleep(60)  # the worker's shape, far longer than the error takes to come back
 
         started = time.perf_counter()
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(DataError):
             map_shapes(fn, BOTH)
         assert time.perf_counter() - started < 10
         assert multiprocessing.active_children() == []
@@ -352,7 +354,7 @@ class TestRendering:
     def test_incomplete_table(self):
         report = self._tiny_report()
         report.cells.pop(3)
-        with pytest.raises(IncompleteTable):
+        with pytest.raises(BadArgument, match="^segment/diamond: missing cells"):
             render_text(report)
 
     def _confusion_report(self):
@@ -399,5 +401,6 @@ class TestReferenceNotes:
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "run.json").exists()
         assert (tmp_path / "reference_checks.txt").exists()
-        confusions = list((tmp_path / "confusions").glob("*.csv"))
-        assert len(confusions) == len(report.cells)
+        cells = json.loads((tmp_path / "run.json").read_text())["cells"]
+        assert [c["confusion"] for c in cells] == [c.metrics.confusion.tolist() for c in report.cells]
+        assert not (tmp_path / "confusions").exists()

@@ -82,7 +82,7 @@ def compute_feature(kind: FeatureKind, window) -> float:
     """One time-domain feature of a window of samples."""
     values, constant = _feature_rows(np.asarray(window, dtype=float).reshape(1, -1))
     if constant[0] and kind in (FeatureKind.SKEW, FeatureKind.KURT):
-        raise DataError(f"{kind} undefined on a constant window (zero second moment)")
+        raise DataError(f"{kind.value} undefined on a constant window (zero second moment)")
     return float(values[0, FEATURE_ORDER.index(kind)])
 
 
@@ -96,7 +96,7 @@ def feature_matrix(windows) -> np.ndarray:
     for rows in groups.values():
         values, constant = _feature_rows(np.stack([samples[i] for i in rows]))
         if constant.any():
-            raise DataError(f"{FeatureKind.SKEW} undefined on a constant window (zero second moment)")
+            raise DataError(f"{FeatureKind.SKEW.value} undefined on a constant window (zero second moment)")
         out[rows] = values
     return out
 
@@ -195,12 +195,12 @@ def assemble_setup(
     """
     if setup is SetupId.D1:
         if raw is None:
-            raise BadArgument(f"setup {setup} requires missing part 'raw'")
+            raise BadArgument(f"setup {setup.value} requires missing part 'raw'")
         return raw
 
     label_source = features if features is not None else gaze
     if label_source is None:
-        raise BadArgument(f"setup {setup} requires missing part 'features'")
+        raise BadArgument(f"setup {setup.value} requires missing part 'features'")
 
     given = {
         "features": None if features is None else features.values,
@@ -210,7 +210,7 @@ def assemble_setup(
     blocks = []
     for part in _SETUP_PARTS[setup]:
         if given[part] is None:
-            raise BadArgument(f"setup {setup} requires missing part '{part}'")
+            raise BadArgument(f"setup {setup.value} requires missing part '{part}'")
         blocks.append(np.asarray(given[part], dtype=float))
 
     rows = {b.shape[0] for b in blocks} | {label_source.n_rows}

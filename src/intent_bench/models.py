@@ -2,7 +2,8 @@
 
 Every trainer is a pure function of (data, config, seed): epoch shuffling,
 initialization, and any sampling draw from one numpy Generator seeded by the
-config. Probability outputs are simplexes.
+config. The MLP and the LSTM train and predict in float32; the baselines stay
+in float64. Probability outputs are float64 simplexes.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from . import nn
 from .errors import BadArgument, InvalidConfig, TooFewRows
 
 
-def _as_batch(x: np.ndarray, width: int, what: str, ndim: int = 2) -> np.ndarray:
-    """`x` as a float batch of rank `ndim` whose last axis is `width` wide."""
-    x = np.asarray(x, dtype=float)
+def _as_batch(x: np.ndarray, width: int, what: str, ndim: int = 2, dtype=float) -> np.ndarray:
+    """`x` as a `dtype` batch of rank `ndim` whose last axis is `width` wide."""
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != ndim:
         raise BadArgument(f"{what}: input of rank {x.ndim}, model expects a batch of rank {ndim}")
     if x.shape[-1] != width:
@@ -51,11 +52,26 @@ def _check_adam(cfg) -> None:
         raise InvalidConfig(f"learning rate ({cfg.lr}) must be positive and finite")
 
 
-def _adam_fit(rng: np.random.Generator, params: nn.Params, cfg, loss_grad, *arrays: np.ndarray, **decay) -> nn.Params:
-    """Seeded mini-batch Adam over the rows of `arrays`; `loss_grad(params, *batch)` scores one batch."""
+def _float32(a: np.ndarray) -> np.ndarray:
+    """A float array as float32; integer labels as they are."""
+    return a.astype(np.float32) if a.dtype.kind == "f" else a
+
+
+def _adam_fit(
+    rng: np.random.Generator, params: nn.Params, cfg, loss_grad, *arrays: np.ndarray,
+    l2: float = 0.0, decay_masks: dict | None = None,
+) -> nn.Params:
+    """Seeded mini-batch Adam over the rows of `arrays`; `loss_grad(params, *batch)` scores one batch.
+
+    Training runs in float32: the parameters, the float arrays and the decay
+    masks are cast here once, and the `nn` kernels keep that dtype.
+    """
+    params = {name: _float32(p) for name, p in params.items()}
+    if decay_masks is not None:
+        decay_masks = {name: _float32(m) for name, m in decay_masks.items()}
     state = nn.AdamState(alpha=cfg.lr)
-    for batch in _batches(rng, cfg.epochs, cfg.batch_size, *arrays):
-        params = nn.adam_step(state, params, loss_grad(params, *batch)[1], **decay)
+    for batch in _batches(rng, cfg.epochs, cfg.batch_size, *map(_float32, arrays)):
+        params = nn.adam_step(state, params, loss_grad(params, *batch)[1], l2=l2, decay_masks=decay_masks)
     return params
 
 
@@ -119,7 +135,9 @@ class MlpModel:
     cfg: MlpConfig
 
     def predict_proba(self, x) -> np.ndarray:
-        return nn.softmax(mlp_forward(self.params, _as_batch(x, self.cfg.input_width, "mlp")))
+        """Float64 probabilities from a forward pass in the weights' dtype."""
+        xb = _as_batch(x, self.cfg.input_width, "mlp", dtype=self.params["w1"].dtype)
+        return nn.softmax(mlp_forward(self.params, xb).astype(np.float64))
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=-1)
@@ -252,11 +270,14 @@ class LstmModel:
     cfg: LstmConfig
 
     def predict_proba(self, x) -> np.ndarray:
-        """(B, 2) probabilities of a (B, W, d) batch of windows, from each window's last step."""
-        xb = _as_batch(x, self.cfg.input_width, "lstm", ndim=3)
+        """(B, 2) float64 probabilities of a (B, W, d) batch of windows, from each window's last step.
+
+        The forward pass runs in the weights' dtype.
+        """
+        xb = _as_batch(x, self.cfg.input_width, "lstm", ndim=3, dtype=self.params["head_w"].dtype)
         if xb.shape[1] != self.cfg.window_len:
             raise BadArgument(f"window length {xb.shape[1]}, model expects {self.cfg.window_len}")
-        return nn.softmax(lstm_forward(self.params, self.cfg, xb)[0])
+        return nn.softmax(lstm_forward(self.params, self.cfg, xb)[0].astype(np.float64))
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=-1)

@@ -1,4 +1,8 @@
-"""Minimal deterministic neural-network kernel in double precision.
+"""Minimal deterministic neural-network kernel.
+
+Every kernel follows its input's dtype: float64 inputs give float64 results,
+and float32 inputs give float32 results, zeros, gradients and Adam moments.
+The trainers in `models` cast once and train in float32.
 
 LSTM layers with hand-written backpropagation through time (the input product
 and the W/b/x gradients are each one product over all steps; only the
@@ -92,8 +96,8 @@ def lstm_sequence_forward(cell: LstmCell, x: np.ndarray):
     hidden = cell.hidden_size
     w_h = cell.w_gates[:, n_in:]
     gates = (x.reshape(-1, n_in) @ cell.w_gates[:, :n_in].T + cell.b_gates).reshape(batch, steps, 4 * hidden)
-    hs = np.zeros((batch, steps + 1, hidden))
-    cs = np.zeros((batch, steps + 1, hidden))
+    hs = np.zeros((batch, steps + 1, hidden), dtype=gates.dtype)
+    cs = np.zeros_like(hs)
     for t in range(steps):
         acts = gates[:, t]
         acts += hs[:, t] @ w_h.T

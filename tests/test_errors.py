@@ -69,7 +69,7 @@ RETIRED = {
     ),
     "ConstantWindow": (
         DataError, lambda path: compute_feature(FeatureKind.KURT, [2.0, 2.0, 2.0]),
-        "FeatureKind.KURT undefined on a constant window (zero second moment)",
+        "kurt undefined on a constant window (zero second moment)",
     ),
     "EmptyMatrix": (TooFewRows, lambda path: fit_scaler(np.empty((0, 3))), "cannot fit a scaler on an empty matrix"),
     "EmptyTrainingSet": (
@@ -90,7 +90,7 @@ RETIRED = {
         BadArgument, lambda path: apply_scaler(fit_scaler(np.ones((2, 3))), np.ones((2, 2))),
         "scaler fitted on 3 columns, got 2",
     ),
-    "MissingPart": (BadArgument, lambda path: assemble_setup(SetupId.D1), "setup SetupId.D1 requires missing part 'raw'"),
+    "MissingPart": (BadArgument, lambda path: assemble_setup(SetupId.D1), "setup D1 requires missing part 'raw'"),
     "RowCountMismatch": (
         BadArgument,
         lambda path: DataMatrix(

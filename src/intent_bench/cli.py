@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import dataset, pipeline
 from .dataset import SynthConfig, TaskShape
-from .errors import IntentBenchError, InvalidConfig, IoError
+from .errors import BadArgument, IntentBenchError, InvalidConfig, IoError
 from .features import SetupId, export_features_csv
 from .pipeline import GridConfig, TrainParams, TwoStepConfig
 
@@ -130,20 +130,33 @@ def _synth_config(cfg) -> SynthConfig:
     return SynthConfig(**{f.name: cfg[f"data.{f.name}"] for f in fields(SynthConfig)})
 
 
+def _make_out(cfg) -> None:
+    """Create the output directory; called once every setting is checked, before any data is read or made."""
+    try:
+        Path(cfg["out"]).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {cfg['out']}: {exc}") from exc
+
+
 def _load_records(cfg):
-    """The records of the configured data source; only the subcommands that read data check the source."""
+    """The records of the configured data source, read once the source is checked and the output directory made."""
     if cfg["data.source"] not in ("synthetic", "csv"):
         raise InvalidConfig(f"unknown data source '{cfg['data.source']}'")
     if cfg["data.source"] == "csv":
         if not cfg["data.dir"]:
             raise InvalidConfig("csv data source needs --data DIR (or data.dir in the config)")
-        return dataset.records_from_csv_dir(cfg["data.dir"])
-    return dataset.synth_cohort(cfg["seed"], cfg["data.participants"], _synth_config(cfg))
+        load = partial(dataset.records_from_csv_dir, cfg["data.dir"])
+    else:
+        load = partial(dataset.synth_cohort, cfg["seed"], cfg["data.participants"], _synth_config(cfg))
+    _make_out(cfg)
+    return load()
 
 
 def cmd_synth(cfg) -> int:
     """Write resistance/hits/gaze/participants CSVs for a synthetic cohort."""
-    tasks = dataset.synth_tasks(cfg["seed"], cfg["data.participants"], _synth_config(cfg), _shapes(cfg))
+    synth_cfg, shapes = _synth_config(cfg), _shapes(cfg)
+    _make_out(cfg)
+    tasks = dataset.synth_tasks(cfg["seed"], cfg["data.participants"], synth_cfg, shapes)
     paths = dataset.write_dataset_csvs(tasks, cfg["out"])
     for name, path in sorted(paths.items()):
         print(f"wrote {name}: {path}")
@@ -152,10 +165,10 @@ def cmd_synth(cfg) -> int:
 
 def cmd_features(cfg) -> int:
     """Export per-shape window-level feature tables from a dataset directory."""
+    shapes = _shapes(cfg)
     records = _load_records(cfg)
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    for shape in _shapes(cfg):
+    for shape in shapes:
         subset = pipeline.records_for_shape(records, shape, least=1)
         features_dm, _gaze = pipeline.window_tables(subset)
         path = outdir / f"features_{shape.value}.csv"
@@ -220,10 +233,10 @@ def cmd_report(cfg) -> int:
     if not (Path(cfg["out"]) / "run.json").exists():
         raise IoError(f"no run.json in {cfg['out']}")
     try:
-        report, two_step = pipeline.read_run_outputs(cfg["out"])
-    except (KeyError, ValueError) as exc:
+        # a grid table with a missing or twice-listed cell is a BadArgument of the renderer
+        text = pipeline.report_text(*pipeline.read_run_outputs(cfg["out"]))
+    except (KeyError, ValueError, TypeError, AttributeError, OSError, BadArgument) as exc:
         raise IoError(f"{cfg['out']} does not hold the outputs of a run of this version: {exc}") from exc
-    text = pipeline.report_text(report, two_step)
     (Path(cfg["out"]) / "report.txt").write_text(text, encoding="utf-8")
     print(text)
     return 0

@@ -20,7 +20,7 @@ class DataError(IntentBenchError):
 
 
 class IoError(IntentBenchError):
-    """A path cannot be read, or a `run.json` is not the output of a run of this version."""
+    """A path cannot be read or written, or a `run.json` is malformed or not the output of a run of this version."""
 
 
 class TooFewRows(IntentBenchError):

@@ -4,7 +4,8 @@ The two-step run trains the gaze-driven segment classifier, feeds its
 probability outputs into a feature setup, and trains the direction LSTM on
 the same train/test partition. The grid trains every requested
 (model, setup, shape) cell independently with seeds derived from one root
-seed, then renders the comparison tables.
+seed, then renders the comparison tables. Both fit and score every model
+through `fit_eval`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from functools import partial
 from pathlib import Path
 
@@ -241,7 +242,9 @@ def sequences_from_matrix(dm: DataMatrix, train_idx: np.ndarray) -> list[Sequenc
     return seqs
 
 
-# --- cell trainers --------------------------------------------------------------
+# --- fitting and scoring ---------------------------------------------------------
+
+_BASELINES = {"KNN": "knn", "SVM": "svm", "LR": "logreg"}  # model name -> BaselineKind name
 
 
 @dataclass(frozen=True)
@@ -263,64 +266,50 @@ class TrainParams:
 
     def __post_init__(self):
         # build every model config these values feed once, so that a bad value fails here
-        _mlp_config(1, self, 0)
-        _lstm_config(1, self, 0)
+        self.mlp(1, SEGMENT_COUNT, 0)
+        self.lstm(1, 0)
         for model_name in _BASELINES:
-            _baseline_kind(model_name, self)
+            self.baseline(model_name)
+
+    def mlp(self, width: int, classes: int, seed: int) -> MlpConfig:
+        return MlpConfig(
+            input_width=width, output=classes, lr=self.mlp_lr, epochs=self.mlp_epochs, batch_size=self.mlp_batch,
+            seed=seed,
+        )
+
+    def lstm(self, width: int, seed: int) -> LstmConfig:
+        return LstmConfig(
+            input_width=width, hidden_layers=self.lstm_layers, hidden_size=self.lstm_hidden, l2=self.lstm_l2,
+            lr=self.lstm_lr, epochs=self.lstm_epochs, batch_size=self.lstm_batch, window_len=self.window_len, seed=seed,
+        )
+
+    def baseline(self, model_name: str) -> BaselineKind:
+        return BaselineKind(
+            _BASELINES[model_name], k=self.knn_k, lam=self.svm_lambda, lr=self.logreg_lr, epochs=self.baseline_epochs
+        )
 
 
-def _mlp_config(width: int, params: TrainParams, seed: int) -> MlpConfig:
-    return MlpConfig(
-        input_width=width,
-        lr=params.mlp_lr,
-        epochs=params.mlp_epochs,
-        batch_size=params.mlp_batch,
-        seed=seed,
-    )
+def fit_eval(
+    model_name: str, step: str, dm: DataMatrix, train_idx, test_idx, params: TrainParams, seed: int
+) -> Metrics:
+    """Train a grid model on a setup matrix's training rows and score it on the held-out rows of `step`'s labels.
 
-
-def _lstm_config(width: int, params: TrainParams, seed: int) -> LstmConfig:
-    return LstmConfig(
-        input_width=width,
-        hidden_layers=params.lstm_layers,
-        hidden_size=params.lstm_hidden,
-        l2=params.lstm_l2,
-        lr=params.lstm_lr,
-        epochs=params.lstm_epochs,
-        batch_size=params.lstm_batch,
-        window_len=params.window_len,
-        seed=seed,
-    )
-
-
-def fit_eval_lstm(dm: DataMatrix, train_idx, cfg: LstmConfig):
-    """Train the direction LSTM on a setup matrix and score the held-out side."""
-    seqs = sequences_from_matrix(dm, train_idx)
-    model = train_lstm(seqs, cfg)
-    x, y, train = lstm_rows(seqs, cfg)
-    return model, evaluate(model.predict(x[~train]), y[~train], DIRECTION_CLASSES)
-
-
-_BASELINES = {"KNN": "knn", "SVM": "svm", "LR": "logreg"}  # row model name -> BaselineKind name
-
-
-def _baseline_kind(model_name: str, p: TrainParams) -> BaselineKind:
-    return BaselineKind(_BASELINES[model_name], k=p.knn_k, lam=p.svm_lambda, lr=p.logreg_lr, epochs=p.baseline_epochs)
-
-
-# row model name -> trainer(x, y, num_classes, params, seed); train_mlp and train_baseline
-# are looked up when a cell trains, not when this table is built
-_ROW_TRAINERS = {
-    "NN": lambda x, y, k, p, seed: train_mlp(x, y, replace(_mlp_config(x.shape[1], p, seed), output=k)),
-    **{m: lambda x, y, k, p, seed, m=m: train_baseline(_baseline_kind(m, p), x, y, k, seed) for m in _BASELINES},
-}
-
-
-def fit_eval_rows(model_name: str, dm: DataMatrix, train_idx, test_idx, labels: np.ndarray,
-                  num_classes: int, params: TrainParams, seed: int):
-    """Train a per-row classifier (NN or baseline) and score the held-out rows."""
-    model = _ROW_TRAINERS[model_name](dm.values[train_idx], labels[train_idx], num_classes, params, seed)
-    return model, evaluate(model.predict(dm.values[test_idx]), labels[test_idx], num_classes)
+    The LSTM, a direction model, reads each participant's rows in hit order and
+    is scored on the windows that end on a held-out row; the others read single rows.
+    """
+    num_classes = _STEPS[step][2]
+    if model_name == "LSTM":
+        seqs = sequences_from_matrix(dm, train_idx)
+        cfg = params.lstm(dm.values.shape[1], seed)
+        model = train_lstm(seqs, cfg)
+        x, y, train = lstm_rows(seqs, cfg)
+        return evaluate(model.predict(x[~train]), y[~train], num_classes)
+    x, labels = dm.values, getattr(dm, step)
+    if model_name == "NN":
+        model = train_mlp(x[train_idx], labels[train_idx], params.mlp(x.shape[1], num_classes, seed))
+    else:
+        model = train_baseline(params.baseline(model_name), x[train_idx], labels[train_idx], num_classes, seed)
+    return evaluate(model.predict(x[test_idx]), labels[test_idx], num_classes)
 
 
 # --- two-step pipeline ------------------------------------------------------------
@@ -393,7 +382,7 @@ def _prepare_shape(records, shape: TaskShape, cfg: RunConfig, step1: bool = True
     step1_seed = derive_seed(cfg.seed, "step1", shape.value)
     step1_model = probs = None
     if step1:
-        step1_cfg = _mlp_config(gaze_scaled.values.shape[1], cfg.train, step1_seed)
+        step1_cfg = cfg.train.mlp(gaze_scaled.values.shape[1], SEGMENT_COUNT, step1_seed)
         step1_model = train_mlp(gaze_scaled.values[train_idx], gaze_scaled.segment[train_idx], step1_cfg)
         probs = step1_model.predict_proba(gaze_scaled.values)
 
@@ -420,10 +409,8 @@ def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoSte
         SEGMENT_COUNT,
     )
 
-    setup_dm, train_idx, _test_idx = state.setup_matrix(cfg.direction_setup)
     lstm_seed = derive_seed(cfg.seed, "step2", shape.value, cfg.direction_setup.value)
-    lstm_cfg = _lstm_config(setup_dm.values.shape[1], cfg.train, lstm_seed)
-    _, step2_metrics = fit_eval_lstm(setup_dm, train_idx, lstm_cfg)
+    step2_metrics = fit_eval("LSTM", "direction", *state.setup_matrix(cfg.direction_setup), cfg.train, lstm_seed)
 
     doc = asdict(cfg) | {"shape": shape.value}
     return PipelineResult(
@@ -450,6 +437,10 @@ class GridConfig(RunConfig):
             raise InvalidConfig(f"unknown grid steps '{self.steps}'")
 
 
+# the fields of a cell record in run.json, ahead of its wall time and confusion
+_CELL_FIELDS = ("step", "shape", "model", "setup", "seed")
+
+
 @dataclass
 class CellResult:
     step: str
@@ -468,11 +459,12 @@ class GridReport:
     root_seed: int
     config_hash: str
 
-    def cell(self, step: str, shape: str, model: str, setup: str) -> CellResult | None:
-        for c in self.cells:
-            if (c.step, c.shape, c.model, c.setup) == (step, shape, model, setup):
-                return c
-        return None
+    def by_key(self) -> dict:
+        """The cells by (step, shape, model, setup), in grid order; a key held by two cells is refused."""
+        index = {(c.step, c.shape, c.model, c.setup): c for c in self.cells}
+        if len(index) != len(self.cells):
+            raise BadArgument(f"{len(self.cells) - len(index)} cell(s) listed twice")
+        return index
 
 
 def _grid_shape(records: list[ParticipantRecord], shape: TaskShape, cfg: GridConfig) -> tuple[list, dict]:
@@ -487,18 +479,11 @@ def _grid_shape(records: list[ParticipantRecord], shape: TaskShape, cfg: GridCon
         # the chance level of the window rows that D2..D8 are scored on
         random_guess[(step, shape.value)] = random_guess_accuracy(getattr(state.features, step), num_classes)
         for setup in setups:
-            dm, train_idx, test_idx = state.setup_matrix(setup)
-            labels = getattr(dm, step)
+            matrix = state.setup_matrix(setup)
             for model_name in model_names:
                 cell_seed = derive_seed(cfg.seed, "cell", step, shape.value, model_name, setup.value)
                 started = time.perf_counter()
-                if model_name == "LSTM":
-                    lstm_cfg = _lstm_config(dm.values.shape[1], cfg.train, cell_seed)
-                    _, metrics = fit_eval_lstm(dm, train_idx, lstm_cfg)
-                else:
-                    _, metrics = fit_eval_rows(
-                        model_name, dm, train_idx, test_idx, labels, num_classes, cfg.train, cell_seed
-                    )
+                metrics = fit_eval(model_name, step, *matrix, cfg.train, cell_seed)
                 cells.append(
                     CellResult(
                         step=step,
@@ -531,30 +516,20 @@ def format_cell(metrics: Metrics) -> str:
     return f"{metrics.accuracy:.2f} [{metrics.macro_f1:.3f}]"
 
 
-def _table_cells(report: GridReport, step: str, shape: str, models_: tuple, setups: list) -> dict:
-    written = {}
-    for model in models_:
-        for setup in setups:
-            cell = report.cell(step, shape, model, setup)
-            if cell is not None:
-                written[(model, setup)] = cell
-    if written and len(written) != len(models_) * len(setups):
-        missing = [
-            (m, s) for m in models_ for s in setups if (m, s) not in written
-        ]
-        raise BadArgument(f"{step}/{shape}: missing cells {missing}")
-    return written
-
-
 def _tables(report: GridReport):
     """(step, shape, models, setup names, cells, key of the best cell) of every table that has cells."""
+    index = report.by_key()
     for step, (models_, setup_ids, _num_classes) in _STEPS.items():
         setups = [s.value for s in setup_ids]
+        keys = [(m, s) for m in models_ for s in setups]
         for shape in sorted({c.shape for c in report.cells}):
-            cells = _table_cells(report, step, shape, models_, setups)
-            if cells:
-                best = max(cells, key=lambda k: (cells[k].metrics.accuracy, cells[k].metrics.macro_f1))
-                yield step, shape, models_, setups, cells, best
+            cells = {key: index[(step, shape, *key)] for key in keys if (step, shape, *key) in index}
+            if not cells:
+                continue
+            if len(cells) != len(keys):
+                raise BadArgument(f"{step}/{shape}: missing cells {[key for key in keys if key not in cells]}")
+            best = max(cells, key=lambda k: (cells[k].metrics.accuracy, cells[k].metrics.macro_f1))
+            yield step, shape, models_, setups, cells, best
 
 
 def render_text(report: GridReport) -> str:
@@ -604,20 +579,28 @@ def render_csv(report: GridReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _stored_metrics(rows) -> Metrics:
+    """The metrics of a confusion matrix read from run.json, which must be square with a positive total."""
+    cm = np.array(rows)
+    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or not cm.sum() > 0:
+        raise ValueError(f"a confusion matrix must be square with a positive total, got {rows}")
+    return metrics_from_confusion(cm)
+
+
 def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult]]:
-    """Rebuild the grid report (None for a run without a grid) and two-step results from run.json."""
+    """Rebuild the grid report (None for a run without a grid) and two-step results from run.json.
+
+    A document that does not have the layout `write_run_outputs` writes raises
+    KeyError, ValueError, TypeError or AttributeError.
+    """
     meta = json.loads((Path(outdir) / "run.json").read_text(encoding="utf-8"))
     report = None
     if "cells" in meta:
         report = GridReport(
             cells=[
                 CellResult(
-                    step=c["step"],
-                    shape=c["shape"],
-                    model=c["model"],
-                    setup=c["setup"],
-                    metrics=metrics_from_confusion(np.array(c["confusion"])),
-                    seed=c["seed"],
+                    **{name: c[name] for name in _CELL_FIELDS},
+                    metrics=_stored_metrics(c["confusion"]),
                     wall_time=c["wall_time_s"],
                 )
                 for c in meta["cells"]
@@ -629,8 +612,8 @@ def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult]]:
     two_step = [
         PipelineResult(
             shape=TaskShape(r["shape"]),
-            step1=metrics_from_confusion(np.array(r["step1_confusion"])),
-            step2=metrics_from_confusion(np.array(r["step2_confusion"])),
+            step1=_stored_metrics(r["step1_confusion"]),
+            step2=_stored_metrics(r["step2_confusion"]),
             direction_setup=SetupId(r["setup"]),
             seeds=r["seeds"],
             config_hash=r["config_hash"],
@@ -643,24 +626,17 @@ def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult]]:
 def reference_ordering_notes(report: GridReport) -> list[str]:
     """Informational ordering checks against the published reference results."""
     notes = []
-
-    def acc(step, shape, model, setup):
-        cell = report.cell(step, shape, model, setup)
-        return cell.metrics.accuracy if cell else None
-
+    acc = {key: c.metrics.accuracy for key, c in report.by_key().items()}
     for shape in ("diamond", "circle"):
-        a_d3, a_d1 = acc("segment", shape, "NN", "D3"), acc("segment", shape, "NN", "D1")
+        a_d3, a_d1 = acc.get(("segment", shape, "NN", "D3")), acc.get(("segment", shape, "NN", "D1"))
         if a_d3 is not None and a_d1 is not None:
             status = "ok" if a_d3 > a_d1 else "deviation"
             notes.append(
                 f"{status}: segment/{shape}: NN on gaze (D3) {a_d3:.2f} vs raw (D1) {a_d1:.2f} "
                 "(reference expects D3 > D1)"
             )
-        direction_cells = {
-            (c.model, c.setup): c.metrics.accuracy
-            for c in report.cells
-            if c.step == "direction" and c.shape == shape
-        }
+        # in grid order, so that the first of equal cells is the best
+        direction_cells = {(m, s): a for (step, sh, m, s), a in acc.items() if (step, sh) == ("direction", shape)}
         if direction_cells:
             best = max(direction_cells, key=lambda k: direction_cells[k])
             expected = ("LSTM", REFERENCE_BEST_DIRECTION_SETUP)
@@ -672,7 +648,7 @@ def reference_ordering_notes(report: GridReport) -> list[str]:
                 f"{direction_cells[best]:.2f}, LSTM-D6 at {favored:.2f} "
                 "(reference expects LSTM-D6 on top)"
             )
-    d2, d1 = acc("direction", "diamond", "LSTM", "D2"), acc("direction", "diamond", "LSTM", "D1")
+    d2, d1 = acc.get(("direction", "diamond", "LSTM", "D2")), acc.get(("direction", "diamond", "LSTM", "D1"))
     if d2 is not None and d1 is not None:
         gap = d2 - d1
         status = "ok" if abs(gap - REFERENCE_FEATURE_GAIN_POINTS) <= 10.0 else "deviation"
@@ -717,11 +693,7 @@ def write_run_outputs(
         meta["grid_config_hash"] = report.config_hash
         meta["cells"] = [
             {
-                "step": c.step,
-                "shape": c.shape,
-                "model": c.model,
-                "setup": c.setup,
-                "seed": c.seed,
+                **{name: getattr(c, name) for name in _CELL_FIELDS},
                 "wall_time_s": c.wall_time,
                 "confusion": c.metrics.confusion.tolist(),
             }

@@ -4,6 +4,7 @@ Run `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,27 +14,15 @@ from intent_bench.cli import main
 from intent_bench.dataset import TaskShape
 from intent_bench.features import FeatureKind, SetupId, compute_feature, feature_matrix
 from intent_bench.models import (
-    BaselineKind,
     LstmConfig,
     MlpConfig,
     lstm_init,
     lstm_loss_grad,
-    lstm_rows,
     mlp_init,
     mlp_loss_grad,
     random_guess_accuracy,
-    train_baseline,
-    train_lstm,
-    train_mlp,
 )
-from intent_bench.pipeline import (
-    TwoStepConfig,
-    _prepare_shape,
-    evaluate,
-    run_two_step,
-    sequences_from_matrix,
-    split_indices,
-)
+from intent_bench.pipeline import TrainParams, TwoStepConfig, _prepare_shape, fit_eval, run_two_step, split_indices
 
 from naive_reference import naive_features
 
@@ -200,29 +189,15 @@ def test_criterion_8_chance_floor(cohort4):
     gaze = state.gaze
     d6, _train_idx, _test_idx = state.setup_matrix(SetupId.D6)
     accs = {name: [] for name in ("NN", "KNN", "SVM", "LR", "LSTM")}
+    params = TrainParams()
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         train_idx, test_idx = split_indices(gaze.n_rows, 0.8, seed)
-        seg_shuffled = rng.permutation(gaze.segment)
-        x_tr, y_tr = gaze.values[train_idx], seg_shuffled[train_idx]
-        x_te, y_te = gaze.values[test_idx], seg_shuffled[test_idx]
-        mlp = train_mlp(x_tr, y_tr, MlpConfig(input_width=24, seed=seed))
-        accs["NN"].append(evaluate(mlp.predict(x_te), y_te, 4).accuracy)
-        for name, kind in (
-            ("KNN", BaselineKind("knn")),
-            ("SVM", BaselineKind("svm")),
-            ("LR", BaselineKind("logreg")),
-        ):
-            model = train_baseline(kind, x_tr, y_tr, 4, seed=seed)
-            accs[name].append(evaluate(model.predict(x_te), y_te, 4).accuracy)
-
-        dir_shuffled = d6.with_values(d6.values)
-        dir_shuffled.direction = rng.permutation(d6.direction)
-        seqs = sequences_from_matrix(dir_shuffled, train_idx)
-        lstm_cfg = LstmConfig(input_width=15, seed=seed)
-        lstm = train_lstm(seqs, lstm_cfg)
-        wx, wy, wtrain = lstm_rows(seqs, lstm_cfg)
-        accs["LSTM"].append(evaluate(lstm.predict(wx[~wtrain]), wy[~wtrain], 2).accuracy)
+        seg_shuffled = replace(gaze, segment=rng.permutation(gaze.segment))
+        for name in ("NN", "KNN", "SVM", "LR"):
+            accs[name].append(fit_eval(name, "segment", seg_shuffled, train_idx, test_idx, params, seed).accuracy)
+        dir_shuffled = replace(d6, direction=rng.permutation(d6.direction))
+        accs["LSTM"].append(fit_eval("LSTM", "direction", dir_shuffled, train_idx, test_idx, params, seed).accuracy)
 
     lines = []
     for name, values in accs.items():

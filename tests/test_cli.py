@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from intent_bench import pipeline
+from intent_bench import dataset, pipeline
 from intent_bench.cli import _run_configs, _shapes, build_parser, load_config_file, main, resolve_config
 from intent_bench.dataset import TaskShape
 from intent_bench.errors import InvalidConfig
@@ -17,6 +17,21 @@ lstm_epochs = 3
 baseline_epochs = 20
 lstm_hidden = 8
 """
+
+
+# the keys of a two-step entry of run.json that `report` reads
+TWO_STEP_ENTRY = {
+    "shape": "diamond",
+    "setup": "D6",
+    "seeds": {"root": 1},
+    "config_hash": "x",
+    "step1_confusion": [[1, 0], [1, 0]],
+    "step2_confusion": [[1, 0], [0, 1]],
+}
+
+# one cell of run.json: a grid table holds 16 or 32
+ONE_CELL = {"step": "segment", "shape": "diamond", "model": "NN", "setup": "D1", "seed": 1, "wall_time_s": 0.0,
+            "confusion": [[1, 0], [0, 1]]}
 
 
 def write_config(tmp_path, extra=""):
@@ -239,6 +254,33 @@ def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--participants", "2"],
+        ["features", "--synthetic", "--participants", "2"],
+        ["run", "--synthetic", "--participants", "4", "--grid", "all"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker if where == "file" else blocker / "out"
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data made or read before the output directory")
+
+    for name in ("synth_tasks", "synth_cohort", "records_from_csv_dir"):
+        monkeypatch.setattr(dataset, name, no_data)
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error[IoError]: cannot create output directory {out}")
+    assert captured.out == ""
+    assert blocker.read_text() == "a file\n"
+
+
 class TestRunCommand:
     def test_two_step_only(self, tmp_path):
         cfgfile = write_config(tmp_path)
@@ -381,6 +423,38 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error[IoError]")
 
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            pytest.param([], "", id="list"),
+            pytest.param(None, "", id="null"),
+            pytest.param({"root_seed": 1, "grid_config_hash": "x", "cells": 5, "random_guess": [], "two_step": []},
+                         "", id="cells-not-a-list"),
+            pytest.param({"two_step": 3}, "", id="two-step-not-a-list"),
+            pytest.param({"root_seed": 1, "grid_config_hash": "x", "cells": [ONE_CELL], "random_guess": [],
+                          "two_step": []}, "missing cells", id="grid-missing-cells"),
+            pytest.param({"root_seed": 1, "grid_config_hash": "x", "cells": [ONE_CELL] * 2, "random_guess": [],
+                          "two_step": []}, "listed twice", id="grid-cell-listed-twice"),
+            pytest.param("directory", "Is a directory", id="run-json-a-directory"),
+            pytest.param({"two_step": [dict(TWO_STEP_ENTRY, step1_confusion=[[0, 0], [0, 0]])]},
+                         "square with a positive total", id="zero-confusion"),
+            pytest.param({"two_step": [dict(TWO_STEP_ENTRY, step2_confusion=[[1, 0, 0], [0, 1, 0]])]},
+                         "square with a positive total", id="non-square-confusion"),
+        ],
+    )
+    def test_report_on_a_malformed_run_json(self, tmp_path, capsys, doc, reason):
+        if doc == "directory":
+            (tmp_path / "run.json").mkdir()
+        else:
+            (tmp_path / "run.json").write_text(json.dumps(doc))
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[IoError]") and reason in err
+        assert not (tmp_path / "report.txt").exists()
+        if isinstance(doc, dict) and "square" in reason:
+            # the same entry with a well-formed confusion renders
+            (tmp_path / "run.json").write_text(json.dumps({"two_step": [TWO_STEP_ENTRY]}))
+            assert main(["report", "--out", str(tmp_path)]) == 0
 
 class TestShapesSideBySide:
     """`run` on one usable core (serial) and on two (the second shape in a forked worker)."""

@@ -23,7 +23,7 @@ from intent_bench.models import (
     train_lstm,
     train_mlp,
 )
-from intent_bench.pipeline import TrainParams, TwoStepConfig, _lstm_config, _prepare_shape, sequences_from_matrix
+from intent_bench.pipeline import TrainParams, TwoStepConfig, _prepare_shape, sequences_from_matrix
 
 from naive_reference import naive_svm
 
@@ -129,7 +129,7 @@ class TestLstm:
     def test_direction_separable_d6(self, diamond_state):
         dm, seqs = _setup_sequences(diamond_state, SetupId.D6)
         assert dm.values.shape[1] == 15
-        cfg = _lstm_config(15, TrainParams(), 99)
+        cfg = TrainParams().lstm(15, 99)
         model = train_lstm(seqs, cfg)
         wx, wy, wtrain = lstm_rows(seqs, cfg)
         acc = np.mean(model.predict(wx[~wtrain]) == wy[~wtrain])
@@ -137,7 +137,7 @@ class TestLstm:
 
     def test_reversal_flips_argmax(self, diamond_state):
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
-        cfg = _lstm_config(11, TrainParams(), 99)
+        cfg = TrainParams().lstm(11, 99)
         model = train_lstm(seqs, cfg)
         wx, _y, train = lstm_rows(seqs, cfg)
         held = wx[~train]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -19,6 +20,7 @@ from intent_bench.dataset import (
 )
 from intent_bench.errors import BadArgument, DataError, InvalidConfig, TooFewRows
 from intent_bench.features import SetupId
+from intent_bench.models import BaselineKind, LstmConfig, MlpConfig
 from intent_bench.pipeline import (
     CellResult,
     GridConfig,
@@ -142,6 +144,24 @@ class TestTables:
     def test_too_few_participants(self, cohort4):
         with pytest.raises(TooFewRows):
             records_for_shape(cohort4[:1], TaskShape.DIAMOND)
+
+
+class TestTrainParams:
+    def test_each_field_reaches_the_config_field_it_names(self):
+        # distinct values, so that two swapped fields cannot build the same config
+        params = TrainParams(
+            mlp_epochs=3, mlp_batch=7, mlp_lr=0.002, lstm_epochs=4, lstm_batch=9, lstm_lr=0.003, lstm_l2=0.04,
+            lstm_hidden=11, lstm_layers=6, window_len=8, baseline_epochs=13, knn_k=2, svm_lambda=0.05, logreg_lr=0.06,
+        )
+        values = [getattr(params, f.name) for f in dataclasses.fields(TrainParams)]
+        assert len(values) == len(set(values)) == 14
+        assert params.mlp(10, 3, 21) == MlpConfig(input_width=10, output=3, lr=0.002, epochs=3, batch_size=7, seed=21)
+        assert params.lstm(12, 22) == LstmConfig(
+            input_width=12, hidden_layers=6, hidden_size=11, l2=0.04, lr=0.003, epochs=4, batch_size=9, window_len=8,
+            seed=22,
+        )
+        for model_name, kind in (("KNN", "knn"), ("SVM", "svm"), ("LR", "logreg")):
+            assert params.baseline(model_name) == BaselineKind(kind, k=2, lam=0.05, lr=0.06, epochs=13)
 
 
 class TestTwoStep:

@@ -237,7 +237,7 @@ def cmd_report(cfg) -> int:
         text = pipeline.report_text(*pipeline.read_run_outputs(cfg["out"]))
     except (KeyError, ValueError, TypeError, AttributeError, OSError, BadArgument) as exc:
         raise IoError(f"{cfg['out']} does not hold the outputs of a run of this version: {exc}") from exc
-    (Path(cfg["out"]) / "report.txt").write_text(text, encoding="utf-8")
+    pipeline.write_output(Path(cfg["out"]) / "report.txt", text)
     print(text)
     return 0
 

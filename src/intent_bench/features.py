@@ -1,9 +1,9 @@
 """Time-domain feature transforms, min-max scaling, and experiment data setups.
 
 Eleven scalar features summarize each inter-hit resistance window. Feature
-order is canonical and matches the exported CSV header. Setups D1..D8 are
-fixed horizontal concatenations of raw values, features, gaze, and the
-segment model's probability outputs.
+order is canonical and matches the exported CSV header. Each setup D1..D8 is
+one row of `SETUP_PARTS`: the parts it stacks side by side, chosen from raw
+values, features, gaze and the segment model's probability outputs.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ class SetupId(Enum):
     D8 = "D8"
 
 
-_SETUP_PARTS = {
+# setup -> the parts it reads, in the order of their columns
+SETUP_PARTS = {
     SetupId.D1: ("raw",),
     SetupId.D2: ("features",),
     SetupId.D3: ("gaze",),
@@ -181,42 +182,17 @@ class DataMatrix:
         return DataMatrix(values, self.segment, self.direction, self.participant, self.hit, self.shape)
 
 
-def assemble_setup(
-    setup: SetupId,
-    features: DataMatrix | None = None,
-    gaze: DataMatrix | None = None,
-    probs: np.ndarray | None = None,
-    raw: DataMatrix | None = None,
-) -> DataMatrix:
-    """Concatenate the setup's parts in the fixed order features | gaze | probs.
-
-    Labels are carried from the window-level tables; probability rows must be
-    aligned with them. D1 is the raw table itself.
-    """
-    if setup is SetupId.D1:
-        if raw is None:
-            raise BadArgument(f"setup {setup.value} requires missing part 'raw'")
-        return raw
-
-    label_source = features if features is not None else gaze
-    if label_source is None:
-        raise BadArgument(f"setup {setup.value} requires missing part 'features'")
-
-    given = {
-        "features": None if features is None else features.values,
-        "gaze": None if gaze is None else gaze.values,
-        "probs": probs,
-    }
+def assemble_setup(setup: SetupId, rows: DataMatrix, parts: dict) -> DataMatrix:
+    """`parts[p]` side by side for each part p in the setup's row of SETUP_PARTS, with the labels of `rows`."""
     blocks = []
-    for part in _SETUP_PARTS[setup]:
-        if given[part] is None:
+    for part in SETUP_PARTS[setup]:
+        if parts.get(part) is None:
             raise BadArgument(f"setup {setup.value} requires missing part '{part}'")
-        blocks.append(np.asarray(given[part], dtype=float))
-
-    rows = {b.shape[0] for b in blocks} | {label_source.n_rows}
-    if len(rows) != 1:
-        raise BadArgument(f"setup {setup.value}: inconsistent row counts {sorted(rows)}")
-    return label_source.with_values(np.hstack(blocks))
+        blocks.append(np.asarray(parts[part], dtype=float))
+    counts = {b.shape[0] for b in blocks} | {rows.n_rows}
+    if len(counts) != 1:
+        raise BadArgument(f"setup {setup.value}: inconsistent row counts {sorted(counts)}")
+    return rows.with_values(np.hstack(blocks))
 
 
 def export_features_csv(dm: DataMatrix, path) -> None:

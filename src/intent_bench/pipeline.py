@@ -27,8 +27,9 @@ from .dataset import (
     TaskShape,
     assign_segment_label,
 )
-from .errors import BadArgument, InvalidConfig, TooFewRows
+from .errors import BadArgument, InvalidConfig, IoError, TooFewRows
 from .features import (
+    SETUP_PARTS,
     DataMatrix,
     SetupId,
     apply_scaler,
@@ -40,7 +41,6 @@ from .models import (
     BaselineKind,
     LstmConfig,
     MlpConfig,
-    MlpModel,
     SequenceData,
     lstm_rows,
     random_guess_accuracy,
@@ -349,25 +349,29 @@ def _split(dm: DataMatrix, cfg: RunConfig, name: str) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class ShapeState:
-    """Scaled per-shape tables, their partitions, and the step-1 model and probabilities."""
+    """What one shape's setups read (the tables scaled on their training rows) and the partitions they lie on."""
 
     features: DataMatrix
     gaze: DataMatrix
     raw: DataMatrix
+    probs: np.ndarray | None  # step-1 segment probabilities of the window rows; None where no setup reads them
     train_idx: np.ndarray  # window partition, shared by D2..D8
     test_idx: np.ndarray
     raw_train: np.ndarray  # hit partition of the raw table (D1)
     raw_test: np.ndarray
-    step1_seed: int
-    step1_model: MlpModel | None  # None when no setup of the run reads the probabilities
-    probs: np.ndarray | None
 
     def setup_matrix(self, setup: SetupId) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
-        """A setup's matrix with the train and test indices of the partition it is scored on."""
-        dm = assemble_setup(setup, features=self.features, gaze=self.gaze, probs=self.probs, raw=self.raw)
+        """A setup's matrix and its train and test rows: the hit rows for D1, the window rows for the rest."""
         if setup is SetupId.D1:
-            return dm, self.raw_train, self.raw_test
-        return dm, self.train_idx, self.test_idx
+            rows, train_idx, test_idx = self.raw, self.raw_train, self.raw_test
+        else:
+            rows, train_idx, test_idx = self.features, self.train_idx, self.test_idx
+        parts = dict(raw=self.raw.values, features=self.features.values, gaze=self.gaze.values, probs=self.probs)
+        return assemble_setup(setup, rows, parts), train_idx, test_idx
+
+
+def _step1_seed(cfg: RunConfig, shape: TaskShape) -> int:
+    return derive_seed(cfg.seed, "step1", shape.value)
 
 
 def _prepare_shape(records, shape: TaskShape, cfg: RunConfig, step1: bool = True) -> ShapeState:
@@ -379,10 +383,9 @@ def _prepare_shape(records, shape: TaskShape, cfg: RunConfig, step1: bool = True
     raw_train, raw_test = _split(raw_dm, cfg, "raw-split")
     gaze_scaled = scale_on_train(gaze_dm, train_idx)
 
-    step1_seed = derive_seed(cfg.seed, "step1", shape.value)
-    step1_model = probs = None
+    probs = None
     if step1:
-        step1_cfg = cfg.train.mlp(gaze_scaled.values.shape[1], SEGMENT_COUNT, step1_seed)
+        step1_cfg = cfg.train.mlp(gaze_scaled.values.shape[1], SEGMENT_COUNT, _step1_seed(cfg, shape))
         step1_model = train_mlp(gaze_scaled.values[train_idx], gaze_scaled.segment[train_idx], step1_cfg)
         probs = step1_model.predict_proba(gaze_scaled.values)
 
@@ -390,24 +393,19 @@ def _prepare_shape(records, shape: TaskShape, cfg: RunConfig, step1: bool = True
         features=scale_on_train(feats_dm, train_idx),
         gaze=gaze_scaled,
         raw=scale_on_train(raw_dm, raw_train),
+        probs=probs,
         train_idx=train_idx,
         test_idx=test_idx,
         raw_train=raw_train,
         raw_test=raw_test,
-        step1_seed=step1_seed,
-        step1_model=step1_model,
-        probs=probs,
     )
 
 
 def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoStepConfig) -> PipelineResult:
-    """Step 1: gaze -> segment probabilities. Step 2: direction LSTM on the chosen setup."""
+    """Step 1: gaze -> segment probabilities, scored as step 2 reads them. Step 2: direction LSTM on the setup."""
     state = _prepare_shape(records, shape, cfg)
-    step1_metrics = evaluate(
-        state.step1_model.predict(state.gaze.values[state.test_idx]),
-        state.gaze.segment[state.test_idx],
-        SEGMENT_COUNT,
-    )
+    test_idx = state.test_idx
+    step1_metrics = evaluate(np.argmax(state.probs[test_idx], axis=1), state.gaze.segment[test_idx], SEGMENT_COUNT)
 
     lstm_seed = derive_seed(cfg.seed, "step2", shape.value, cfg.direction_setup.value)
     step2_metrics = fit_eval("LSTM", "direction", *state.setup_matrix(cfg.direction_setup), cfg.train, lstm_seed)
@@ -418,7 +416,7 @@ def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoSte
         step1=step1_metrics,
         step2=step2_metrics,
         direction_setup=cfg.direction_setup,
-        seeds={"root": cfg.seed, "step1": state.step1_seed, "step2": lstm_seed},
+        seeds={"root": cfg.seed, "step1": _step1_seed(cfg, shape), "step2": lstm_seed},
         config_hash=config_hash(doc),
     )
 
@@ -471,9 +469,9 @@ def _grid_shape(records: list[ParticipantRecord], shape: TaskShape, cfg: GridCon
     """The cells of one shape, and its random-guess entries {(step, shape value): accuracy %}."""
     cells: list[CellResult] = []
     random_guess: dict = {}
-    # segment setups (D1, D2, D3, D5) never read the step-1 probabilities
-    state = _prepare_shape(records, shape, cfg, step1=cfg.steps != "segment")
     steps = tuple(_STEPS) if cfg.steps == "all" else (cfg.steps,)
+    reads_probs = any("probs" in SETUP_PARTS[setup] for step in steps for setup in _STEPS[step][1])
+    state = _prepare_shape(records, shape, cfg, step1=reads_probs)
     for step in steps:
         model_names, setups, num_classes = _STEPS[step]
         # the chance level of the window rows that D2..D8 are scored on
@@ -673,6 +671,14 @@ def report_text(report: GridReport | None, two_step: list[PipelineResult]) -> st
     return render_text(report) + "== two-step pipeline ==\n" + "\n".join(lines) + "\n"
 
 
+def write_output(path, text: str) -> None:
+    """Write one output file as UTF-8; a path that cannot be written is an IoError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def write_run_outputs(
     outdir,
     report: GridReport | None,
@@ -683,13 +689,11 @@ def write_run_outputs(
     """Write report.txt, report.csv, run.json (provenance and every confusion matrix), and notes."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.txt").write_text(report_text(report, two_step), encoding="utf-8")
-
-    if report is not None:
-        (outdir / "report.csv").write_text(render_csv(report), encoding="utf-8")
+    write_output(outdir / "report.txt", report_text(report, two_step))
 
     meta = dict(run_meta)
     if report is not None:
+        write_output(outdir / "report.csv", render_csv(report))
         meta["grid_config_hash"] = report.config_hash
         meta["cells"] = [
             {
@@ -715,10 +719,8 @@ def write_run_outputs(
         }
         for r in two_step
     ]
-    (outdir / "run.json").write_text(json.dumps(meta, indent=2, default=str), encoding="utf-8")
+    write_output(outdir / "run.json", json.dumps(meta, indent=2, default=str))
 
     if reference_notes:
-        (outdir / "reference_checks.txt").write_text(
-            "informational ordering checks (never gating):\n" + "\n".join(reference_notes) + "\n",
-            encoding="utf-8",
-        )
+        notes = ["informational ordering checks (never gating):", *reference_notes]
+        write_output(outdir / "reference_checks.txt", "\n".join(notes) + "\n")

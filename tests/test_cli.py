@@ -456,6 +456,20 @@ class TestRunCommand:
             (tmp_path / "run.json").write_text(json.dumps({"two_step": [TWO_STEP_ENTRY]}))
             assert main(["report", "--out", str(tmp_path)]) == 0
 
+
+@pytest.mark.parametrize("command", ["report", "run"])
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    (out / "report.txt").mkdir(parents=True)
+    if command == "report":
+        (out / "run.json").write_text(json.dumps({"two_step": [TWO_STEP_ENTRY]}))
+        argv = ["report"]
+    else:
+        argv = ["run", "--synthetic", "--participants", "4", "--shape", "diamond", "--config", write_config(tmp_path)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[IoError]: cannot write {out / 'report.txt'}: ")
+
+
 class TestShapesSideBySide:
     """`run` on one usable core (serial) and on two (the second shape in a forked worker)."""
 

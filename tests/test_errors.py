@@ -41,6 +41,12 @@ def _one_sample_span_7():
     return segment_trace(ResistanceTrace("p0", TaskShape.DIAMOND, times[keep], np.ones(keep.sum())), times[::10])
 
 
+def _two_rows():
+    """A labeled two-row matrix of one column."""
+    labels = np.zeros(2), np.zeros(2), np.array(["p0"] * 2), np.array([2, 3]), TaskShape.DIAMOND
+    return DataMatrix(np.ones((2, 1)), *labels)
+
+
 def _table_without_all_but_its_first_cell():
     cell = CellResult("segment", "diamond", "NN", "D1", Metrics(50.0, 0.5, np.eye(4, dtype=int)), 0, 0.0)
     return render_text(GridReport(cells=[cell], random_guess={}, root_seed=1, config_hash="x"))
@@ -90,13 +96,11 @@ RETIRED = {
         BadArgument, lambda path: apply_scaler(fit_scaler(np.ones((2, 3))), np.ones((2, 2))),
         "scaler fitted on 3 columns, got 2",
     ),
-    "MissingPart": (BadArgument, lambda path: assemble_setup(SetupId.D1), "setup D1 requires missing part 'raw'"),
+    "MissingPart": (
+        BadArgument, lambda path: assemble_setup(SetupId.D1, _two_rows(), {}), "setup D1 requires missing part 'raw'"
+    ),
     "RowCountMismatch": (
-        BadArgument,
-        lambda path: DataMatrix(
-            np.ones((2, 1)), np.zeros(2), np.zeros(2), np.array(["p0"] * 2), np.array([2, 3]), TaskShape.DIAMOND
-        ).with_values(np.ones((3, 1))),
-        "3 value rows for 2 labels",
+        BadArgument, lambda path: _two_rows().with_values(np.ones((3, 1))), "3 value rows for 2 labels"
     ),
     "ShapeMismatch": (
         BadArgument,

@@ -229,36 +229,41 @@ class TestAssembly:
         self.gaze = _labeled(rng.normal(size=(624, 24)))
         self.probs = rng.dirichlet(np.ones(4), size=624)
         self.raw = _labeled(rng.normal(size=(640, 1)))
+        self.parts = {"features": self.features.values, "gaze": self.gaze.values, "probs": self.probs}
 
     def test_widths_match_design(self):
         widths = {"D1": 1, "D2": 11, "D3": 24, "D4": 4, "D5": 35, "D6": 15, "D7": 28, "D8": 39}
         for setup in SetupId:
-            dm = assemble_setup(
-                setup, features=self.features, gaze=self.gaze, probs=self.probs, raw=self.raw
-            )
-            rows = 640 if setup is SetupId.D1 else 624
-            assert dm.values.shape == (rows, widths[setup.value])
+            rows = self.raw if setup is SetupId.D1 else self.features
+            dm = assemble_setup(setup, rows, self.parts | {"raw": self.raw.values})
+            assert dm.values.shape == (640 if setup is SetupId.D1 else 624, widths[setup.value])
 
     def test_concatenation_order(self):
-        dm = assemble_setup(SetupId.D8, features=self.features, gaze=self.gaze, probs=self.probs)
+        dm = assemble_setup(SetupId.D8, self.features, self.parts)
         np.testing.assert_array_equal(dm.values[:, :11], self.features.values)
         np.testing.assert_array_equal(dm.values[:, 11:35], self.gaze.values)
         np.testing.assert_array_equal(dm.values[:, 35:], self.probs)
 
     def test_missing_part(self):
         with pytest.raises(BadArgument, match="^setup D6 requires missing part 'probs'$"):
-            assemble_setup(SetupId.D6, features=self.features, probs=None)
+            assemble_setup(SetupId.D6, self.features, {"features": self.features.values, "probs": None})
         with pytest.raises(BadArgument, match="^setup D1 requires missing part 'raw'$"):
-            assemble_setup(SetupId.D1, raw=None)
+            assemble_setup(SetupId.D1, self.raw, self.parts)
 
     def test_row_count_mismatch(self):
-        with pytest.raises(BadArgument, match="inconsistent row counts"):
-            assemble_setup(SetupId.D5, features=self.features, gaze=_labeled(np.ones((100, 24))))
+        with pytest.raises(BadArgument, match=r"^setup D5: inconsistent row counts \[100, 624\]$"):
+            assemble_setup(SetupId.D5, self.features, self.parts | {"gaze": np.ones((100, 24))})
 
     def test_labels_carried_through(self):
-        dm = assemble_setup(SetupId.D6, features=self.features, probs=self.probs)
-        np.testing.assert_array_equal(dm.segment, self.features.segment)
-        np.testing.assert_array_equal(dm.hit, self.features.hit)
+        rows = _labeled(self.features.values)
+        rows.segment = np.arange(624) % 4
+        rows.direction = np.arange(624) % 2
+        rows.participant = np.array([f"p{i % 16:02d}" for i in range(624)], dtype=object)
+        for setup in SetupId:
+            dm = assemble_setup(setup, rows, self.parts | {"raw": self.features.values[:, :1]})
+            for column in ("segment", "direction", "participant", "hit"):
+                np.testing.assert_array_equal(getattr(dm, column), getattr(rows, column))
+            assert dm.shape is rows.shape
 
 
 def test_export_features_csv_header(tmp_path):

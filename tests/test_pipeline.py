@@ -29,6 +29,7 @@ from intent_bench.pipeline import (
     RunConfig,
     TrainParams,
     TwoStepConfig,
+    _prepare_shape,
     evaluate,
     format_cell,
     map_shapes,
@@ -175,8 +176,6 @@ class TestTwoStep:
         np.testing.assert_array_equal(r1.step1.confusion, r2.step1.confusion)
 
     def test_probs_are_simplex(self, cohort4):
-        from intent_bench.pipeline import _prepare_shape
-
         state = _prepare_shape(cohort4, TaskShape.CIRCLE, TwoStepConfig(seed=5, train=FAST))
         probs = state.probs
         assert probs.shape == (156, 4)
@@ -185,6 +184,27 @@ class TestTwoStep:
     def test_alternate_setup(self, cohort4):
         res = run_two_step(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=5, train=FAST, direction_setup=SetupId.D8))
         assert res.direction_setup is SetupId.D8
+
+    def test_step1_is_scored_on_the_probabilities_step2_reads(self, cohort4):
+        cfg = TwoStepConfig(seed=5, train=FAST)
+        state = _prepare_shape(cohort4, TaskShape.CIRCLE, cfg)
+        result = run_two_step(cohort4, TaskShape.CIRCLE, cfg)
+        d4, _train_idx, test_idx = state.setup_matrix(SetupId.D4)
+        np.testing.assert_array_equal(d4.values, state.probs)
+        want = evaluate(np.argmax(state.probs[test_idx], axis=1), state.gaze.segment[test_idx], 4)
+        np.testing.assert_array_equal(result.step1.confusion, want.confusion)
+
+    def test_d1_lies_on_the_hit_rows_and_the_rest_on_the_window_rows(self, cohort4):
+        state = _prepare_shape(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=5, train=FAST))
+        for setup in SetupId:
+            dm, train_idx, test_idx = state.setup_matrix(setup)
+            on_hits = setup is SetupId.D1
+            # 40 hit rows per participant, in participant order; the windows end on hits 2..40
+            np.testing.assert_array_equal(dm.hit, np.tile(np.arange(1 if on_hits else 2, 41), 4))
+            np.testing.assert_array_equal(train_idx, state.raw_train if on_hits else state.train_idx)
+            np.testing.assert_array_equal(test_idx, state.raw_test if on_hits else state.test_idx)
+            assert (train_idx.size, test_idx.size) == ((128, 32) if on_hits else (124, 32))
+            np.testing.assert_array_equal(np.sort(np.concatenate([train_idx, test_idx])), np.arange(dm.n_rows))
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +304,20 @@ class TestShapeWorker:
         assert multiprocessing.active_children() == []
 
 
+@pytest.fixture
+def mlp_fits(monkeypatch):
+    """A list that grows by one at each `pipeline.train_mlp` call made in this process."""
+    calls = []
+    original = pipeline.train_mlp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_mlp", counting)
+    return calls
+
+
 class TestGrid:
     def test_segment_cell_count(self, segment_report):
         assert len(segment_report.cells) == 16  # 4 models x 4 setups x 1 shape
@@ -293,18 +327,15 @@ class TestGrid:
         seeds = [c.seed for c in segment_report.cells]
         assert len(set(seeds)) == len(seeds)
 
-    def test_segment_grid_trains_mlp_for_nn_cells_only(self, cohort4, monkeypatch, cores):
-        calls = []
-        original = pipeline.train_mlp
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "train_mlp", counting)
+    def test_segment_grid_trains_mlp_for_nn_cells_only(self, cohort4, mlp_fits, cores):
         cores(1)  # serial: the counting wrapper sees only the calls made in this process
         run_grid(cohort4, GridConfig(seed=3, steps="segment", train=FAST))
-        assert len(calls) == 8  # NN x D1/D2/D3/D5 per shape; no setup reads step-1 probabilities
+        assert len(mlp_fits) == 8  # NN x D1/D2/D3/D5 per shape; no setup reads step-1 probabilities
+
+    def test_direction_grid_trains_the_step1_mlp_once_per_shape(self, cohort4, mlp_fits, cores):
+        cores(1)
+        run_grid(cohort4, GridConfig(seed=3, steps="direction", train=FAST))
+        assert len(mlp_fits) == 2  # no direction model is an MLP; D4 and D6..D8 share each shape's step-1 fit
 
     def test_grid_determinism(self, cohort4, segment_report):
         again = run_grid(cohort4, GridConfig(seed=3, steps="segment", shapes=(TaskShape.DIAMOND,), train=FAST))

@@ -500,11 +500,14 @@ def load_participants_csv(path) -> dict[str, Direction]:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write one UTF-8 CSV file: the header, then each of `rows`."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        w = csv.writer(handle)
-        w.writerow(header)
-        w.writerows(rows)
+    """Write one UTF-8 CSV file: the header, then each of `rows`; a path that cannot be written is an IoError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            w = csv.writer(handle)
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_dataset_csvs(

@@ -58,21 +58,34 @@ def _float32(a: np.ndarray) -> np.ndarray:
 
 
 def _adam_fit(
-    rng: np.random.Generator, params: nn.Params, cfg, loss_grad, *arrays: np.ndarray,
-    l2: float = 0.0, decay_masks: dict | None = None,
+    rng: np.random.Generator, params: nn.Params, cfg, loss_grad, *arrays: np.ndarray, decay: dict | None = None,
 ) -> nn.Params:
     """Seeded mini-batch Adam over the rows of `arrays`; `loss_grad(params, *batch)` scores one batch.
 
-    Training runs in float32: the parameters, the float arrays and the decay
-    masks are cast here once, and the `nn` kernels keep that dtype.
+    Training runs in float32. The parameters are packed once, in sorted-name
+    order, into one flat vector, and `loss_grad` gets them as views into it;
+    each batch's gradients are concatenated in the same order, and `decay`
+    (name -> per-element L2 coefficient) is packed once, zero where it names no
+    tensor. `nn.adam_step` updates the vector in place. The float arrays are
+    cast once; the `nn` kernels keep that dtype.
     """
-    params = {name: _float32(p) for name, p in params.items()}
-    if decay_masks is not None:
-        decay_masks = {name: _float32(m) for name, m in decay_masks.items()}
+    names = sorted(params)
+
+    def pack(arrays: dict) -> np.ndarray:
+        return np.concatenate([np.asarray(arrays[name], dtype=np.float32).reshape(-1) for name in names])
+
+    theta = pack(params)
+    ends = np.cumsum([params[name].size for name in names])
+    views = {name: part.reshape(params[name].shape) for name, part in zip(names, np.split(theta, ends[:-1]))}
+    if decay is not None:
+        decay = pack({name: decay.get(name, np.zeros(params[name].shape)) for name in names})
+    grad = np.empty_like(theta)
     state = nn.AdamState(alpha=cfg.lr)
     for batch in _batches(rng, cfg.epochs, cfg.batch_size, *map(_float32, arrays)):
-        params = nn.adam_step(state, params, loss_grad(params, *batch)[1], l2=l2, decay_masks=decay_masks)
-    return params
+        grads = loss_grad(views, *batch)[1]
+        np.concatenate([grads[name].reshape(-1) for name in names], out=grad)
+        nn.adam_step(state, theta, grad, decay)
+    return views
 
 
 # --- segment MLP ------------------------------------------------------------
@@ -258,7 +271,8 @@ def lstm_loss_grad(params: nn.Params, cfg: LstmConfig, x: np.ndarray, y: np.ndar
         _inputs, hs, layer_caches = caches[layer]
         if layer < len(cells) - 1:
             d_stream = d_stream * (hs > 0)  # inter-layer ReLU
-        d_stream, d_w, d_b = nn.lstm_sequence_backward(cells[layer], layer_caches, d_stream)
+        # layer 0's input gradient would be thrown away, so it is not computed
+        d_stream, d_w, d_b = nn.lstm_sequence_backward(cells[layer], layer_caches, d_stream, input_grad=layer > 0)
         grads[f"lstm{layer}_w"] = d_w
         grads[f"lstm{layer}_b"] = d_b
     return loss, grads
@@ -286,22 +300,21 @@ class LstmModel:
         return sum(arr.size for arr in self.params.values())
 
 
-def _decay_masks(params: nn.Params, cfg: LstmConfig) -> dict:
-    """L2 decay targets: input-kernel columns of each gate matrix plus the head kernel.
+def _decay(params: nn.Params, cfg: LstmConfig) -> dict:
+    """Per-element L2 coefficients: cfg.l2 on the input-kernel columns of each gate matrix and on the head kernel.
 
     Recurrent columns and biases stay decay-free so the recurrent dynamics are
     not flattened by the optimizer before the temporal signal produces
     gradients (matching the usual kernel-only regularizer semantics).
     """
-    masks = {}
+    decay = {}
     for layer in range(cfg.hidden_layers):
         name = f"lstm{layer}_w"
         width = cfg.input_width if layer == 0 else cfg.hidden_size
-        mask = np.zeros_like(params[name])
-        mask[:, :width] = 1.0
-        masks[name] = mask
-    masks["head_w"] = np.ones_like(params["head_w"])
-    return masks
+        decay[name] = np.zeros_like(params[name])
+        decay[name][:, :width] = cfg.l2
+    decay["head_w"] = np.full_like(params["head_w"], cfg.l2)
+    return decay
 
 
 def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
@@ -318,7 +331,7 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
     params = lstm_init(rng, cfg)
     params = _adam_fit(
         rng, params, cfg, lambda p, *batch: lstm_loss_grad(p, cfg, *batch), x[train], y[train],
-        l2=cfg.l2, decay_masks=_decay_masks(params, cfg),
+        decay=_decay(params, cfg) if cfg.l2 > 0 else None,
     )
     return LstmModel(params=params, cfg=cfg)
 

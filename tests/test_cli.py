@@ -470,6 +470,18 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith(f"error[IoError]: cannot write {out / 'report.txt'}: ")
 
 
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [(["synth", "--participants", "2"], "hits.csv"), (["features", "--synthetic", "--participants", "2"], "features_diamond.csv")],
+    ids=["synth", "features"],
+)
+def test_a_data_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[IoError]: cannot write {out / blocked}: ")
+
+
 class TestShapesSideBySide:
     """`run` on one usable core (serial) and on two (the second shape in a forked worker)."""
 

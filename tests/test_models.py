@@ -13,6 +13,7 @@ from intent_bench.models import (
     MlpModel,
     SequenceData,
     _batches,
+    _decay,
     lstm_init,
     lstm_loss_grad,
     lstm_rows,
@@ -180,14 +181,13 @@ class TestDtype:
 
     @staticmethod
     def _spy_adam(monkeypatch):
-        """Record the dtypes of every Adam step's parameters, gradients, decay masks and moments."""
+        """Record, per Adam step, the dtypes of the parameters, gradients, decay and moments, and whether a decay came."""
         seen, real_step = [], nn.adam_step
 
-        def step(state, params, grads, l2=0.0, decay_masks=None):
-            out = real_step(state, params, grads, l2=l2, decay_masks=decay_masks)
-            tensors = (params, grads, decay_masks or {}, state.m, state.v, out)
-            seen.append({a.dtype for arrays in tensors for a in arrays.values()})
-            return out
+        def step(state, theta, grad, decay=None):
+            real_step(state, theta, grad, decay)
+            arrays = (theta, grad, state.moments) + (() if decay is None else (decay,))
+            seen.append(({a.dtype for a in arrays}, decay is not None))
 
         monkeypatch.setattr(nn, "adam_step", step)
         return seen
@@ -196,9 +196,11 @@ class TestDtype:
         seen = self._spy_adam(monkeypatch)
         x, y = four_blobs(rows=64)
         mlp = train_mlp(x, y, MlpConfig(input_width=24, epochs=1, seed=0))
+        mlp_steps = len(seen)
         _dm, seqs = _setup_sequences(diamond_state, SetupId.D2)
         lstm = train_lstm(seqs, LstmConfig(input_width=11, hidden_size=8, epochs=1, seed=0))
-        assert len(seen) > 2 and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+        assert 0 < mlp_steps < len(seen) and all(dtypes == {np.dtype(np.float32)} for dtypes, _ in seen)
+        assert [decayed for _, decayed in seen] == [False] * mlp_steps + [True] * (len(seen) - mlp_steps)
         for model, x_pred in ((mlp, x), (lstm, seqs[0].x[None, :5])):
             assert {p.dtype for p in model.params.values()} == {np.dtype(np.float32)}
             assert model.predict_proba(x_pred).dtype == np.float64
@@ -213,11 +215,11 @@ class TestDtype:
         _, mlp_grads = mlp_loss_grad(mlp_params, rows.astype(dtype), labels)
         for got in (grads, mlp_grads):
             assert {g.dtype for g in got.values()} == {np.dtype(dtype)}
+        theta = np.concatenate([params[name].reshape(-1) for name in sorted(params)])
+        grad = np.concatenate([grads[name].reshape(-1) for name in sorted(params)])
         state = nn.AdamState()
-        masks = {name: np.ones_like(p) for name, p in params.items()}
-        out = nn.adam_step(state, params, grads, l2=0.01, decay_masks=masks)
-        for arrays in (out, state.m, state.v):
-            assert {a.dtype for a in arrays.values()} == {np.dtype(dtype)}
+        nn.adam_step(state, theta, grad, np.full_like(theta, 0.01))
+        assert theta.dtype == state.moments.dtype == dtype
 
     @pytest.mark.parametrize("seed", range(10))
     def test_float32_gradients_match_float64(self, seed):
@@ -233,6 +235,69 @@ class TestDtype:
                                 x.astype(np.float64), y)
         for name, want in g64.items():
             assert np.max(np.abs(g32[name] - want)) / np.max(np.abs(want)) <= 1e-5, name
+
+
+def per_tensor_adam(rng, params, cfg, loss_grad, *arrays, decay=None):
+    """Mini-batch Adam written out tensor by tensor, out of place, on float32 copies of everything."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    as32 = [a.astype(np.float32) if a.dtype.kind == "f" else a for a in arrays]
+    params = {name: p.astype(np.float32) for name, p in params.items()}
+    decay = {name: d.astype(np.float32) for name, d in (decay or {}).items()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    for t, batch in enumerate(_batches(rng, cfg.epochs, cfg.batch_size, *as32), start=1):
+        grads = loss_grad(params, *batch)[1]
+        new = {}
+        for name in sorted(params):
+            g = grads[name] + decay[name] * params[name] if name in decay else grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+            m_hat = m[name] / (1.0 - b1**t)
+            v_hat = v[name] / (1.0 - b2**t)
+            new[name] = params[name] - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+        params = new
+    return params
+
+
+class TestAdamFit:
+    """`_adam_fit` trains one flat float32 vector in place; the weights keep the per-tensor rule's bits."""
+
+    def test_mlp_fit_gives_the_bits_of_per_tensor_adam(self):
+        x, y = four_blobs(rows=70)  # batches of 32, 32 and 6
+        cfg = MlpConfig(input_width=24, epochs=3, seed=4)
+        model = train_mlp(x, y, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        want = per_tensor_adam(rng, mlp_init(rng, cfg), cfg, mlp_loss_grad, x, y)
+        assert sorted(model.params) == sorted(want)
+        for name, w in want.items():
+            np.testing.assert_array_equal(model.params[name], w, err_msg=name)
+
+    def test_lstm_fit_with_l2_gives_the_bits_of_per_tensor_adam(self):
+        rng = np.random.default_rng(8)
+        seq = SequenceData(x=rng.normal(size=(44, 6)), labels=rng.integers(0, 2, size=44),
+                           train_mask=np.ones(44, dtype=bool))
+        cfg = LstmConfig(input_width=6, hidden_size=8, epochs=3, l2=0.05, seed=2)
+        model = train_lstm([seq], cfg)
+        x, y, _ = lstm_rows([seq], cfg)  # 40 windows: batches of 32 and 8
+        rng = np.random.default_rng(cfg.seed)
+        params = lstm_init(rng, cfg)
+        decay = _decay(params, cfg)
+        assert sorted(decay) == ["head_w", "lstm0_w", "lstm1_w"]
+        want = per_tensor_adam(rng, params, cfg, lambda p, *batch: lstm_loss_grad(p, cfg, *batch), x, y, decay=decay)
+        for name, w in want.items():
+            np.testing.assert_array_equal(model.params[name], w, err_msg=name)
+        # the decay reached the input columns: without it the weights differ
+        rng = np.random.default_rng(cfg.seed)
+        plain = per_tensor_adam(rng, lstm_init(rng, cfg), cfg, lambda p, *batch: lstm_loss_grad(p, cfg, *batch), x, y)
+        assert not np.array_equal(plain["lstm0_w"], want["lstm0_w"])
+
+    def test_the_parameters_are_views_into_one_vector(self):
+        x, y = four_blobs(rows=40)
+        params = train_mlp(x, y, MlpConfig(input_width=24, epochs=1, seed=0)).params
+        base = params["w1"].base
+        assert base is not None and base.ndim == 1 and base.dtype == np.float32
+        assert all(p.base is base for p in params.values())
+        assert base.size == sum(p.size for p in params.values())
 
 
 def two_blobs(seed=0, rows=200):

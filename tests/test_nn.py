@@ -73,9 +73,9 @@ class TestLstmCell:
         return nn.LstmCell(w_gates=np.zeros((4 * hidden, n_in + hidden)), b_gates=np.zeros(4 * hidden))
 
     def test_zero_weights_zero_state(self):
-        hs, (_, _, _, cs) = nn.lstm_sequence_forward(self._zero_cell(), np.ones((2, 4, 3)))
+        hs, cache = nn.lstm_sequence_forward(self._zero_cell(), np.ones((2, 4, 3)))
         np.testing.assert_array_equal(hs, np.zeros((2, 4, 4)))
-        np.testing.assert_array_equal(cs, np.zeros((2, 5, 4)))
+        np.testing.assert_array_equal(cache.c, np.zeros((5, 4, 2)))  # (T + 1, H, B) cell states
 
     def test_saturated_forget_gate_preserves_cell(self):
         hidden = 4
@@ -84,9 +84,10 @@ class TestLstmCell:
         cell.w_gates[3 * hidden :, 0] = [0.3, -0.5, 0.8, 0.1]  # candidate reads x[0]
         x = np.zeros((1, 6, 3))
         x[0, 0] = 1.0  # the candidate input writes the cell once, then goes to 0
-        hs, (_, _, _, cs) = nn.lstm_sequence_forward(cell, x)
-        assert np.all(cs[0, 1] != 0.0)
-        np.testing.assert_allclose(cs[0, 2:], np.broadcast_to(cs[0, 1], (5, hidden)), rtol=1e-9)
+        hs, cache = nn.lstm_sequence_forward(cell, x)
+        cs = cache.c[:, :, 0]  # (T + 1, H) of the one sequence
+        assert np.all(cs[1] != 0.0)
+        np.testing.assert_allclose(cs[2:], np.broadcast_to(cs[1], (5, hidden)), rtol=1e-9)
         np.testing.assert_allclose(hs[0, 1:], np.broadcast_to(hs[0, 0], (5, hidden)), rtol=1e-9)
 
     def test_hidden_bounded(self):
@@ -124,70 +125,133 @@ class TestLstmReference:
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
 
 
+def batch_major_forward(cell, x):
+    """The layer's forward pass in batch-major order, one step at a time: gates (B, T, 4H), states (B, T + 1, H)."""
+    batch, steps, n_in = x.shape
+    hidden = cell.hidden_size
+    gates = (x.reshape(-1, n_in) @ cell.w_gates[:, :n_in].T + cell.b_gates).reshape(batch, steps, 4 * hidden)
+    hs = np.zeros((batch, steps + 1, hidden))
+    cs = np.zeros_like(hs)
+    for t in range(steps):
+        acts = gates[:, t]
+        acts += hs[:, t] @ cell.w_gates[:, n_in:].T
+        acts[:, : 3 * hidden] = 0.5 * (1.0 + np.tanh(acts[:, : 3 * hidden] / 2.0))
+        acts[:, 3 * hidden :] = np.tanh(acts[:, 3 * hidden :])
+        i, f, o, g = acts.reshape(batch, 4, hidden).swapaxes(0, 1)
+        cs[:, t + 1] = f * cs[:, t] + i * g
+        hs[:, t + 1] = o * np.tanh(cs[:, t + 1])
+    return hs[:, 1:]
+
+
+class TestFeatureMajorLayout:
+    """The kernels work on (T, 4H, B) gates; the (B, T, ...) shapes they take and give stay as they were."""
+
+    @pytest.mark.parametrize("n_in", [15, 19, 50])
+    def test_float64_forward_gives_the_bits_of_the_batch_major_order(self, n_in):
+        """At the training batch of 32 windows of 5 steps, each product sums the same terms as the
+        batch-major one, and the in-place sigmoid 0.5*tanh(0.5a)+0.5 rounds as 0.5*(1+tanh(a/2))."""
+        rng = np.random.default_rng(n_in)
+        cell = nn.LstmCell.init(rng, n_in, 50)
+        cell.b_gates[:] = rng.normal(size=200)
+        x = rng.normal(size=(32, 5, n_in)) * 3.0
+        hs, _ = nn.lstm_sequence_forward(cell, x)
+        assert hs.shape == (32, 5, 50)
+        np.testing.assert_array_equal(hs, batch_major_forward(cell, x))
+
+    def test_hidden_states_are_a_view_the_next_layer_reads_in_its_own_layout(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(8, 5, 3))
+        hs, cache = nn.lstm_sequence_forward(nn.LstmCell.init(rng, 3, 4), x)
+        assert np.shares_memory(hs, cache.h)
+        _, upper = nn.lstm_sequence_forward(nn.LstmCell.init(rng, 4, 4), nn.relu(hs))
+        assert upper.x.shape == (5, 4, 8) and upper.x.flags.c_contiguous
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_without_the_input_gradient_gives_the_same_weight_gradients(self, dtype):
+        rng = np.random.default_rng(2)
+        cell = nn.LstmCell.init(rng, 15, 50)
+        cell = nn.LstmCell(cell.w_gates.astype(dtype), cell.b_gates.astype(dtype))
+        hs, cache = nn.lstm_sequence_forward(cell, rng.normal(size=(32, 5, 15)).astype(dtype))
+        d_hs = rng.normal(size=hs.shape).astype(dtype)
+        d_x, d_w, d_b = nn.lstm_sequence_backward(cell, cache, d_hs)
+        assert d_x.shape == (32, 5, 15)
+        skipped, d_w_alone, d_b_alone = nn.lstm_sequence_backward(cell, cache, d_hs, input_grad=False)
+        assert skipped is None
+        np.testing.assert_array_equal(d_w_alone, d_w)
+        np.testing.assert_array_equal(d_b_alone, d_b)
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
-        state = nn.AdamState()
-        params = {"w": np.array([1.0, -2.0])}
-        out = nn.adam_step(state, params, {"w": np.zeros(2)})
-        np.testing.assert_array_equal(out["w"], params["w"])
+        theta = np.array([1.0, -2.0])
+        nn.adam_step(nn.AdamState(), theta, np.zeros(2))
+        np.testing.assert_array_equal(theta, [1.0, -2.0])
 
     def test_first_step_is_signed_learning_rate(self):
-        state = nn.AdamState()
-        out = nn.adam_step(state, {"w": np.array([0.5])}, {"w": np.array([3.0])})
-        assert out["w"][0] == pytest.approx(0.5 - 0.001, abs=1e-6)
+        theta = np.array([0.5])
+        nn.adam_step(nn.AdamState(), theta, np.array([3.0]))
+        assert theta[0] == pytest.approx(0.5 - 0.001, abs=1e-6)
 
     def test_deterministic_from_snapshot(self):
-        params = {"w": np.array([1.0, 2.0])}
-        grads = {"w": np.array([0.3, -0.7])}
-        s1 = nn.AdamState(t=3, m={"w": np.array([0.1, 0.1])}, v={"w": np.array([0.2, 0.2])})
+        thetas = [np.array([1.0, 2.0]), np.array([1.0, 2.0])]
+        grad = np.array([0.3, -0.7])
+        s1 = nn.AdamState(t=3, moments=np.array([[0.1, 0.1], [0.2, 0.2]]))
         s2 = copy.deepcopy(s1)
-        decay = {"w": np.ones(2)}
-        out1 = nn.adam_step(s1, params, grads, l2=0.01, decay_masks=decay)
-        out2 = nn.adam_step(s2, params, grads, l2=0.01, decay_masks=decay)
-        np.testing.assert_array_equal(out1["w"], out2["w"])
+        decay = np.full(2, 0.01)
+        nn.adam_step(s1, thetas[0], grad, decay)
+        nn.adam_step(s2, thetas[1], grad, decay)
+        np.testing.assert_array_equal(thetas[0], thetas[1])
+        np.testing.assert_array_equal(s1.moments, s2.moments)
 
     def test_decay_mask_limits_l2(self):
-        params = {"w": np.array([[1.0, 1.0]])}
-        grads = {"w": np.zeros((1, 2))}
-        mask = {"w": np.array([[1.0, 0.0]])}
-        out = nn.adam_step(nn.AdamState(), params, grads, l2=0.5, decay_masks=mask)
-        assert out["w"][0, 0] < 1.0  # decayed
-        assert out["w"][0, 1] == 1.0  # masked out
+        theta = np.array([1.0, 1.0])
+        nn.adam_step(nn.AdamState(), theta, np.zeros(2), np.array([0.5, 0.0]))
+        assert theta[0] < 1.0  # decayed
+        assert theta[1] == 1.0  # no decay coefficient
 
     def test_shape_mismatch(self):
         with pytest.raises(BadArgument, match="^gradient shape"):
-            nn.adam_step(nn.AdamState(), {"w": np.zeros(2)}, {"w": np.zeros(3)})
+            nn.adam_step(nn.AdamState(), np.zeros(2), np.zeros(3))
+        with pytest.raises(BadArgument, match="^gradient shape .* of a flat vector$"):
+            nn.adam_step(nn.AdamState(), np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_in_place_update_gives_the_bits_of_the_written_out_rule(self):
-        # the out-of-place rule, written out per step, at the shapes of a 2-layer LSTM with a masked decay
+        # the out-of-place rule, written out per tensor and step, at the shapes of a 2-layer LSTM with a
+        # masked decay; the kernel runs on the tensors packed in sorted-name order into one vector
         b1, b2, eps, alpha, l2 = 0.9, 0.999, 1e-8, 0.001, 0.01
         rng = np.random.default_rng(5)
         shapes = {"layer0_w": (200, 65), "layer0_b": (200,), "layer1_w": (200, 100), "head_w": (2, 50)}
+        names = sorted(shapes)
         masks = {name: (rng.random(s) < 0.5).astype(float) for name, s in shapes.items() if name.endswith("_w")}
         params = {name: rng.normal(size=s) for name, s in shapes.items()}
+
+        def pack(arrays):
+            return np.concatenate([arrays[name].reshape(-1) for name in names])
+
+        theta = pack(params)
+        decay = pack({name: l2 * masks[name] if name in masks else np.zeros(shapes[name]) for name in names})
+        decay_seen = decay.copy()
         want = dict(params)
         want_m = {name: np.zeros(s) for name, s in shapes.items()}
         want_v = {name: np.zeros(s) for name, s in shapes.items()}
         state = nn.AdamState(alpha=alpha)
         for t in range(1, 201):
             grads = {name: rng.normal(size=s) for name, s in shapes.items()}
-            seen = {name: (params[name].copy(), grads[name].copy()) for name in shapes}
-            new = nn.adam_step(state, params, grads, l2=l2, decay_masks=masks)
-            for name in shapes:  # neither input is written to
-                np.testing.assert_array_equal(params[name], seen[name][0])
-                np.testing.assert_array_equal(grads[name], seen[name][1])
-            for name in sorted(shapes):
+            grad = pack(grads)
+            grad_seen = grad.copy()
+            nn.adam_step(state, theta, grad, decay)
+            np.testing.assert_array_equal(grad, grad_seen)  # neither input is written to
+            np.testing.assert_array_equal(decay, decay_seen)
+            for name in names:
                 g = grads[name] + l2 * masks[name] * want[name] if name in masks else grads[name]
                 want_m[name] = b1 * want_m[name] + (1.0 - b1) * g
                 want_v[name] = b2 * want_v[name] + (1.0 - b2) * (g * g)
                 m_hat = want_m[name] / (1.0 - b1**t)
                 v_hat = want_v[name] / (1.0 - b2**t)
                 want[name] = want[name] - alpha * m_hat / (np.sqrt(v_hat) + eps)
-            params = new
-        for name in shapes:
-            np.testing.assert_array_equal(params[name], want[name])
-            np.testing.assert_array_equal(state.m[name], want_m[name])
-            np.testing.assert_array_equal(state.v[name], want_v[name])
+        assert state.t == 200
+        np.testing.assert_array_equal(theta, pack(want))
+        np.testing.assert_array_equal(state.moments, [pack(want_m), pack(want_v)])
 
 
 class TestGradCheck:

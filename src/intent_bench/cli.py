@@ -199,20 +199,21 @@ def cmd_run(cfg) -> int:
     ts_cfg, grid_cfg = _run_configs(cfg, shapes)
     records = _load_records(cfg)
 
-    two_step_results = []
-    if cfg["run.two_step"]:
-        two_step = partial(pipeline.run_two_step, records, cfg=ts_cfg)
-        two_step_results = pipeline.map_shapes(two_step, shapes)
-        for result in two_step_results:
-            print(
-                f"two-step {result.shape.value}: step-1 {pipeline.format_cell(result.step1)} | "
-                f"step-2 {pipeline.format_cell(result.step2)} on {ts_cfg.direction_setup.value}"
-            )
+    # one pass over the shapes: each is prepared once, and its two-step result read off the grid's cells
+    setup = ts_cfg.direction_setup if cfg["run.two_step"] else None
+    run_shape = partial(pipeline.run_shape, records, cfg=ts_cfg, steps=cfg["grid.steps"], setup=setup)
+    runs = pipeline.map_shapes(run_shape, shapes) if setup is not None or grid_cfg is not None else []
+    two_step_results = [two_step for *_grid, two_step in runs if two_step is not None]
+    for result in two_step_results:
+        print(
+            f"two-step {result.shape.value}: step-1 {pipeline.format_cell(result.step1)} | "
+            f"step-2 {pipeline.format_cell(result.step2)} on {result.direction_setup.value}"
+        )
 
     report = None
     notes = None
     if grid_cfg is not None:
-        report = pipeline.run_grid(records, grid_cfg)
+        report = pipeline.grid_report(runs, grid_cfg)
         notes = pipeline.reference_ordering_notes(report)
         for note in notes:
             print(note)

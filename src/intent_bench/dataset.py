@@ -133,9 +133,10 @@ class SynthConfig:
             raise InvalidConfig("base_ohm must be finite and dominate amplitude_ohm to keep resistance positive")
 
 
-def _derive_seed(*parts) -> int:
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+def derive_seed(root: int, *parts) -> int:
+    """The seed of the stream named by `parts` under the root seed: the cohort's and every model's."""
+    digest = hashlib.sha256(("%d|" % root + "|".join(map(str, parts))).encode()).digest()
+    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 def _span_profile(shape: TaskShape, direction: Direction, span: int, amplitude: float):
@@ -155,7 +156,7 @@ def synth_trace(
     seed: int, participant_id: str, shape: TaskShape, direction: Direction, cfg: SynthConfig
 ) -> tuple[ResistanceTrace, np.ndarray, np.ndarray]:
     """Generate one participant-task: trace, (40,) hit times, and (40, G) gaze rows."""
-    rng = np.random.default_rng(_derive_seed("synth", seed, participant_id, shape.value, direction.value))
+    rng = np.random.default_rng(derive_seed(seed, "synth", participant_id, shape.value, direction.value))
     hit_times = np.arange(HITS_PER_TASK) * WINDOW_MS
     m = cfg.samples_per_window
 

@@ -4,8 +4,9 @@ The two-step run trains the gaze-driven segment classifier, feeds its
 probability outputs into a feature setup, and trains the direction LSTM on
 the same train/test partition. The grid trains every requested
 (model, setup, shape) cell independently with seeds derived from one root
-seed, then renders the comparison tables. Both fit and score every model
-through `fit_eval`.
+seed, then renders the comparison tables. A run prepares each shape once
+(`run_shape`), and its two-step result is two of the grid's cells: step 1 is
+the NN-D3 cell, step 2 the LSTM cell of its setup.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -26,10 +27,10 @@ from .dataset import (
     ParticipantRecord,
     TaskShape,
     assign_segment_label,
+    derive_seed,
 )
 from .errors import BadArgument, InvalidConfig, IoError, TooFewRows
 from .features import (
-    SETUP_PARTS,
     DataMatrix,
     SetupId,
     apply_scaler,
@@ -61,11 +62,6 @@ _STEPS = {
 # informationally and never used as gates.
 REFERENCE_BEST_DIRECTION_SETUP = "D6"
 REFERENCE_FEATURE_GAIN_POINTS = 34.6
-
-
-def derive_seed(root: int, *parts) -> int:
-    digest = hashlib.sha256(("%d|" % root + "|".join(map(str, parts))).encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 def config_hash(doc) -> str:
@@ -312,7 +308,7 @@ def fit_eval(
     return evaluate(model.predict(x[test_idx]), labels[test_idx], num_classes)
 
 
-# --- two-step pipeline ------------------------------------------------------------
+# --- runs: the grid and the two-step result ---------------------------------------
 
 
 @dataclass(frozen=True)
@@ -333,97 +329,6 @@ class TwoStepConfig(RunConfig):
     direction_setup: SetupId = SetupId.D6
 
 
-@dataclass
-class PipelineResult:
-    shape: TaskShape
-    step1: Metrics
-    step2: Metrics
-    direction_setup: SetupId
-    seeds: dict
-    config_hash: str
-
-
-def _split(dm: DataMatrix, cfg: RunConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
-    return split_indices(dm.n_rows, cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value))
-
-
-@dataclass(frozen=True)
-class ShapeState:
-    """What one shape's setups read (the tables scaled on their training rows) and the partitions they lie on."""
-
-    features: DataMatrix
-    gaze: DataMatrix
-    raw: DataMatrix
-    probs: np.ndarray | None  # step-1 segment probabilities of the window rows; None where no setup reads them
-    train_idx: np.ndarray  # window partition, shared by D2..D8
-    test_idx: np.ndarray
-    raw_train: np.ndarray  # hit partition of the raw table (D1)
-    raw_test: np.ndarray
-
-    def setup_matrix(self, setup: SetupId) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
-        """A setup's matrix and its train and test rows: the hit rows for D1, the window rows for the rest."""
-        if setup is SetupId.D1:
-            rows, train_idx, test_idx = self.raw, self.raw_train, self.raw_test
-        else:
-            rows, train_idx, test_idx = self.features, self.train_idx, self.test_idx
-        parts = dict(raw=self.raw.values, features=self.features.values, gaze=self.gaze.values, probs=self.probs)
-        return assemble_setup(setup, rows, parts), train_idx, test_idx
-
-
-def _step1_seed(cfg: RunConfig, shape: TaskShape) -> int:
-    return derive_seed(cfg.seed, "step1", shape.value)
-
-
-def _prepare_shape(records, shape: TaskShape, cfg: RunConfig, step1: bool = True) -> ShapeState:
-    """Shared per-shape state of a two-step or grid run; `step1` trains the segment MLP."""
-    subset = records_for_shape(records, shape)
-    feats_dm, gaze_dm = window_tables(subset)
-    raw_dm = raw_table(subset)
-    train_idx, test_idx = _split(feats_dm, cfg, "split")
-    raw_train, raw_test = _split(raw_dm, cfg, "raw-split")
-    gaze_scaled = scale_on_train(gaze_dm, train_idx)
-
-    probs = None
-    if step1:
-        step1_cfg = cfg.train.mlp(gaze_scaled.values.shape[1], SEGMENT_COUNT, _step1_seed(cfg, shape))
-        step1_model = train_mlp(gaze_scaled.values[train_idx], gaze_scaled.segment[train_idx], step1_cfg)
-        probs = step1_model.predict_proba(gaze_scaled.values)
-
-    return ShapeState(
-        features=scale_on_train(feats_dm, train_idx),
-        gaze=gaze_scaled,
-        raw=scale_on_train(raw_dm, raw_train),
-        probs=probs,
-        train_idx=train_idx,
-        test_idx=test_idx,
-        raw_train=raw_train,
-        raw_test=raw_test,
-    )
-
-
-def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoStepConfig) -> PipelineResult:
-    """Step 1: gaze -> segment probabilities, scored as step 2 reads them. Step 2: direction LSTM on the setup."""
-    state = _prepare_shape(records, shape, cfg)
-    test_idx = state.test_idx
-    step1_metrics = evaluate(np.argmax(state.probs[test_idx], axis=1), state.gaze.segment[test_idx], SEGMENT_COUNT)
-
-    lstm_seed = derive_seed(cfg.seed, "step2", shape.value, cfg.direction_setup.value)
-    step2_metrics = fit_eval("LSTM", "direction", *state.setup_matrix(cfg.direction_setup), cfg.train, lstm_seed)
-
-    doc = asdict(cfg) | {"shape": shape.value}
-    return PipelineResult(
-        shape=shape,
-        step1=step1_metrics,
-        step2=step2_metrics,
-        direction_setup=cfg.direction_setup,
-        seeds={"root": cfg.seed, "step1": _step1_seed(cfg, shape), "step2": lstm_seed},
-        config_hash=config_hash(doc),
-    )
-
-
-# --- experiment grid ----------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class GridConfig(RunConfig):
     steps: str = "all"  # segment | direction | all
@@ -433,6 +338,16 @@ class GridConfig(RunConfig):
         super().__post_init__()
         if self.steps not in (*_STEPS, "all"):
             raise InvalidConfig(f"unknown grid steps '{self.steps}'")
+
+
+@dataclass
+class PipelineResult:
+    shape: TaskShape
+    step1: Metrics
+    step2: Metrics
+    direction_setup: SetupId
+    seeds: dict
+    config_hash: str
 
 
 # the fields of a cell record in run.json, ahead of its wall time and confusion
@@ -465,46 +380,130 @@ class GridReport:
         return index
 
 
-def _grid_shape(records: list[ParticipantRecord], shape: TaskShape, cfg: GridConfig) -> tuple[list, dict]:
-    """The cells of one shape, and its random-guess entries {(step, shape value): accuracy %}."""
-    cells: list[CellResult] = []
+# the (step, model, setup) of the grid cell that is the two-step run's step 1; step 2 is its LSTM cell
+_STEP1_CELL = ("segment", "NN", SetupId.D3)
+
+
+def _cell_seed(cfg: RunConfig, shape: TaskShape, step: str, model_name: str, setup: SetupId) -> int:
+    return derive_seed(cfg.seed, "cell", step, shape.value, model_name, setup.value)
+
+
+def _split(dm: DataMatrix, cfg: RunConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
+    return split_indices(dm.n_rows, cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value))
+
+
+@dataclass(frozen=True)
+class ShapeState:
+    """What one shape's setups read (the tables scaled on their training rows), their partitions, and step 1."""
+
+    features: DataMatrix
+    gaze: DataMatrix
+    raw: DataMatrix
+    probs: np.ndarray  # step 1's segment probabilities of the window rows
+    step1: CellResult  # the NN-D3 cell, scored on the held-out rows of `probs`
+    train_idx: np.ndarray  # window partition, shared by D2..D8
+    test_idx: np.ndarray
+    raw_train: np.ndarray  # hit partition of the raw table (D1)
+    raw_test: np.ndarray
+
+    def setup_matrix(self, setup: SetupId) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
+        """A setup's matrix and its train and test rows: the hit rows for D1, the window rows for the rest."""
+        if setup is SetupId.D1:
+            rows, train_idx, test_idx = self.raw, self.raw_train, self.raw_test
+        else:
+            rows, train_idx, test_idx = self.features, self.train_idx, self.test_idx
+        parts = dict(raw=self.raw.values, features=self.features.values, gaze=self.gaze.values, probs=self.probs)
+        return assemble_setup(setup, rows, parts), train_idx, test_idx
+
+
+def _prepare_shape(records, shape: TaskShape, cfg: RunConfig) -> ShapeState:
+    """One shape's scaled tables and partitions, and step 1: the NN-D3 cell's MLP, whose probabilities step 2 reads."""
+    subset = records_for_shape(records, shape)
+    feats_dm, gaze_dm = window_tables(subset)
+    raw_dm = raw_table(subset)
+    train_idx, test_idx = _split(feats_dm, cfg, "split")
+    raw_train, raw_test = _split(raw_dm, cfg, "raw-split")
+    gaze = scale_on_train(gaze_dm, train_idx)
+
+    step, model_name, setup = _STEP1_CELL
+    seed = _cell_seed(cfg, shape, *_STEP1_CELL)
+    started = time.perf_counter()
+    mlp_cfg = cfg.train.mlp(gaze.values.shape[1], SEGMENT_COUNT, seed)
+    probs = train_mlp(gaze.values[train_idx], gaze.segment[train_idx], mlp_cfg).predict_proba(gaze.values)
+    metrics = evaluate(np.argmax(probs[test_idx], axis=1), gaze.segment[test_idx], SEGMENT_COUNT)
+    step1 = CellResult(step, shape.value, model_name, setup.value, metrics, seed, time.perf_counter() - started)
+
+    return ShapeState(
+        features=scale_on_train(feats_dm, train_idx),
+        gaze=gaze,
+        raw=scale_on_train(raw_dm, raw_train),
+        probs=probs,
+        step1=step1,
+        train_idx=train_idx,
+        test_idx=test_idx,
+        raw_train=raw_train,
+        raw_test=raw_test,
+    )
+
+
+def _fit_cell(cfg: RunConfig, shape: TaskShape, step: str, model_name: str, setup: SetupId, matrix) -> CellResult:
+    """The grid cell of (step, shape, model, setup), fit on `matrix` (a setup's matrix and its train and test rows)."""
+    seed = _cell_seed(cfg, shape, step, model_name, setup)
+    started = time.perf_counter()
+    metrics = fit_eval(model_name, step, *matrix, cfg.train, seed)
+    return CellResult(step, shape.value, model_name, setup.value, metrics, seed, time.perf_counter() - started)
+
+
+def run_shape(
+    records: list[ParticipantRecord], shape: TaskShape, cfg: RunConfig, steps: str = "", setup: SetupId | None = None
+) -> tuple[list, dict, PipelineResult | None]:
+    """One shape of a run: its grid cells of `steps` (a grid scope, or "" for none) in grid order, its
+    random-guess entries {(step, shape value): accuracy %}, and with a `setup` its two-step result.
+
+    The shape is prepared once, and each (step, model, setup) is fit at most once: step 1
+    is the NN-D3 cell, and step 2 the LSTM cell of `setup`, fit here where the grid has none.
+    """
+    state = _prepare_shape(records, shape, cfg)
+    cells: dict = {}  # (step, model, setup) -> CellResult, in grid order
     random_guess: dict = {}
-    steps = tuple(_STEPS) if cfg.steps == "all" else (cfg.steps,)
-    reads_probs = any("probs" in SETUP_PARTS[setup] for step in steps for setup in _STEPS[step][1])
-    state = _prepare_shape(records, shape, cfg, step1=reads_probs)
-    for step in steps:
+    for step in [name for name in _STEPS if steps in (name, "all")]:
         model_names, setups, num_classes = _STEPS[step]
         # the chance level of the window rows that D2..D8 are scored on
         random_guess[(step, shape.value)] = random_guess_accuracy(getattr(state.features, step), num_classes)
-        for setup in setups:
-            matrix = state.setup_matrix(setup)
+        for setup_id in setups:
+            matrix = state.setup_matrix(setup_id)
             for model_name in model_names:
-                cell_seed = derive_seed(cfg.seed, "cell", step, shape.value, model_name, setup.value)
-                started = time.perf_counter()
-                metrics = fit_eval(model_name, step, *matrix, cfg.train, cell_seed)
-                cells.append(
-                    CellResult(
-                        step=step,
-                        shape=shape.value,
-                        model=model_name,
-                        setup=setup.value,
-                        metrics=metrics,
-                        seed=cell_seed,
-                        wall_time=time.perf_counter() - started,
-                    )
-                )
-    return cells, random_guess
+                key = (step, model_name, setup_id)
+                cells[key] = state.step1 if key == _STEP1_CELL else _fit_cell(cfg, shape, *key, matrix)
+
+    two_step = None
+    if setup is not None:
+        key = ("direction", "LSTM", setup)
+        step2 = cells.get(key) or _fit_cell(cfg, shape, *key, state.setup_matrix(setup))
+        doc = asdict(cfg) | {"direction_setup": setup, "shape": shape.value}
+        seeds = {"root": cfg.seed, "step1": state.step1.seed, "step2": step2.seed}
+        two_step = PipelineResult(shape, state.step1.metrics, step2.metrics, setup, seeds, config_hash(doc))
+    return list(cells.values()), random_guess, two_step
+
+
+def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoStepConfig) -> PipelineResult:
+    """Step 1: gaze -> segment probabilities, scored as step 2 reads them. Step 2: direction LSTM on the setup."""
+    return run_shape(records, shape, cfg, setup=cfg.direction_setup)[2]
+
+
+def grid_report(runs: list[tuple], cfg: GridConfig) -> GridReport:
+    """The grid report of the shapes' `run_shape` results, in shape order."""
+    return GridReport(
+        cells=[cell for cells, _guesses, _two_step in runs for cell in cells],
+        random_guess={key: acc for _cells, guesses, _two_step in runs for key, acc in guesses.items()},
+        root_seed=cfg.seed,
+        config_hash=config_hash(asdict(cfg)),
+    )
 
 
 def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
     """Train and score every requested (model, setup, shape) cell independently, the shapes side by side."""
-    per_shape = map_shapes(partial(_grid_shape, records, cfg=cfg), cfg.shapes)
-    return GridReport(
-        cells=[cell for cells, _guesses in per_shape for cell in cells],
-        random_guess={key: acc for _cells, guesses in per_shape for key, acc in guesses.items()},
-        root_seed=cfg.seed,
-        config_hash=config_hash(asdict(cfg)),
-    )
+    return grid_report(map_shapes(partial(run_shape, records, cfg=cfg, steps=cfg.steps), cfg.shapes), cfg)
 
 
 # --- reporting -------------------------------------------------------------------
@@ -609,12 +608,8 @@ def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult]]:
         )
     two_step = [
         PipelineResult(
-            shape=TaskShape(r["shape"]),
-            step1=_stored_metrics(r["step1_confusion"]),
-            step2=_stored_metrics(r["step2_confusion"]),
-            direction_setup=SetupId(r["setup"]),
-            seeds=r["seeds"],
-            config_hash=r["config_hash"],
+            TaskShape(r["shape"]), _stored_metrics(r["step1_confusion"]), _stored_metrics(r["step2_confusion"]),
+            SetupId(r["setup"]), r["seeds"], r["config_hash"],
         )
         for r in meta["two_step"]
     ]

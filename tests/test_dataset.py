@@ -12,11 +12,13 @@ import naive_reference
 from intent_bench import dataset
 from intent_bench.cli import main
 from intent_bench.dataset import (
+    WINDOWS_PER_TASK,
     Direction,
     ResistanceTrace,
     SynthConfig,
     TaskShape,
     assign_segment_label,
+    derive_seed,
     load_gaze_csv,
     load_hits_csv,
     load_participants_csv,
@@ -129,6 +131,15 @@ class TestSynth:
         assert all(np.array_equal(x, y) for x, y in zip(a.windows, b.windows))
         assert np.array_equal(a.gaze, b.gaze)
         assert np.array_equal(a.hit_values, b.hit_values)
+
+    def test_noise_is_drawn_from_the_one_seed_function(self):
+        cfg = SynthConfig()
+        rec = synth_participant(7, TaskShape.CIRCLE, Direction.CCW, cfg, participant_id="p03")
+        rng = np.random.default_rng(derive_seed(7, "synth", "p03", "circle", "ccw"))
+        rng.normal(0.0, cfg.noise_std, size=WINDOWS_PER_TASK * cfg.samples_per_window + 1)  # the resistance noise
+        np.testing.assert_array_equal(rec.gaze[:, 4:], rng.normal(0.0, 1.0, size=(40, cfg.gaze_width - 4)))
+        onehot = np.eye(4)[[assign_segment_label(k) for k in range(1, 41)]]
+        np.testing.assert_array_equal(rec.gaze[:, :4], onehot + rng.normal(0.0, cfg.gaze_noise, size=(40, 4)))
 
     def test_shape_contract(self):
         rec = synth_participant(3, TaskShape.CIRCLE, Direction.CCW)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intent_bench import pipeline
+from intent_bench.cli import main
 from intent_bench.dataset import (
     SynthConfig,
     TaskShape,
@@ -304,18 +305,23 @@ class TestShapeWorker:
         assert multiprocessing.active_children() == []
 
 
-@pytest.fixture
-def mlp_fits(monkeypatch):
-    """A list that grows by one at each `pipeline.train_mlp` call made in this process."""
+def count_calls(monkeypatch, name: str) -> list:
+    """A list that grows by one at each call of `pipeline.<name>` made in this process."""
     calls = []
-    original = pipeline.train_mlp
+    original = getattr(pipeline, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "train_mlp", counting)
+    monkeypatch.setattr(pipeline, name, counting)
     return calls
+
+
+@pytest.fixture
+def mlp_fits(monkeypatch):
+    """A list that grows by one at each `pipeline.train_mlp` call made in this process."""
+    return count_calls(monkeypatch, "train_mlp")
 
 
 class TestGrid:
@@ -336,6 +342,36 @@ class TestGrid:
         cores(1)
         run_grid(cohort4, GridConfig(seed=3, steps="direction", train=FAST))
         assert len(mlp_fits) == 2  # no direction model is an MLP; D4 and D6..D8 share each shape's step-1 fit
+
+    def test_a_run_with_a_grid_fits_each_model_once(self, tmp_path, mlp_fits, cores, monkeypatch):
+        cores(1)
+        lstm_fits, prepared = count_calls(monkeypatch, "train_lstm"), count_calls(monkeypatch, "_prepare_shape")
+        config = tmp_path / "fast.cfg"
+        config.write_text("[train]\nmlp_epochs = 3\nlstm_epochs = 3\nbaseline_epochs = 20\nlstm_hidden = 8\n")
+        args = ["run", "--synthetic", "--seed", "3", "--participants", "4", "--grid", "all", "--config", str(config)]
+        assert main(args + ["--out", str(tmp_path / "run")]) == 0
+        # per shape: NN x D1/D2/D3/D5, of which NN-D3 is step 1; LSTM x D1..D8, of which LSTM-D6 is step 2
+        assert (len(mlp_fits), len(lstm_fits), len(prepared)) == (2 * 4, 2 * 8, 2)
+
+        meta = json.loads((tmp_path / "run" / "run.json").read_text())
+        cells = {(c["step"], c["shape"], c["model"], c["setup"]): c for c in meta["cells"]}
+        assert [entry["shape"] for entry in meta["two_step"]] == ["diamond", "circle"]
+        for entry in meta["two_step"]:
+            shape = entry["shape"]
+            step1, step2 = cells["segment", shape, "NN", "D3"], cells["direction", shape, "LSTM", "D6"]
+            assert (entry["step1_confusion"], entry["seeds"]["step1"]) == (step1["confusion"], step1["seed"])
+            assert (entry["step2_confusion"], entry["seeds"]["step2"]) == (step2["confusion"], step2["seed"])
+
+    def test_the_two_step_result_is_the_grid_cells_in_another_run(self, cohort4, segment_report, full_report):
+        # both fixtures run the diamond grid at seed 3
+        result = run_two_step(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=3, train=FAST))
+        for report in (segment_report, full_report):
+            step1 = report.by_key()["segment", "diamond", "NN", "D3"]
+            assert result.seeds["step1"] == step1.seed
+            np.testing.assert_array_equal(result.step1.confusion, step1.metrics.confusion)
+        step2 = full_report.by_key()["direction", "diamond", "LSTM", "D6"]
+        assert result.seeds["step2"] == step2.seed
+        np.testing.assert_array_equal(result.step2.confusion, step2.metrics.confusion)
 
     def test_grid_determinism(self, cohort4, segment_report):
         again = run_grid(cohort4, GridConfig(seed=3, steps="segment", shapes=(TaskShape.DIAMOND,), train=FAST))

@@ -130,13 +130,13 @@ def mlp_forward(params: nn.Params, x: np.ndarray) -> np.ndarray:
 def mlp_loss_grad(params: nn.Params, x: np.ndarray, y: np.ndarray):
     depth = len(params) // 2
     acts, logits = _mlp_layers(params, x)
-    loss, dlogits = nn.batch_softmax_cross_entropy(logits, y)
+    loss, dlogits = nn.batch_softmax_cross_entropy(logits, nn.one_hot(y, logits.shape[1], logits.dtype))
 
     grads = {}
     delta = dlogits
     for i in range(depth, 0, -1):
         grads[f"w{i}"] = delta.T @ acts[i - 1]
-        grads[f"b{i}"] = delta.sum(axis=0)
+        grads[f"b{i}"] = np.add.reduce(delta, axis=0)
         if i > 1:
             delta = (delta @ params[f"w{i}"]) * (acts[i - 1] > 0)
     return loss, grads
@@ -259,10 +259,10 @@ def lstm_forward(params: nn.Params, cfg: LstmConfig, x: np.ndarray):
 def lstm_loss_grad(params: nn.Params, cfg: LstmConfig, x: np.ndarray, y: np.ndarray):
     """Softmax-CE loss of the last step's logits against the (B,) labels, and full BPTT gradients."""
     logits, caches = lstm_forward(params, cfg, x)
-    loss, d_logits = nn.batch_softmax_cross_entropy(logits, y)
+    loss, d_logits = nn.batch_softmax_cross_entropy(logits, nn.one_hot(y, logits.shape[1], logits.dtype))
 
     top = caches[-1][1]  # last layer's raw hidden sequence; its last step feeds the head
-    grads = {"head_w": d_logits.T @ top[:, -1], "head_b": d_logits.sum(axis=0)}
+    grads = {"head_w": d_logits.T @ top[:, -1], "head_b": np.add.reduce(d_logits, axis=0)}
     d_stream = np.zeros_like(top)
     d_stream[:, -1] = d_logits @ params["head_w"]
 
@@ -390,32 +390,47 @@ class LinearModel:
         return np.argmax(self.decision(x), axis=-1)
 
 
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """x with a ones column appended: the input of weights whose last column is the bias."""
+    return np.hstack((x, np.ones((x.shape[0], 1))))
+
+
+def _linear_model(w: np.ndarray, num_classes: int, kind: str) -> LinearModel:
+    """The model of (K, d + 1) weights whose last column is the bias."""
+    return LinearModel(weights=w[:, :-1], bias=w[:, -1], num_classes=num_classes, kind=kind)
+
+
 def train_svm(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> LinearModel:
-    """One-vs-rest linear SVM: hinge loss + L2, one Pegasos subgradient step of all classes per batch."""
+    """One-vs-rest linear SVM: hinge loss + L2, one Pegasos subgradient step of all classes per batch.
+
+    The bias is the weights' last column, over inputs with a ones column, so a
+    step makes one forward and one update product; the L2 decay skips the bias.
+    """
     rng = np.random.default_rng(seed)
     signs = np.where(y[:, None] == np.arange(num_classes), 1.0, -1.0)  # (n, K) one-vs-rest targets
-    w = np.zeros((num_classes, x.shape[1]))
-    b = np.zeros(num_classes)
-    for step, (xb, t) in enumerate(_batches(rng, kind.epochs, kind.batch_size, x, signs), start=1):
+    w = np.zeros((num_classes, x.shape[1] + 1))
+    kernel = w[:, :-1]  # the decayed columns: the bias carries no regularization
+    for step, (xb, t) in enumerate(_batches(rng, kind.epochs, kind.batch_size, _with_ones(x), signs), start=1):
         eta = 1.0 / (kind.lam * step)
-        viol = np.where(t * (xb @ w.T + b) < 1.0, t, 0.0)  # target sign of each margin violator, else 0
-        scale = eta / np.maximum(1, np.count_nonzero(viol, axis=0))
-        w *= 1.0 - eta * kind.lam
-        w += scale[:, None] * (viol.T @ xb)
-        b += scale * viol.sum(axis=0)  # bias carries no regularization
-    return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="svm")
+        viol = t * (xb @ w.T) < 1.0
+        scale = eta / np.maximum(1, np.add.reduce(viol, axis=0))  # over the violators of each class
+        kernel *= 1.0 - eta * kind.lam
+        w += scale[:, None] * (np.where(viol, t, 0.0).T @ xb)  # the target sign of each violator, else 0
+    return _linear_model(w, num_classes, "svm")
 
 
 def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> LinearModel:
-    """Multinomial logistic regression by seeded mini-batch gradient descent."""
+    """Multinomial logistic regression by seeded mini-batch gradient descent.
+
+    The bias is the weights' last column, over inputs with a ones column, and
+    the one-hot targets are made once and shuffled with their rows, so a step
+    is one forward product, the CE kernel and one update product.
+    """
     rng = np.random.default_rng(seed)
-    w = np.zeros((num_classes, x.shape[1]))
-    b = np.zeros(num_classes)
-    for xb, yb in _batches(rng, kind.epochs, kind.batch_size, x, y):
-        _, dlogits = nn.batch_softmax_cross_entropy(xb @ w.T + b, yb)
-        w -= kind.lr * (dlogits.T @ xb)
-        b -= kind.lr * dlogits.sum(axis=0)
-    return LinearModel(weights=w, bias=b, num_classes=num_classes, kind="logreg")
+    w = np.zeros((num_classes, x.shape[1] + 1))
+    for xb, tb in _batches(rng, kind.epochs, kind.batch_size, _with_ones(x), nn.one_hot(y, num_classes)):
+        w -= kind.lr * (nn.batch_softmax_cross_entropy(xb @ w.T, tb)[1].T @ xb)
+    return _linear_model(w, num_classes, "logreg")
 
 
 def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):

@@ -11,9 +11,10 @@ contiguous (H, B) array, each step's work runs in place in buffers made once
 per call, and the hidden states come back as a (B, T, H) view that the next
 layer reads in its own layout. The input product and the weight gradient are
 each one product over all steps; only the recurrent product runs per step.
-Also: batched softmax cross-entropy, Adam on one flat parameter vector
-updated in place (its two moments share one (2, N) buffer, and L2 decay is a
-per-element coefficient vector), and central-difference gradient verification.
+Also: batched softmax cross-entropy against one-hot target rows, Adam on one
+flat parameter vector updated in place (its two moments share one (2, N)
+buffer, and L2 decay is a per-element coefficient vector), and
+central-difference gradient verification.
 All randomness flows through numpy Generators seeded by the caller.
 """
 
@@ -45,18 +46,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def batch_softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean CE over rows; gradient already divided by the batch size.
+def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
+    """(N, K) rows of `dtype`: 1 in each label's column, 0 elsewhere."""
+    return np.eye(num_classes, dtype=dtype)[labels]
 
-    The targets are not checked here: every trainer checks its labels once per fit.
+
+def batch_softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean CE of (B, K) logits against one-hot (B, K) target rows in the logits' dtype.
+
+    The gradient is already divided by the batch size: exp(z - lse), minus 1 at
+    the target, over B, where z is the logits less their row maximum. The
+    targets are not checked here: every trainer checks its labels once per fit.
     """
-    z = logits - np.max(logits, axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z), axis=1))
-    rows = np.arange(logits.shape[0])
-    loss = float(np.mean(lse - z[rows, targets]))
-    p = np.exp(z - lse[:, None])
-    p[rows, targets] -= 1.0
-    return loss, p / logits.shape[0]
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))  # log-probabilities
+    batch = logits.shape[0]
+    loss = -float(np.vdot(z, targets)) / batch
+    np.exp(z, out=z)
+    z -= targets
+    z /= batch
+    return loss, z
 
 
 # --- LSTM cell ------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Independent naive references for the 11 time-domain features, the LSTM layer, the SVM and the CSV loaders.
+"""Independent naive references for the 11 time-domain features, the LSTM layer, the SVM, LR and the CSV loaders.
 
 The features use pure-python loops, math.fsum and an exact mean, written
 separately from the library so the two paths share no code. Order matches the
 canonical feature order. The LSTM layer runs one cell step at a time on the
 concatenated [x, h] input and accumulates the weight gradients step by step.
-The one-vs-rest SVM trains one class at a time. The dataset CSV loaders
+The one-vs-rest SVM trains one class at a time, and multinomial LR one row
+at a time, each with separate weights and bias. The dataset CSV loaders
 parse one row at a time with `csv` and Python's `float`, checking each row
 as it is read.
 """
@@ -154,6 +155,37 @@ def naive_svm(x, y, num_classes, lam, epochs, batch_size, seed):
                 else:
                     idle += 1
     return w, b, idle
+
+
+def naive_logreg(x, y, num_classes, lr, epochs, batch_size, seed):
+    """Multinomial LR by mini-batch gradient descent, one row at a time within each batch.
+
+    Each epoch draws one permutation of the rows from the seeded generator and
+    walks it in batches. Each row adds its softmax minus its one-hot target,
+    times the row, to the weight gradient and the same difference to the bias
+    gradient; each batch steps by lr times their mean. Returns the weights
+    (K, d) and the biases (K,).
+    """
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    w = np.zeros((num_classes, x.shape[1]))
+    b = np.zeros(num_classes)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            gw = np.zeros_like(w)
+            gb = np.zeros_like(b)
+            for i in idx:
+                logits = w @ x[i] + b
+                p = np.exp(logits - logits.max())
+                p /= p.sum()
+                p[y[i]] -= 1.0
+                gw += np.outer(p, x[i])
+                gb += p
+            w -= lr * gw / len(idx)
+            b -= lr * gb / len(idx)
+    return w, b
 
 
 # --- per-row CSV loaders ---------------------------------------------------

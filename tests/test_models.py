@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from intent_bench import nn
+from intent_bench import models, nn
 from intent_bench.errors import BadArgument, InvalidConfig, TooFewRows
 from intent_bench.dataset import TaskShape
 from intent_bench.features import SetupId
@@ -26,7 +28,7 @@ from intent_bench.models import (
 )
 from intent_bench.pipeline import TrainParams, TwoStepConfig, _prepare_shape, sequences_from_matrix
 
-from naive_reference import naive_svm
+from naive_reference import naive_logreg, naive_svm
 
 
 def four_blobs(seed=0, rows=500, dims=24):
@@ -355,6 +357,56 @@ class TestBaselines:
         x, y = two_blobs(seed=3)
         model = train_baseline(BaselineKind("logreg"), x[:160], y[:160], 2, seed=0)
         assert np.mean(model.predict(x[160:]) == y[160:]) >= 0.95
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    @pytest.mark.parametrize("dims", [1, 35])
+    def test_logreg_matches_reference(self, classes, dims):
+        # 70 rows in batches of 32 leave a last batch of 6
+        rng = np.random.default_rng(classes * 100 + dims)
+        y = np.arange(70) % classes
+        x = rng.normal(0, 0.5, size=(classes, dims))[y] + rng.normal(0, 1.0, size=(70, dims))
+        kind = BaselineKind("logreg", epochs=4, batch_size=32)
+        model = train_baseline(kind, x, y, classes, seed=11)
+        w, b = naive_logreg(x, y, classes, kind.lr, epochs=4, batch_size=32, seed=11)
+        np.testing.assert_allclose(model.weights, w, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(model.bias, b, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(model.predict(x), np.argmax(x @ w.T + b, axis=1))
+
+    @pytest.mark.parametrize("name", ["svm", "logreg"])
+    @pytest.mark.parametrize("rows, batch_size, epochs", [(70, 32, 3), (64, 32, 2), (5, 32, 4), (33, 1, 2)])
+    def test_linear_fits_walk_every_batch(self, monkeypatch, name, rows, batch_size, epochs):
+        """Each fit walks epochs * ceil(n / batch_size) batches, one permutation of all rows per epoch."""
+        walked = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.permutations = rng, 0
+
+            def permutation(self, n):
+                self.permutations += 1
+                return self.rng.permutation(n)
+
+        def spy(rng, *args):
+            counting = CountingRng(rng)
+            walked.append((counting, []))
+            for batch in _batches(counting, *args):
+                walked[-1][1].append(len(batch[0]))
+                yield batch
+
+        rng = np.random.default_rng(rows)
+        y = np.arange(rows) % 3
+        x = rng.normal(size=(rows, 4)) + y[:, None]
+        kind = BaselineKind(name, epochs=epochs, batch_size=batch_size)
+        plain = train_baseline(kind, x, y, 3, seed=6)
+        monkeypatch.setattr(models, "_batches", spy)
+        spied = train_baseline(kind, x, y, 3, seed=6)
+        [(counting, sizes)] = walked
+        per_epoch = math.ceil(rows / batch_size)
+        assert counting.permutations == epochs
+        assert len(sizes) == epochs * per_epoch
+        assert all(sum(sizes[e * per_epoch : (e + 1) * per_epoch]) == rows for e in range(epochs))
+        np.testing.assert_array_equal(spied.weights, plain.weights)
+        np.testing.assert_array_equal(spied.bias, plain.bias)
 
     def test_batches_walk_one_permutation_per_epoch(self):
         x = np.arange(20.0).reshape(10, 2)

@@ -43,7 +43,8 @@ class TestRelu:
 
 def one_row_ce(logits, target):
     """Loss and logit gradient of a single example through the batched cross-entropy."""
-    loss, grad = nn.batch_softmax_cross_entropy(np.asarray(logits, dtype=float)[None, :], np.array([target]))
+    logits = np.asarray(logits, dtype=float)[None, :]
+    loss, grad = nn.batch_softmax_cross_entropy(logits, nn.one_hot(np.array([target]), logits.shape[1]))
     return loss, grad[0]
 
 
@@ -66,6 +67,24 @@ class TestSoftmaxCrossEntropy:
         p = nn.softmax(logits)
         assert np.all(p >= 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype, loss_tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_gradient_is_the_written_out_rule(self, dtype, loss_tol):
+        """exp(z - lse), minus 1 at the target, over B, bit for bit; the loss is the mean NLL."""
+        rng = np.random.default_rng(5)
+        logits = (rng.normal(size=(32, 4)) * 6.0).astype(dtype)
+        labels = rng.integers(0, 4, size=32)
+        loss, grad = nn.batch_softmax_cross_entropy(logits, nn.one_hot(labels, 4, dtype))
+        rows = np.arange(32)
+        z = logits - np.max(logits, axis=1, keepdims=True)
+        lse = np.log(np.sum(np.exp(z), axis=1))
+        want = np.exp(z - lse[:, None])
+        want[rows, labels] -= 1.0
+        want = want / 32
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad, want)
+        nll = -np.log(nn.softmax(logits.astype(np.float64))[rows, labels])
+        assert loss == pytest.approx(float(np.mean(nll)), rel=loss_tol)
 
 
 class TestLstmCell:

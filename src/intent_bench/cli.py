@@ -18,6 +18,7 @@ from .dataset import SynthConfig, TaskShape
 from .errors import BadArgument, IntentBenchError, InvalidConfig, IoError
 from .features import SetupId, export_features_csv
 from .pipeline import GridConfig, TrainParams, TwoStepConfig
+from .pool import map_tasks
 
 # dotted config key -> (type, default)
 CONFIG_KEYS = {
@@ -168,12 +169,16 @@ def cmd_features(cfg) -> int:
     shapes = _shapes(cfg)
     records = _load_records(cfg)
     outdir = Path(cfg["out"])
-    for shape in shapes:
-        subset = pipeline.records_for_shape(records, shape, least=1)
-        features_dm, _gaze = pipeline.window_tables(subset)
+
+    def export(shape) -> str:
+        features_dm, _gaze = pipeline.window_tables(pipeline.records_for_shape(records, shape, least=1))
         path = outdir / f"features_{shape.value}.csv"
         export_features_csv(features_dm, path)
-        print(f"wrote {features_dm.n_rows}x{features_dm.values.shape[1]} features: {path}")
+        return f"wrote {features_dm.n_rows}x{features_dm.values.shape[1]} features: {path}"
+
+    # the shapes side by side; their lines are printed in shape order once both are written
+    for line in map_tasks(export, shapes):
+        print(line)
     return 0
 
 
@@ -202,7 +207,7 @@ def cmd_run(cfg) -> int:
     # one pass over the shapes: each is prepared once, and its two-step result read off the grid's cells
     setup = ts_cfg.direction_setup if cfg["run.two_step"] else None
     run_shape = partial(pipeline.run_shape, records, cfg=ts_cfg, steps=cfg["grid.steps"], setup=setup)
-    runs = pipeline.map_shapes(run_shape, shapes) if setup is not None or grid_cfg is not None else []
+    runs = map_tasks(run_shape, shapes) if setup is not None or grid_cfg is not None else []
     two_step_results = [two_step for *_grid, two_step in runs if two_step is not None]
     for result in two_step_results:
         print(

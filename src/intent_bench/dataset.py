@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadArgument, DataError, InvalidConfig, IoError
+from .pool import map_tasks
 
 HITS_PER_TASK = 40
 WINDOWS_PER_TASK = HITS_PER_TASK - 1
@@ -540,28 +541,41 @@ def write_dataset_csvs(
     return paths
 
 
+def _missing_task(what: str, key, path: Path) -> DataError:
+    return DataError(f"no {what} for participant {key[0]}, shape {key[1].value} in {path}")
+
+
 def records_from_csv_dir(data_dir) -> list[ParticipantRecord]:
-    """Assemble ParticipantRecords from the four dataset CSVs in `data_dir`."""
+    """Assemble ParticipantRecords from the four dataset CSVs in `data_dir`.
+
+    Hits and resistance are read in this process while gaze and participants
+    are read in the pool's worker; each task reads its files in the order
+    hits, resistance, gaze, participants, so the first bad file fails the
+    load on any core count.
+    """
     data_dir = Path(data_dir)
-    for name in ("resistance", "hits", "gaze", "participants"):
-        if not (data_dir / f"{name}.csv").exists():
-            raise IoError(f"missing dataset file: {data_dir / f'{name}.csv'}")
-    hits = load_hits_csv(data_dir / "hits.csv")
-    traces = load_resistance_csv(data_dir / "resistance.csv")
-    gaze = load_gaze_csv(data_dir / "gaze.csv")
-    directions = load_participants_csv(data_dir / "participants.csv")
+    paths = {name: data_dir / f"{name}.csv" for name in ("resistance", "hits", "gaze", "participants")}
+    for path in paths.values():
+        if not path.exists():
+            raise IoError(f"missing dataset file: {path}")
+    # looked up at call time, so that a loader replaced on this module (as a tracer does) is the one that runs
+    tasks = [
+        (("hits", load_hits_csv), ("resistance", load_resistance_csv)),
+        (("gaze", load_gaze_csv), ("participants", load_participants_csv)),
+    ]
+    (hits, traces), (gaze, directions) = map_tasks(lambda task: [load(paths[name]) for name, load in task], tasks)
     traced = {(trace.participant_id, trace.shape) for trace in traces}
     for key in [*hits, *gaze]:
         if key not in traced:
-            raise DataError(f"no resistance rows for {key}")
+            raise _missing_task("resistance rows", key, paths["resistance"])
 
     records = []
     for trace in traces:
         key = (trace.participant_id, trace.shape)
         if key not in hits:
-            raise DataError(f"no hit events for {key}")
+            raise _missing_task("hit events", key, paths["hits"])
         if key not in gaze:
-            raise DataError(f"no gaze rows for {key}")
+            raise _missing_task("gaze rows", key, paths["gaze"])
         if trace.participant_id not in directions:
             raise DataError(f"no direction for participant {trace.participant_id}")
         records.append(

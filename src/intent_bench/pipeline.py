@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -49,6 +48,7 @@ from .models import (
     train_lstm,
     train_mlp,
 )
+from .pool import map_tasks
 
 DIRECTION_CLASSES = 2
 
@@ -66,63 +66,6 @@ REFERENCE_FEATURE_GAIN_POINTS = 34.6
 
 def config_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()[:16]
-
-
-# --- the shapes side by side -----------------------------------------------------
-
-
-def usable_cores() -> int:
-    """The cores this process may run on: its affinity set, or the machine's count where there is none."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _send_shapes(fn, shapes, conn) -> None:
-    """The worker's body: send (True, [fn(shape), ...]) through `conn`, or (False, the first error)."""
-    try:
-        conn.send((True, [fn(shape) for shape in shapes]))
-    except Exception as error:
-        conn.send((False, error))
-
-
-def map_shapes(fn, shapes) -> list:
-    """[fn(shape) for shape in shapes], the first shape in this process and the rest in one forked worker.
-
-    The worker inherits `fn`, and the records it holds, from the fork, so only
-    its results are pickled. With fewer than two usable cores or shapes, or
-    where `fork` is not a start method, every shape runs here. The error
-    raised is the first in shape order, as in a serial run; when this
-    process's shape fails, the worker is ended at once. No worker outlives
-    the call.
-    """
-    # imported here, so that a program that maps no shapes does not pay for it (about 1.3 MB)
-    import multiprocessing
-
-    if min(usable_cores(), len(shapes)) < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(shape) for shape in shapes]
-    context = multiprocessing.get_context("fork")
-    results, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_send_shapes, args=(fn, shapes[1:], sender), daemon=True)
-    worker.start()
-    sender.close()  # the worker holds the only write end, so its death reads as end of file
-    try:
-        first = fn(shapes[0])
-        try:
-            ok, rest = results.recv()
-        except EOFError:
-            worker.join()
-            raise ChildProcessError(f"the shape worker exited with code {worker.exitcode} and no result") from None
-        if not ok:
-            raise rest
-        return [first, *rest]
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        worker.join()
-        results.close()
 
 
 # --- splitting ---------------------------------------------------------------
@@ -503,7 +446,7 @@ def grid_report(runs: list[tuple], cfg: GridConfig) -> GridReport:
 
 def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
     """Train and score every requested (model, setup, shape) cell independently, the shapes side by side."""
-    return grid_report(map_shapes(partial(run_shape, records, cfg=cfg, steps=cfg.steps), cfg.shapes), cfg)
+    return grid_report(map_tasks(partial(run_shape, records, cfg=cfg, steps=cfg.steps), cfg.shapes), cfg)
 
 
 # --- reporting -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from intent_bench import pool
 from intent_bench.dataset import synth_cohort
 
 
@@ -17,3 +18,9 @@ def cohort8():
 @pytest.fixture(scope="session")
 def cohort4():
     return synth_cohort(5, participants=4)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the usable cores `map_tasks` sees: 2 runs the worker on a one-core host too, 1 runs serially."""
+    return lambda n: monkeypatch.setattr(pool, "usable_cores", lambda: n)

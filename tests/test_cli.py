@@ -1,10 +1,11 @@
 import json
+import multiprocessing
 import re
 from pathlib import Path
 
 import pytest
 
-from intent_bench import dataset, pipeline
+from intent_bench import dataset, pool
 from intent_bench.cli import _run_configs, _shapes, build_parser, load_config_file, main, resolve_config
 from intent_bench.dataset import TaskShape
 from intent_bench.errors import InvalidConfig
@@ -483,11 +484,11 @@ def test_a_data_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv, bloc
 
 
 class TestShapesSideBySide:
-    """`run` on one usable core (serial) and on two (the second shape in a forked worker)."""
+    """`run` and `features` on one usable core (serial) and on two (the second shape in a forked worker)."""
 
     def test_one_core_and_two_write_the_same_outputs(self, tmp_path, monkeypatch):
         for cores in (1, 2):
-            monkeypatch.setattr(pipeline, "usable_cores", lambda: cores)
+            monkeypatch.setattr(pool, "usable_cores", lambda: cores)
             args = ["run", "--synthetic", "--seed", "2", "--participants", "4", "--grid", "all"]
             assert main(args + ["--out", str(tmp_path / f"c{cores}")]) == 0
         one, two = tmp_path / "c1", tmp_path / "c2"
@@ -512,9 +513,43 @@ class TestShapesSideBySide:
         cfgfile = write_config(tmp_path, f"[run]\ntwo_step = {two_step}\n")
         errs = []
         for cores in (1, 2):
-            monkeypatch.setattr(pipeline, "usable_cores", lambda: cores)
+            monkeypatch.setattr(pool, "usable_cores", lambda: cores)
             capsys.readouterr()
             args = ["run", "--data", str(data), "--grid", "segment", "--config", cfgfile]
             assert main(args + ["--out", str(tmp_path / f"c{cores}")]) == 2
             errs.append(capsys.readouterr().err)
         assert errs == ["error[TooFewRows]: need at least 2 participant(s) for shape circle, got 1\n"] * 2
+
+    def test_features_on_one_core_and_two_write_the_same_bytes(self, tmp_path, capsys, cores):
+        data, out = tmp_path / "data", tmp_path / "feats"
+        main(["synth", "--seed", "4", "--participants", "3", "--out", str(data)])
+        written = []
+        for n in (1, 2):
+            cores(n)
+            capsys.readouterr()
+            assert main(["features", "--data", str(data), "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            files = [(out / f"features_{shape}.csv").read_bytes() for shape in ("diamond", "circle")]
+            written.append((files, capsys.readouterr().out))
+        assert written[0] == written[1]
+        assert written[0][1] == "".join(
+            f"wrote 117x11 features: {out / f'features_{shape}.csv'}\n" for shape in ("diamond", "circle")
+        )
+
+    def test_an_error_in_the_workers_features_shape_exits_as_on_one_core(self, tmp_path, capsys, cores):
+        # every resistance sample of p00's circle trace reads the same, so each of its windows is constant
+        data = tmp_path / "data"
+        main(["synth", "--seed", "4", "--participants", "2", "--out", str(data)])
+        path = data / "resistance.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(
+            line.rsplit(",", 1)[0] + ",1000.0\r\n" if line.startswith("p00,circle,") else line for line in lines
+        ))
+        errs = []
+        for n in (1, 2):
+            cores(n)
+            capsys.readouterr()
+            assert main(["features", "--data", str(data), "--out", str(tmp_path / f"c{n}")]) == 2
+            assert multiprocessing.active_children() == []
+            errs.append(capsys.readouterr().err)
+        assert errs == ["error[DataError]: skew undefined on a constant window (zero second moment)\n"] * 2

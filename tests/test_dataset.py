@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import multiprocessing
 import re
 import tempfile
 from pathlib import Path
@@ -263,6 +264,82 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError) as err:
             records_from_csv_dir(tmp_path)
         assert "no resistance rows" in str(err.value) and "p01" in str(err.value)
+
+    def test_a_missing_task_names_its_participant_shape_and_file(self, tmp_path):
+        assert main(["synth", "--seed", "1", "--participants", "2", "--out", str(tmp_path)]) == 0
+        originals = {name: (tmp_path / f"{name}.csv").read_text() for name in ("resistance", "hits", "gaze")}
+        wanted = {
+            "resistance": "no resistance rows for participant p01, shape circle in {}",
+            "hits": "no hit events for participant p01, shape circle in {}",
+            "gaze": "no gaze rows for participant p01, shape circle in {}",
+        }
+        for name, message in wanted.items():
+            path = tmp_path / f"{name}.csv"
+            # the rows of p01's circle task leave this one file, and the other two are whole again
+            for other, text in originals.items():
+                (tmp_path / f"{other}.csv").write_text(text)
+            lines = originals[name].splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if not line.startswith("p01,circle,")))
+            with pytest.raises(DataError) as err:
+                records_from_csv_dir(tmp_path)
+            assert str(err.value) == message.format(path)
+
+
+def _append_short_row(path):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("p00\n")
+
+
+class TestLoaderOnThePool:
+    """`records_from_csv_dir` on one usable core (serial) and on two (gaze and participants in a forked worker)."""
+
+    @pytest.fixture()
+    def data(self, tmp_path):
+        assert main(["synth", "--seed", "3", "--participants", "3", "--out", str(tmp_path)]) == 0
+        return tmp_path
+
+    def _load(self, cores, n, data):
+        cores(n)
+        try:
+            return records_from_csv_dir(data)
+        finally:
+            assert multiprocessing.active_children() == []
+
+    def test_one_core_and_two_load_the_same_records(self, cores, data):
+        one, two = (self._load(cores, n, data) for n in (1, 2))
+        assert [(r.participant_id, r.shape, r.direction) for r in one] == [
+            (r.participant_id, r.shape, r.direction) for r in two
+        ]
+        assert len(one) == 6
+        for a, b in zip(one, two):
+            np.testing.assert_array_equal(a.gaze, b.gaze)
+            np.testing.assert_array_equal(a.hit_values, b.hit_values)
+            assert len(a.windows) == len(b.windows) == WINDOWS_PER_TASK
+            for x, y in zip(a.windows, b.windows):
+                np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [(("hits", "gaze"), "hits"), (("resistance", "gaze"), "resistance"), (("gaze", "participants"), "gaze")],
+        ids=["hits+gaze", "resistance+gaze", "gaze+participants"],
+    )
+    def test_the_first_bad_file_in_read_order_fails_the_load(self, cores, data, bad, first):
+        for name in bad:
+            _append_short_row(data / f"{name}.csv")
+        errors = []
+        for n in (1, 2):
+            with pytest.raises(DataError) as err:
+                self._load(cores, n, data)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"{data / f'{first}.csv'}: row ")
+
+    def test_an_error_in_the_workers_task_comes_back_typed(self, cores, data):
+        _append_short_row(data / "participants.csv")
+        with pytest.raises(DataError) as err:
+            self._load(cores, 2, data)
+        assert type(err.value) is DataError
+        assert str(err.value) == f"{data / 'participants.csv'}: row 5 has 1 fields, header has 2"
 
 
 class TestLoaderErrors:

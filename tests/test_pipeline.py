@@ -33,7 +33,6 @@ from intent_bench.pipeline import (
     _prepare_shape,
     evaluate,
     format_cell,
-    map_shapes,
     metrics_from_confusion,
     raw_table,
     read_run_outputs,
@@ -47,6 +46,7 @@ from intent_bench.pipeline import (
     window_tables,
     write_run_outputs,
 )
+from intent_bench.pool import map_tasks
 
 FAST = TrainParams(mlp_epochs=3, lstm_epochs=3, baseline_epochs=20, lstm_hidden=8)
 
@@ -225,18 +225,12 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def cores(monkeypatch):
-    """Set the usable cores `map_shapes` sees: 2 runs the worker on a one-core host too, 1 runs serially."""
-    return lambda n: monkeypatch.setattr(pipeline, "usable_cores", lambda: n)
-
-
 class TestShapeWorker:
     @needs_fork
     def test_first_shape_runs_here_the_rest_in_one_worker_in_order(self, cores):
         cores(2)
         # a lambda reaches the worker: it is inherited from the fork, not pickled
-        got = map_shapes(lambda shape: (shape, os.getpid()), (1, 2, 3))
+        got = map_tasks(lambda shape: (shape, os.getpid()), (1, 2, 3))
         assert [shape for shape, _pid in got] == [1, 2, 3]
         assert got[0][1] == os.getpid() != got[1][1] == got[2][1]
         assert multiprocessing.active_children() == []
@@ -244,11 +238,11 @@ class TestShapeWorker:
     def test_one_core_one_shape_or_no_fork_runs_here(self, cores, monkeypatch):
         here = [os.getpid()] * 2
         cores(1)
-        assert map_shapes(lambda shape: os.getpid(), BOTH) == here
+        assert map_tasks(lambda shape: os.getpid(), BOTH) == here
         cores(2)
-        assert map_shapes(lambda shape: os.getpid(), BOTH[:1]) == here[:1]
+        assert map_tasks(lambda shape: os.getpid(), BOTH[:1]) == here[:1]
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert map_shapes(lambda shape: os.getpid(), BOTH) == here
+        assert map_tasks(lambda shape: os.getpid(), BOTH) == here
 
     @needs_fork
     @pytest.mark.parametrize("failing", [("diamond",), ("circle",), ("diamond", "circle")], ids="+".join)
@@ -261,7 +255,7 @@ class TestShapeWorker:
             return shape
 
         with pytest.raises(DataError) as info:
-            map_shapes(fn, BOTH)
+            map_tasks(fn, BOTH)
         assert type(info.value) is DataError
         assert str(info.value) == f"fewer than 2 samples between hits 7 and 8 on {failing[0]}"
         assert multiprocessing.active_children() == []
@@ -277,7 +271,7 @@ class TestShapeWorker:
 
         started = time.perf_counter()
         with pytest.raises(DataError):
-            map_shapes(fn, BOTH)
+            map_tasks(fn, BOTH)
         assert time.perf_counter() - started < 10
         assert multiprocessing.active_children() == []
 
@@ -285,7 +279,7 @@ class TestShapeWorker:
     def test_a_worker_that_dies_without_a_result_is_an_error(self, cores):
         cores(2)
         with pytest.raises(ChildProcessError, match="exited with code 3"):
-            map_shapes(lambda shape: os._exit(3) if shape is TaskShape.CIRCLE else shape, BOTH)
+            map_tasks(lambda shape: os._exit(3) if shape is TaskShape.CIRCLE else shape, BOTH)
         assert multiprocessing.active_children() == []
 
     def test_no_child_outlives_run_grid(self, cohort4, cores):

@@ -107,6 +107,7 @@ def raw_at_hits(trace: ResistanceTrace, hit_times: np.ndarray) -> np.ndarray:
 # per traversal); only the traversal order of the cadence distinguishes the
 # two directions.
 _CADENCE_PERIOD = 13
+_MAX_BUMPS = 4  # a span holds 1 to 4 bumps
 WINDOW_MS = 500.0  # time between consecutive hit instants
 
 
@@ -140,17 +141,19 @@ def derive_seed(root: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def _span_profile(shape: TaskShape, direction: Direction, span: int, amplitude: float):
-    """(bumps, gain) of inter-hit span `span` (1-based) for one traversal.
+def _span_profile(shape: TaskShape, direction: Direction, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """(bumps, gains) of the 39 inter-hit spans of one traversal, span 1 first.
 
     Counterclockwise runs play the clockwise cadence in reversed span order;
     individual spans are palindromic, so mirroring a span leaves it unchanged.
     """
-    position = span - 1 if direction is Direction.CW else WINDOWS_PER_TASK - span
+    position = np.arange(WINDOWS_PER_TASK)
+    if direction is Direction.CCW:
+        position = position[::-1]
     p = position % _CADENCE_PERIOD
     if shape is TaskShape.DIAMOND:
-        return 1 + p % 4, amplitude * (0.70 + 0.06 * p)
-    return 1 + (p + 2) % 4, amplitude * (0.75 + 0.055 * p)
+        return 1 + p % _MAX_BUMPS, amplitude * (0.70 + 0.06 * p)
+    return 1 + (p + 2) % _MAX_BUMPS, amplitude * (0.75 + 0.055 * p)
 
 
 def synth_trace(
@@ -161,27 +164,20 @@ def synth_trace(
     hit_times = np.arange(HITS_PER_TASK) * WINDOW_MS
     m = cfg.samples_per_window
 
-    times = np.empty(WINDOWS_PER_TASK * m + 1)
-    values = np.empty_like(times)
     phase = np.arange(m) / m
-    for span in range(1, WINDOWS_PER_TASK + 1):
-        f, gain = _span_profile(shape, direction, span, cfg.amplitude_ohm)
-        lo = (span - 1) * m
-        times[lo : lo + m] = (span - 1) * WINDOW_MS + phase * WINDOW_MS
-        values[lo : lo + m] = cfg.base_ohm + gain * 0.5 * (1.0 - np.cos(2 * math.pi * f * phase))
-    times[-1] = hit_times[-1]
-    values[-1] = cfg.base_ohm
+    bumps, gains = _span_profile(shape, direction, cfg.amplitude_ohm)
+    # one cos per bump count over the m-sample phase: a cos over the whole trace may round differently
+    rise = np.stack([1.0 - np.cos(2 * math.pi * f * phase) for f in range(1, _MAX_BUMPS + 1)])
+    times = np.append(hit_times[:-1, None] + phase * WINDOW_MS, hit_times[-1])
+    values = np.append(cfg.base_ohm + (gains * 0.5)[:, None] * rise[bumps - 1], cfg.base_ohm)
     if cfg.noise_std > 0:
         values = values + rng.normal(0.0, cfg.noise_std, size=values.shape)
 
     gaze = np.empty((HITS_PER_TASK, cfg.gaze_width))
     gaze[:, SEGMENT_COUNT:] = rng.normal(0.0, 1.0, size=(HITS_PER_TASK, cfg.gaze_width - SEGMENT_COUNT))
-    onehot = np.zeros((HITS_PER_TASK, SEGMENT_COUNT))
-    for k in range(1, HITS_PER_TASK + 1):
-        onehot[k - 1, assign_segment_label(k)] = 1.0
-    gaze[:, :SEGMENT_COUNT] = onehot
+    gaze[:, :SEGMENT_COUNT] = np.eye(SEGMENT_COUNT)[np.arange(HITS_PER_TASK) // HITS_PER_SEGMENT]
     if cfg.gaze_noise > 0:
-        gaze[:, :SEGMENT_COUNT] += rng.normal(0.0, cfg.gaze_noise, size=onehot.shape)
+        gaze[:, :SEGMENT_COUNT] += rng.normal(0.0, cfg.gaze_noise, size=(HITS_PER_TASK, SEGMENT_COUNT))
 
     trace = ResistanceTrace(participant_id=participant_id, shape=shape, times=times, values=values)
     return trace, hit_times, gaze
@@ -516,28 +512,39 @@ def write_dataset_csvs(
     tasks: list[tuple[str, TaskShape, Direction, ResistanceTrace, np.ndarray, np.ndarray]],
     outdir,
 ) -> dict[str, Path]:
-    """Write resistance/hits/gaze/participants CSVs for a list of generated tasks."""
+    """Write resistance/hits/gaze/participants CSVs for a list of generated tasks.
+
+    `resistance.csv`, about two thirds of the fields, is written in this
+    process while hits, gaze and participants are written in that order in
+    the pool's worker, so the error raised is that of the first file that
+    fails in the order resistance, hits, gaze, participants, on any core
+    count. Files later in that order may be written by then.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     width = tasks[0][5].shape[1] if tasks else 0
     directions = {}
     for pid, _shape, direction, *_ in tasks:
         directions.setdefault(pid, direction)
+    # rows zip a task's key columns with its value columns; csv.writer formats a Python float with repr,
+    # so each array goes through tolist() once and keeps its bytes
     tables = {
-        "resistance": (RESISTANCE_COLUMNS, (
-            [pid, shape.value, repr(float(t)), repr(float(r))]
-            for pid, shape, _, trace, _, _ in tasks for t, r in zip(trace.times, trace.values))),
-        "hits": (HITS_COLUMNS, (
-            [pid, shape.value, k, repr(float(t))]
-            for pid, shape, _, _, hit_times, _ in tasks for k, t in enumerate(hit_times, start=1))),
-        "gaze": (GAZE_KEY_COLUMNS + tuple(f"g{i + 1}" for i in range(width)), (
-            [pid, shape.value, k] + [repr(float(v)) for v in gaze_row]
-            for pid, shape, _, _, _, gaze in tasks for k, gaze_row in enumerate(gaze, start=1))),
+        "resistance": (RESISTANCE_COLUMNS, itertools.chain.from_iterable(
+            zip(itertools.repeat(pid), itertools.repeat(shape.value), trace.times.tolist(), trace.values.tolist())
+            for pid, shape, _, trace, _, _ in tasks)),
+        "hits": (HITS_COLUMNS, itertools.chain.from_iterable(
+            zip(itertools.repeat(pid), itertools.repeat(shape.value), range(1, len(hit_times) + 1), hit_times.tolist())
+            for pid, shape, _, _, hit_times, _ in tasks)),
+        "gaze": (GAZE_KEY_COLUMNS + tuple(f"g{i + 1}" for i in range(width)), itertools.chain.from_iterable(
+            zip(itertools.repeat(pid), itertools.repeat(shape.value), range(1, len(gaze) + 1), *gaze.T.tolist())
+            for pid, shape, _, _, _, gaze in tasks)),
         "participants": (PARTICIPANTS_COLUMNS, ([pid, d.value] for pid, d in directions.items())),
     }
     paths = {name: outdir / f"{name}.csv" for name in tables}
-    for name, (header, rows) in tables.items():
-        write_csv(paths[name], header, rows)
+    map_tasks(
+        lambda names: [write_csv(paths[name], *tables[name]) for name in names],
+        [("resistance",), ("hits", "gaze", "participants")],
+    )
     return paths
 
 

@@ -353,6 +353,8 @@ class BaselineKind:
             raise InvalidConfig(f"unknown baseline '{self.name}'")
         if not (self.k > 0 and self.epochs > 0 and 0 < self.lam < np.inf and 0 < self.lr < np.inf):
             raise InvalidConfig("baseline hyperparameters must be positive and finite")
+        if self.batch_size < 1:
+            raise InvalidConfig(f"baseline batch size ({self.batch_size}) must be at least 1")
 
 
 @dataclass

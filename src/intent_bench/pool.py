@@ -1,8 +1,9 @@
 """Work side by side: the first task in the calling process, the rest in one forked worker.
 
-`run` maps its shapes over this pool, `features` its shapes, and the CSV
-loader its dataset files. It lives in its own module because `dataset` and
-`pipeline` both call it, and `pipeline` imports `dataset`.
+`run` maps its shapes over this pool, `features` its shapes, the CSV loader
+the dataset files it reads, and `synth`'s writer the files it writes. It lives
+in its own module because `dataset` and `pipeline` both call it, and
+`pipeline` imports `dataset`.
 """
 
 from __future__ import annotations

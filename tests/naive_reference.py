@@ -5,9 +5,10 @@ separately from the library so the two paths share no code. Order matches the
 canonical feature order. The LSTM layer runs one cell step at a time on the
 concatenated [x, h] input and accumulates the weight gradients step by step.
 The one-vs-rest SVM trains one class at a time, and multinomial LR one row
-at a time, each with separate weights and bias. The dataset CSV loaders
-parse one row at a time with `csv` and Python's `float`, checking each row
-as it is read.
+at a time, each with separate weights and bias. The synthetic trace is
+built one inter-hit span at a time. The dataset CSV loaders parse one row at
+a time with `csv` and Python's `float`, checking each row as it is read, and
+the writer formats one row at a time with `repr(float(...))`.
 """
 
 import csv
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from intent_bench.dataset import Direction, ResistanceTrace, TaskShape, _check_hit_times
+from intent_bench.dataset import Direction, ResistanceTrace, TaskShape, _check_hit_times, derive_seed
 from intent_bench.errors import DataError, IoError
 
 LOG_EPS = 1e-12
@@ -186,6 +187,90 @@ def naive_logreg(x, y, num_classes, lr, epochs, batch_size, seed):
             w -= lr * gw / len(idx)
             b -= lr * gb / len(idx)
     return w, b
+
+
+# --- per-span synthetic trace -----------------------------------------------
+
+
+def _naive_span_profile(shape, direction, span, amplitude):
+    """(bumps, gain) of inter-hit span `span` (1-based); counterclockwise plays the spans in reverse."""
+    position = span - 1 if direction is Direction.CW else 39 - span
+    p = position % 13
+    if shape is TaskShape.DIAMOND:
+        return 1 + p % 4, amplitude * (0.70 + 0.06 * p)
+    return 1 + (p + 2) % 4, amplitude * (0.75 + 0.055 * p)
+
+
+def naive_synth_trace(seed, participant_id, shape, direction, cfg):
+    """(times, values, hit times, gaze) of one participant-task, one span and one hit at a time."""
+    rng = np.random.default_rng(derive_seed(seed, "synth", participant_id, shape.value, direction.value))
+    hit_times = np.arange(40) * 500.0
+    m = cfg.samples_per_window
+    times = np.empty(39 * m + 1)
+    values = np.empty_like(times)
+    phase = np.arange(m) / m
+    for span in range(1, 40):
+        f, gain = _naive_span_profile(shape, direction, span, cfg.amplitude_ohm)
+        lo = (span - 1) * m
+        times[lo : lo + m] = (span - 1) * 500.0 + phase * 500.0
+        values[lo : lo + m] = cfg.base_ohm + gain * 0.5 * (1.0 - np.cos(2 * math.pi * f * phase))
+    times[-1] = hit_times[-1]
+    values[-1] = cfg.base_ohm
+    if cfg.noise_std > 0:
+        values = values + rng.normal(0.0, cfg.noise_std, size=values.shape)
+
+    gaze = np.empty((40, cfg.gaze_width))
+    gaze[:, 4:] = rng.normal(0.0, 1.0, size=(40, cfg.gaze_width - 4))
+    onehot = np.zeros((40, 4))
+    for k in range(1, 41):
+        onehot[k - 1, (k - 1) // 10] = 1.0
+    gaze[:, :4] = onehot
+    if cfg.gaze_noise > 0:
+        gaze[:, :4] += rng.normal(0.0, cfg.gaze_noise, size=onehot.shape)
+    return times, values, hit_times, gaze
+
+
+# --- per-row CSV writer ------------------------------------------------------
+
+
+def naive_write_dataset_csvs(tasks, outdir):
+    """The four dataset CSVs of `tasks`, one row at a time, each float formatted by `repr(float(...))`."""
+    width = tasks[0][5].shape[1]
+    directions = {}
+    for pid, _shape, direction, *_ in tasks:
+        directions.setdefault(pid, direction)
+    tables = {
+        "resistance": (
+            ["participant_id", "shape", "timestamp_ms", "resistance_ohm"],
+            [
+                [pid, shape.value, repr(float(t)), repr(float(r))]
+                for pid, shape, _, trace, _, _ in tasks
+                for t, r in zip(trace.times, trace.values)
+            ],
+        ),
+        "hits": (
+            ["participant_id", "shape", "hit_index", "timestamp_ms"],
+            [
+                [pid, shape.value, k, repr(float(t))]
+                for pid, shape, _, _, hit_times, _ in tasks
+                for k, t in enumerate(hit_times, start=1)
+            ],
+        ),
+        "gaze": (
+            ["participant_id", "shape", "hit_index"] + [f"g{i + 1}" for i in range(width)],
+            [
+                [pid, shape.value, k] + [repr(float(v)) for v in row]
+                for pid, shape, _, _, _, gaze in tasks
+                for k, row in enumerate(gaze, start=1)
+            ],
+        ),
+        "participants": (["participant_id", "direction"], [[pid, d.value] for pid, d in directions.items()]),
+    }
+    for name, (header, rows) in tables.items():
+        with open(outdir / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 # --- per-row CSV loaders ---------------------------------------------------

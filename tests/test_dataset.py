@@ -29,6 +29,7 @@ from intent_bench.dataset import (
     segment_trace,
     synth_cohort,
     synth_participant,
+    synth_tasks,
     synth_trace,
     write_dataset_csvs,
 )
@@ -186,6 +187,20 @@ class TestSynth:
         with pytest.raises(InvalidConfig):
             synth_participant(0, TaskShape.DIAMOND, Direction.CW, SynthConfig(**{name: value}))
 
+    @pytest.mark.parametrize("samples_per_window", [2, 7, 20, 33])
+    @pytest.mark.parametrize("noise_std", [0.0, SynthConfig().noise_std])
+    @pytest.mark.parametrize("gaze_noise", [0.0, SynthConfig().gaze_noise])
+    def test_matches_the_per_span_reference_bit_for_bit(self, samples_per_window, noise_std, gaze_noise):
+        cfg = SynthConfig(samples_per_window=samples_per_window, noise_std=noise_std, gaze_noise=gaze_noise)
+        for seed in range(10):
+            for shape in TaskShape:
+                for direction in Direction:
+                    trace, hit_times, gaze = synth_trace(seed, f"p{seed:02d}", shape, direction, cfg)
+                    want = naive_reference.naive_synth_trace(seed, f"p{seed:02d}", shape, direction, cfg)
+                    for got, expected in zip((trace.times, trace.values, hit_times, gaze), want):
+                        assert got.dtype == expected.dtype and got.shape == expected.shape
+                        assert got.tobytes() == expected.tobytes()
+
     def test_cohort_direction_balance(self):
         records = synth_cohort(0, participants=16)
         assert len(records) == 32  # both shapes
@@ -340,6 +355,46 @@ class TestLoaderOnThePool:
             self._load(cores, 2, data)
         assert type(err.value) is DataError
         assert str(err.value) == f"{data / 'participants.csv'}: row 5 has 1 fields, header has 2"
+
+
+class TestWriterOnThePool:
+    """`write_dataset_csvs` on one usable core (serial) and on two (hits, gaze and participants in a forked worker)."""
+
+    @pytest.fixture()
+    def tasks(self):
+        return synth_tasks(3, 3, SynthConfig(), (TaskShape.DIAMOND, TaskShape.CIRCLE))
+
+    def _write(self, cores, n, tasks, out):
+        cores(n)
+        try:
+            return write_dataset_csvs(tasks, out)
+        finally:
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cfg", [SynthConfig(), SynthConfig(samples_per_window=7, noise_std=0.0)])
+    def test_one_core_and_two_write_the_per_row_reference_bytes(self, cores, tmp_path, cfg):
+        tasks = synth_tasks(8, 3, cfg, (TaskShape.DIAMOND, TaskShape.CIRCLE))
+        (tmp_path / "reference").mkdir()
+        naive_reference.naive_write_dataset_csvs(tasks, tmp_path / "reference")
+        for n in (1, 2):
+            paths = self._write(cores, n, tasks, tmp_path / f"cores{n}")
+            assert list(paths) == ["resistance", "hits", "gaze", "participants"]
+            for name, path in paths.items():
+                assert path.read_bytes() == (tmp_path / "reference" / f"{name}.csv").read_bytes(), (n, name)
+
+    @pytest.mark.parametrize(
+        "blocked, first",
+        [(("hits",), "hits"), (("resistance", "gaze"), "resistance")],
+        ids=["hits", "resistance+gaze"],
+    )
+    def test_the_first_unwritable_file_in_write_order_fails_the_call(self, cores, tasks, tmp_path, blocked, first):
+        # a directory in a file's place cannot be opened for writing, even by root
+        for name in blocked:
+            (tmp_path / f"{name}.csv").mkdir()
+        with pytest.raises(IoError) as err:
+            self._write(cores, 2, tasks, tmp_path)
+        assert type(err.value) is IoError
+        assert str(err.value).startswith(f"cannot write {tmp_path / f'{first}.csv'}: ")
 
 
 class TestLoaderErrors:

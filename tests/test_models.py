@@ -331,6 +331,12 @@ class TestBaselines:
         with pytest.raises(TooFewRows, match="^3 rows < k=5$"):
             train_baseline(BaselineKind("knn", k=5), np.ones((3, 2)), np.zeros(3, dtype=int), 2)
 
+    @pytest.mark.parametrize("name, batch_size", [("svm", 0), ("logreg", -3)])
+    def test_batch_size_below_one_is_refused(self, name, batch_size):
+        # 0 would fail mid-fit in range(), and a negative size would train no batch at all
+        with pytest.raises(InvalidConfig, match=rf"^baseline batch size \({batch_size}\) must be at least 1$"):
+            BaselineKind(name, batch_size=batch_size)
+
     def test_svm_separable(self):
         x, y = two_blobs()
         model = train_baseline(BaselineKind("svm"), x[:160], y[:160], 2, seed=0)

@@ -202,12 +202,14 @@ def cmd_run(cfg) -> int:
     shapes = _shapes(cfg)
     # the configs check every setting when built, so a bad one fails before any data is loaded
     ts_cfg, grid_cfg = _run_configs(cfg, shapes)
+    if not cfg["run.two_step"] and grid_cfg is None:
+        raise InvalidConfig("nothing to run: run.two_step is false and no grid is requested (--grid or grid.steps)")
     records = _load_records(cfg)
 
     # one pass over the shapes: each is prepared once, and its two-step result read off the grid's cells
     setup = ts_cfg.direction_setup if cfg["run.two_step"] else None
     run_shape = partial(pipeline.run_shape, records, cfg=ts_cfg, steps=cfg["grid.steps"], setup=setup)
-    runs = map_tasks(run_shape, shapes) if setup is not None or grid_cfg is not None else []
+    runs = map_tasks(run_shape, shapes)
     two_step_results = [two_step for *_grid, two_step in runs if two_step is not None]
     for result in two_step_results:
         print(
@@ -215,10 +217,9 @@ def cmd_run(cfg) -> int:
             f"step-2 {pipeline.format_cell(result.step2)} on {result.direction_setup.value}"
         )
 
-    report = None
-    notes = None
+    report = notes = None
     if grid_cfg is not None:
-        report = pipeline.grid_report(runs, grid_cfg)
+        report = pipeline.grid_report(runs)
         notes = pipeline.reference_ordering_notes(report)
         for note in notes:
             print(note)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -290,7 +290,6 @@ class PipelineResult:
     step2: Metrics
     direction_setup: SetupId
     seeds: dict
-    config_hash: str
 
 
 # the fields of a cell record in run.json, ahead of its wall time and confusion
@@ -312,8 +311,6 @@ class CellResult:
 class GridReport:
     cells: list[CellResult]
     random_guess: dict  # (step, shape value) -> accuracy %
-    root_seed: int
-    config_hash: str
 
     def by_key(self) -> dict:
         """The cells by (step, shape, model, setup), in grid order; a key held by two cells is refused."""
@@ -423,9 +420,8 @@ def run_shape(
     if setup is not None:
         key = ("direction", "LSTM", setup)
         step2 = cells.get(key) or _fit_cell(cfg, shape, *key, state.setup_matrix(setup))
-        doc = asdict(cfg) | {"direction_setup": setup, "shape": shape.value}
         seeds = {"root": cfg.seed, "step1": state.step1.seed, "step2": step2.seed}
-        two_step = PipelineResult(shape, state.step1.metrics, step2.metrics, setup, seeds, config_hash(doc))
+        two_step = PipelineResult(shape, state.step1.metrics, step2.metrics, setup, seeds)
     return list(cells.values()), random_guess, two_step
 
 
@@ -434,19 +430,17 @@ def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoSte
     return run_shape(records, shape, cfg, setup=cfg.direction_setup)[2]
 
 
-def grid_report(runs: list[tuple], cfg: GridConfig) -> GridReport:
+def grid_report(runs: list[tuple]) -> GridReport:
     """The grid report of the shapes' `run_shape` results, in shape order."""
     return GridReport(
         cells=[cell for cells, _guesses, _two_step in runs for cell in cells],
         random_guess={key: acc for _cells, guesses, _two_step in runs for key, acc in guesses.items()},
-        root_seed=cfg.seed,
-        config_hash=config_hash(asdict(cfg)),
     )
 
 
 def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
     """Train and score every requested (model, setup, shape) cell independently, the shapes side by side."""
-    return grid_report(map_tasks(partial(run_shape, records, cfg=cfg, steps=cfg.steps), cfg.shapes), cfg)
+    return grid_report(map_tasks(partial(run_shape, records, cfg=cfg, steps=cfg.steps), cfg.shapes))
 
 
 # --- reporting -------------------------------------------------------------------
@@ -474,13 +468,7 @@ def _tables(report: GridReport):
 
 def render_text(report: GridReport) -> str:
     """Paper-style tables: accuracy (%) [macro F1] per cell, best cell emphasized."""
-    lines = [
-        "Motion-intention benchmark report",
-        f"root seed: {report.root_seed} | config: {report.config_hash}",
-        "caveat: the split is per-sample, so context windows can straddle the partition",
-        "(within-participant information reuse is part of the protocol).",
-        "",
-    ]
+    lines = []
     for step, shape, models_, setups, cells, best in _tables(report):
         # segment tables list the models down the side, direction tables the setups
         by_model = step == "segment"
@@ -527,8 +515,8 @@ def _stored_metrics(rows) -> Metrics:
     return metrics_from_confusion(cm)
 
 
-def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult]]:
-    """Rebuild the grid report (None for a run without a grid) and two-step results from run.json.
+def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult], dict]:
+    """The grid report (None for a run without a grid), the two-step results, and the whole document of run.json.
 
     A document that does not have the layout `write_run_outputs` writes raises
     KeyError, ValueError, TypeError or AttributeError.
@@ -546,23 +534,23 @@ def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult]]:
                 for c in meta["cells"]
             ],
             random_guess={(g["step"], g["shape"]): g["accuracy"] for g in meta["random_guess"]},
-            root_seed=meta["root_seed"],
-            config_hash=meta["grid_config_hash"],
         )
     two_step = [
         PipelineResult(
             TaskShape(r["shape"]), _stored_metrics(r["step1_confusion"]), _stored_metrics(r["step2_confusion"]),
-            SetupId(r["setup"]), r["seeds"], r["config_hash"],
+            SetupId(r["setup"]), r["seeds"],
         )
         for r in meta["two_step"]
     ]
-    return report, two_step
+    return report, two_step, meta
 
 
 def reference_ordering_notes(report: GridReport) -> list[str]:
     """Informational ordering checks against the published reference results."""
     notes = []
     acc = {key: c.metrics.accuracy for key, c in report.by_key().items()}
+    # each direction table's best cell, by the rule that marks it in report.txt and report.csv
+    best_direction = {shape: best for step, shape, *_, best in _tables(report) if step == "direction"}
     for shape in ("diamond", "circle"):
         a_d3, a_d1 = acc.get(("segment", shape, "NN", "D3")), acc.get(("segment", shape, "NN", "D1"))
         if a_d3 is not None and a_d1 is not None:
@@ -571,17 +559,13 @@ def reference_ordering_notes(report: GridReport) -> list[str]:
                 f"{status}: segment/{shape}: NN on gaze (D3) {a_d3:.2f} vs raw (D1) {a_d1:.2f} "
                 "(reference expects D3 > D1)"
             )
-        # in grid order, so that the first of equal cells is the best
-        direction_cells = {(m, s): a for (step, sh, m, s), a in acc.items() if (step, sh) == ("direction", shape)}
-        if direction_cells:
-            best = max(direction_cells, key=lambda k: direction_cells[k])
-            expected = ("LSTM", REFERENCE_BEST_DIRECTION_SETUP)
-            favored = direction_cells.get(expected, float("-inf"))
+        if best := best_direction.get(shape):
+            top = acc["direction", shape, *best]
+            favored = acc["direction", shape, "LSTM", REFERENCE_BEST_DIRECTION_SETUP]
             # a tie with the top cell still honors the expected ordering
-            status = "ok" if favored >= direction_cells[best] - 1e-9 else "deviation"
+            status = "ok" if favored >= top - 1e-9 else "deviation"
             notes.append(
-                f"{status}: direction/{shape}: best cell {best[0]}-{best[1]} at "
-                f"{direction_cells[best]:.2f}, LSTM-D6 at {favored:.2f} "
+                f"{status}: direction/{shape}: best cell {best[0]}-{best[1]} at {top:.2f}, LSTM-D6 at {favored:.2f} "
                 "(reference expects LSTM-D6 on top)"
             )
     d2, d1 = acc.get(("direction", "diamond", "LSTM", "D2")), acc.get(("direction", "diamond", "LSTM", "D1"))
@@ -595,8 +579,8 @@ def reference_ordering_notes(report: GridReport) -> list[str]:
     return notes
 
 
-def report_text(report: GridReport | None, two_step: list[PipelineResult]) -> str:
-    """report.txt: the grid tables, if any, followed by the two-step results."""
+def report_text(report: GridReport | None, two_step: list[PipelineResult], run_meta: dict) -> str:
+    """report.txt: a grid's header (from `run_meta`, run.json's top level) and tables, then the two-step results."""
     lines = [
         f"two-step ({r.shape.value}, setup {r.direction_setup.value}): "
         f"step-1 segment {format_cell(r.step1)} | step-2 direction {format_cell(r.step2)}"
@@ -604,9 +588,16 @@ def report_text(report: GridReport | None, two_step: list[PipelineResult]) -> st
     ]
     if report is None:
         return "\n".join(lines) + "\n"
+    text = "\n".join([
+        "Motion-intention benchmark report",
+        f"root seed: {run_meta['root_seed']} | config: {run_meta['config_hash']}",
+        "caveat: the split is per-sample, so context windows can straddle the partition",
+        "(within-participant information reuse is part of the protocol).\n",
+        render_text(report),
+    ])
     if not lines:
-        return render_text(report)
-    return render_text(report) + "== two-step pipeline ==\n" + "\n".join(lines) + "\n"
+        return text
+    return text + "== two-step pipeline ==\n" + "\n".join(lines) + "\n"
 
 
 def write_output(path, text: str) -> None:
@@ -627,12 +618,11 @@ def write_run_outputs(
     """Write report.txt, report.csv, run.json (provenance and every confusion matrix), and notes."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_output(outdir / "report.txt", report_text(report, two_step))
+    write_output(outdir / "report.txt", report_text(report, two_step, run_meta))
 
     meta = dict(run_meta)
     if report is not None:
         write_output(outdir / "report.csv", render_csv(report))
-        meta["grid_config_hash"] = report.config_hash
         meta["cells"] = [
             {
                 **{name: getattr(c, name) for name in _CELL_FIELDS},
@@ -651,7 +641,6 @@ def write_run_outputs(
             "step1_accuracy": r.step1.accuracy,
             "step2_accuracy": r.step2.accuracy,
             "seeds": r.seeds,
-            "config_hash": r.config_hash,
             "step1_confusion": r.step1.confusion.tolist(),
             "step2_confusion": r.step2.confusion.tolist(),
         }

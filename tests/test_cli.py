@@ -25,7 +25,6 @@ TWO_STEP_ENTRY = {
     "shape": "diamond",
     "setup": "D6",
     "seeds": {"root": 1},
-    "config_hash": "x",
     "step1_confusion": [[1, 0], [1, 0]],
     "step2_confusion": [[1, 0], [0, 1]],
 }
@@ -317,6 +316,46 @@ class TestRunCommand:
             hashes.append(json.loads((out / "run.json").read_text())["config_hash"])
         assert hashes[0] == hashes[1]
 
+    def test_report_header_prints_the_run_json_config_hash(self, tmp_path):
+        # two datasets that differ in one setting are two configs, in report.txt as in run.json
+        headers = []
+        for noise_std in (2, 5):
+            cfgfile = write_config(tmp_path, f"[data]\nnoise_std = {noise_std}\n")
+            out = tmp_path / f"noise{noise_std}"
+            args = ["run", "--synthetic", "--seed", "2", "--participants", "4", "--grid", "segment"]
+            assert main(args + ["--config", cfgfile, "--out", str(out)]) == 0
+            header = (out / "report.txt").read_text().splitlines()[1]
+            assert header.endswith(f"| config: {json.loads((out / 'run.json').read_text())['config_hash']}")
+            headers.append(header)
+        assert headers[0] != headers[1]
+
+    def test_run_json_holds_one_config_hash(self, tmp_path):
+        cfgfile = write_config(tmp_path)
+        out = tmp_path / "run"
+        args = ["run", "--synthetic", "--seed", "2", "--participants", "4", "--shape", "diamond", "--grid", "segment"]
+        assert main(args + ["--config", cfgfile, "--out", str(out)]) == 0
+        text = (out / "run.json").read_text()
+        doc = json.loads(text)
+        assert text.count("config_hash") == 1
+        assert "grid_config_hash" not in doc and doc["two_step"]
+        assert all("config_hash" not in entry for entry in doc["two_step"])
+        # a run.json of an earlier version, with a grid hash and a hash per two-step entry, renders the run's hash
+        written = (out / "report.txt").read_bytes()
+        doc["grid_config_hash"] = "0123456789abcdef"
+        for entry in doc["two_step"]:
+            entry["config_hash"] = "fedcba9876543210"
+        (out / "run.json").write_text(json.dumps(doc))
+        (out / "report.txt").unlink()
+        assert main(["report", "--out", str(out)]) == 0
+        assert (out / "report.txt").read_bytes() == written
+
+    def test_a_run_with_nothing_to_run_is_refused(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, "[run]\ntwo_step = false\n")
+        out = tmp_path / "o"
+        assert main(["run", "--synthetic", "--participants", "4", "--config", cfgfile, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error[InvalidConfig]: nothing to run")
+        assert not out.exists()
+
     def test_grid_and_report_roundtrip(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path)
         out = tmp_path / "run"
@@ -429,12 +468,12 @@ class TestRunCommand:
         [
             pytest.param([], "", id="list"),
             pytest.param(None, "", id="null"),
-            pytest.param({"root_seed": 1, "grid_config_hash": "x", "cells": 5, "random_guess": [], "two_step": []},
+            pytest.param({"root_seed": 1, "config_hash": "x", "cells": 5, "random_guess": [], "two_step": []},
                          "", id="cells-not-a-list"),
             pytest.param({"two_step": 3}, "", id="two-step-not-a-list"),
-            pytest.param({"root_seed": 1, "grid_config_hash": "x", "cells": [ONE_CELL], "random_guess": [],
+            pytest.param({"root_seed": 1, "config_hash": "x", "cells": [ONE_CELL], "random_guess": [],
                           "two_step": []}, "missing cells", id="grid-missing-cells"),
-            pytest.param({"root_seed": 1, "grid_config_hash": "x", "cells": [ONE_CELL] * 2, "random_guess": [],
+            pytest.param({"root_seed": 1, "config_hash": "x", "cells": [ONE_CELL] * 2, "random_guess": [],
                           "two_step": []}, "listed twice", id="grid-cell-listed-twice"),
             pytest.param("directory", "Is a directory", id="run-json-a-directory"),
             pytest.param({"two_step": [dict(TWO_STEP_ENTRY, step1_confusion=[[0, 0], [0, 0]])]},
@@ -496,7 +535,6 @@ class TestShapesSideBySide:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
         metas = [json.loads((out / "run.json").read_text()) for out in (one, two)]
         assert metas[0]["config_hash"] == metas[1]["config_hash"]
-        assert metas[0]["grid_config_hash"] == metas[1]["grid_config_hash"]
         cells = [[(c["step"], c["shape"], c["model"], c["setup"], c["confusion"]) for c in m["cells"]] for m in metas]
         assert len(cells[0]) == 96  # 4 x 4 segment and 4 x 8 direction cells per shape
         assert cells[0] == cells[1]

@@ -49,7 +49,7 @@ def _two_rows():
 
 def _table_without_all_but_its_first_cell():
     cell = CellResult("segment", "diamond", "NN", "D1", Metrics(50.0, 0.5, np.eye(4, dtype=int)), 0, 0.0)
-    return render_text(GridReport(cells=[cell], random_guess={}, root_seed=1, config_hash="x"))
+    return render_text(GridReport(cells=[cell], random_guess={}))
 
 
 SEGMENT_CELLS = [(m, s) for m in ("NN", "KNN", "SVM", "LR") for s in ("D1", "D2", "D3", "D5")]

@@ -173,7 +173,6 @@ class TestTwoStep:
         r2 = run_two_step(cohort4, TaskShape.DIAMOND, cfg)
         assert r1.step1.accuracy == r2.step1.accuracy
         assert r1.step2.accuracy == r2.step2.accuracy
-        assert r1.config_hash == r2.config_hash
         np.testing.assert_array_equal(r1.step1.confusion, r2.step1.confusion)
 
     def test_probs_are_simplex(self, cohort4):
@@ -426,7 +425,7 @@ class TestRendering:
                 (m, s) for m in ("NN", "KNN", "SVM", "LR") for s in ("D1", "D2", "D3", "D5")
             )
         ]
-        return GridReport(cells=cells, random_guess={("segment", "diamond"): 25.4}, root_seed=1, config_hash="x")
+        return GridReport(cells=cells, random_guess={("segment", "diamond"): 25.4})
 
     def test_text_flags_best(self):
         text = render_text(self._tiny_report())
@@ -450,8 +449,8 @@ class TestRendering:
         csv_text = render_csv(report)
         header = csv_text.splitlines()[0].split(",")
         assert header == ["step", "shape", "model", "setup", "accuracy", "f1", "best"]
-        write_run_outputs(tmp_path, report, [], {"root_seed": report.root_seed})
-        parsed, two_step = read_run_outputs(tmp_path)
+        write_run_outputs(tmp_path, report, [], {"root_seed": 1, "config_hash": "x"})
+        parsed, two_step, _meta = read_run_outputs(tmp_path)
         assert two_step == []
         assert render_csv(parsed) == csv_text
         assert render_text(parsed) == render_text(report)
@@ -461,8 +460,8 @@ class TestRendering:
         report.cells[0].metrics = metrics_from_confusion(_confusion(70001, 100000))
         report.cells[1].metrics = metrics_from_confusion(_confusion(70004, 100000))  # the best; both print 70.00
         assert format_cell(report.cells[0].metrics)[:5] == format_cell(report.cells[1].metrics)[:5] == "70.00"
-        write_run_outputs(tmp_path, report, [], {"root_seed": report.root_seed})
-        parsed, _ = read_run_outputs(tmp_path)
+        write_run_outputs(tmp_path, report, [], {"root_seed": 1, "config_hash": "x"})
+        parsed, _two_step, _meta = read_run_outputs(tmp_path)
         assert render_text(parsed) == render_text(report)
         assert f"**{format_cell(report.cells[1].metrics)}**" in render_text(parsed)
 
@@ -473,11 +472,30 @@ class TestReferenceNotes:
         assert notes, "expected ordering notes for a full grid"
         assert all(note.startswith(("ok:", "deviation:")) for note in notes)
 
+    def test_the_best_direction_cell_is_the_one_the_tables_mark(self):
+        # KNN-D2 and LSTM-D5 tie on accuracy and F1; in grid order KNN-D2 comes first, in the table LSTM-D5
+        tied = [[19, 1], [1, 19]]
+        confusions = {("KNN", "D2"): tied, ("LSTM", "D5"): tied}
+        cells = [
+            CellResult("direction", "diamond", m, s.value, metrics_from_confusion(np.array(cm)), 0, 0.0)
+            for s in SetupId
+            for m in ("LSTM", "KNN", "SVM", "LR")
+            for cm in [confusions.get((m, s.value), [[15, 5], [5, 15]])]
+        ]
+        report = GridReport(cells=cells, random_guess={})
+        assert reference_ordering_notes(report)[0] == (
+            "deviation: direction/diamond: best cell LSTM-D5 at 95.00, LSTM-D6 at 75.00 "
+            "(reference expects LSTM-D6 on top)"
+        )
+        d5_row = next(line for line in render_text(report).splitlines() if line.startswith("D5 "))
+        assert d5_row.split()[1] == "**95.00"
+        assert "direction,diamond,LSTM,D5,95.00,0.950,1" in render_csv(report).splitlines()
+
     def test_write_outputs(self, cohort4, tmp_path):
         cfg = GridConfig(seed=3, steps="segment", shapes=(TaskShape.DIAMOND,), train=FAST)
         report = run_grid(cohort4, cfg)
         result = run_two_step(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=3, train=FAST))
-        write_run_outputs(tmp_path, report, [result], {"root_seed": 3}, ["ok: something"])
+        write_run_outputs(tmp_path, report, [result], {"root_seed": 3, "config_hash": "x"}, ["ok: something"])
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "run.json").exists()

@@ -39,6 +39,7 @@ from .features import (  # noqa: E402, F401
 from .pipeline import (  # noqa: E402, F401
     GridConfig,
     Metrics,
+    RunConfig,
     TwoStepConfig,
     evaluate,
     run_grid,

@@ -17,7 +17,7 @@ from . import dataset, pipeline
 from .dataset import SynthConfig, TaskShape
 from .errors import BadArgument, IntentBenchError, InvalidConfig, IoError
 from .features import SetupId, export_features_csv
-from .pipeline import GridConfig, TrainParams, TwoStepConfig
+from .pipeline import RunConfig, TrainParams
 from .pool import map_tasks
 
 # dotted config key -> (type, default)
@@ -69,8 +69,9 @@ def _strip_comment(line: str) -> str:
 
 
 def load_config_file(path) -> dict:
-    """Parse the flat TOML-style `key = value` config with [section] headers."""
+    """Parse the flat TOML-style `key = value` config with [section] headers; a key may be given once."""
     values = {}
+    lines = {}  # key -> the line that gave it
     section = ""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -89,6 +90,9 @@ def load_config_file(path) -> dict:
         key = f"{section}.{name.strip()}" if section else name.strip()
         if key not in CONFIG_KEYS:
             raise InvalidConfig(f"unknown config key '{key}'")
+        if key in lines:
+            raise InvalidConfig(f"{path}: config key '{key}' is given twice, on lines {lines[key]} and {line_no}")
+        lines[key] = line_no
         values[key] = _parse_value(raw, CONFIG_KEYS[key][0], key)
     return values
 
@@ -182,44 +186,38 @@ def cmd_features(cfg) -> int:
     return 0
 
 
-def _run_configs(cfg, shapes: tuple[TaskShape, ...]) -> tuple[TwoStepConfig, GridConfig | None]:
-    """The two-step config and the grid config (None without `grid.steps`) of a resolved config."""
+def _run_config(cfg) -> RunConfig:
+    """The run config of a resolved config; building it checks every run setting."""
+    shapes = _shapes(cfg)
     try:
         setup = SetupId(cfg["run.direction_setup"])
     except ValueError:
         raise InvalidConfig(f"unknown direction setup '{cfg['run.direction_setup']}'") from None
-    common = dict(
+    return RunConfig(
         seed=cfg["seed"],
         train_fraction=cfg["split.train_fraction"],
         train=TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)}),
+        steps=cfg["grid.steps"],
+        direction_setup=setup if cfg["run.two_step"] else None,
+        shapes=shapes,
     )
-    grid_cfg = GridConfig(steps=cfg["grid.steps"], shapes=shapes, **common) if cfg["grid.steps"] else None
-    return TwoStepConfig(direction_setup=setup, **common), grid_cfg
 
 
 def cmd_run(cfg) -> int:
     """Run the two-step pipeline and/or the experiment grid, then write the report."""
-    shapes = _shapes(cfg)
-    # the configs check every setting when built, so a bad one fails before any data is loaded
-    ts_cfg, grid_cfg = _run_configs(cfg, shapes)
-    if not cfg["run.two_step"] and grid_cfg is None:
-        raise InvalidConfig("nothing to run: run.two_step is false and no grid is requested (--grid or grid.steps)")
+    # the config checks every setting when built, so a bad one fails before any data is loaded
+    run_cfg = _run_config(cfg)
     records = _load_records(cfg)
 
-    # one pass over the shapes: each is prepared once, and its two-step result read off the grid's cells
-    setup = ts_cfg.direction_setup if cfg["run.two_step"] else None
-    run_shape = partial(pipeline.run_shape, records, cfg=ts_cfg, steps=cfg["grid.steps"], setup=setup)
-    runs = map_tasks(run_shape, shapes)
-    two_step_results = [two_step for *_grid, two_step in runs if two_step is not None]
+    report, two_step_results = pipeline.run(records, run_cfg)
     for result in two_step_results:
         print(
             f"two-step {result.shape.value}: step-1 {pipeline.format_cell(result.step1)} | "
             f"step-2 {pipeline.format_cell(result.step2)} on {result.direction_setup.value}"
         )
 
-    report = notes = None
-    if grid_cfg is not None:
-        report = pipeline.grid_report(runs)
+    notes = None
+    if report is not None:
         notes = pipeline.reference_ordering_notes(report)
         for note in notes:
             print(note)
@@ -228,7 +226,7 @@ def cmd_run(cfg) -> int:
         "root_seed": cfg["seed"],
         "config_hash": pipeline.config_hash({k: v for k, v in cfg.items() if k != "out"}),
         "data_source": cfg["data.source"],
-        "shapes": [s.value for s in shapes],
+        "shapes": [s.value for s in run_cfg.shapes],
     }
     pipeline.write_run_outputs(cfg["out"], report, two_step_results, run_meta, notes)
     print(f"outputs written to {cfg['out']}")

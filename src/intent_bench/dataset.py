@@ -74,8 +74,9 @@ def _check_hit_times(ts: np.ndarray) -> None:
         raise DataError("hit timestamps must be strictly increasing")
 
 
-def segment_trace(trace: ResistanceTrace, hit_times: np.ndarray) -> list[np.ndarray]:
-    """The samples of the 39 half-open inter-hit windows [t_k, t_{k+1}) of a trace, given its 40 hit times."""
+def segment_trace(trace: ResistanceTrace, hit_times: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """A trace cut at its 40 hit times: the samples of the 39 half-open inter-hit windows [t_k, t_{k+1}),
+    and the resistance at each hit instant (the nearest sample, ties to the earlier one)."""
     ts = np.asarray(hit_times, dtype=float)
     _check_hit_times(ts)
     bounds = np.searchsorted(trace.times, ts, side="left")
@@ -84,18 +85,10 @@ def segment_trace(trace: ResistanceTrace, hit_times: np.ndarray) -> list[np.ndar
         if hi - lo < 2:
             raise DataError(f"fewer than 2 samples between hits {source_hit} and {source_hit + 1}")
         windows.append(trace.values[lo:hi].copy())
-    return windows
-
-
-def raw_at_hits(trace: ResistanceTrace, hit_times: np.ndarray) -> np.ndarray:
-    """Resistance sampled at each hit instant: nearest trace sample, ties to the earlier one."""
-    ts = np.asarray(hit_times, dtype=float)
-    _check_hit_times(ts)
-    j = np.searchsorted(trace.times, ts, side="left")
-    before = np.clip(j - 1, 0, len(trace.times) - 1)
-    after = np.minimum(j, len(trace.times) - 1)
+    before = np.clip(bounds - 1, 0, len(trace.times) - 1)
+    after = np.minimum(bounds, len(trace.times) - 1)
     pick = np.where(ts - trace.times[before] <= trace.times[after] - ts, before, after)
-    return trace.values[pick]
+    return windows, trace.values[pick]
 
 
 # --- synthetic cohort ---------------------------------------------------
@@ -193,13 +186,14 @@ def build_record(
 ) -> ParticipantRecord:
     if gaze.shape[0] != HITS_PER_TASK:
         raise DataError(f"expected {HITS_PER_TASK} gaze rows, got {gaze.shape[0]}")
+    windows, hit_values = segment_trace(trace, hit_times)
     return ParticipantRecord(
         participant_id=participant_id,
         shape=shape,
         direction=direction,
-        windows=segment_trace(trace, hit_times),
+        windows=windows,
         gaze=np.asarray(gaze, dtype=float),
-        hit_values=raw_at_hits(trace, hit_times),
+        hit_values=hit_values,
     )
 
 

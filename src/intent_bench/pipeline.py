@@ -4,9 +4,10 @@ The two-step run trains the gaze-driven segment classifier, feeds its
 probability outputs into a feature setup, and trains the direction LSTM on
 the same train/test partition. The grid trains every requested
 (model, setup, shape) cell independently with seeds derived from one root
-seed, then renders the comparison tables. A run prepares each shape once
-(`run_shape`), and its two-step result is two of the grid's cells: step 1 is
-the NN-D3 cell, step 2 the LSTM cell of its setup.
+seed, then renders the comparison tables. A run (`run`, whose `RunConfig`
+states its scope) prepares each shape once (`run_shape`), and its two-step
+result is two of the grid's cells: step 1 is the NN-D3 cell, step 2 the LSTM
+cell of its setup.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -256,31 +257,26 @@ def fit_eval(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings shared by the two-step run and the grid; the split settings are checked here."""
+    """A run's settings and scope: its grid steps, its two-step setup and its shapes, each checked here."""
 
     seed: int = 0
     train_fraction: float = 0.8
     train: TrainParams = field(default_factory=TrainParams)
+    steps: str = "all"  # segment | direction | all, or "" for no grid
+    direction_setup: SetupId | None = SetupId.D6  # None for no two-step result
+    shapes: tuple[TaskShape, ...] = (TaskShape.DIAMOND, TaskShape.CIRCLE)
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-
-
-@dataclass(frozen=True)
-class TwoStepConfig(RunConfig):
-    direction_setup: SetupId = SetupId.D6
-
-
-@dataclass(frozen=True)
-class GridConfig(RunConfig):
-    steps: str = "all"  # segment | direction | all
-    shapes: tuple[TaskShape, ...] = (TaskShape.DIAMOND, TaskShape.CIRCLE)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.steps not in (*_STEPS, "all"):
+        if self.steps not in ("", *_STEPS, "all"):
             raise InvalidConfig(f"unknown grid steps '{self.steps}'")
+        if not self.steps and self.direction_setup is None:
+            raise InvalidConfig("nothing to run: run.two_step is false and no grid is requested (--grid or grid.steps)")
+
+
+# the former names of the two-step run's and the grid's configs, kept for the callers that import them
+TwoStepConfig = GridConfig = RunConfig
 
 
 @dataclass
@@ -395,18 +391,18 @@ def _fit_cell(cfg: RunConfig, shape: TaskShape, step: str, model_name: str, setu
 
 
 def run_shape(
-    records: list[ParticipantRecord], shape: TaskShape, cfg: RunConfig, steps: str = "", setup: SetupId | None = None
+    records: list[ParticipantRecord], shape: TaskShape, cfg: RunConfig
 ) -> tuple[list, dict, PipelineResult | None]:
-    """One shape of a run: its grid cells of `steps` (a grid scope, or "" for none) in grid order, its
-    random-guess entries {(step, shape value): accuracy %}, and with a `setup` its two-step result.
+    """One shape of a run: its grid cells of `cfg.steps` in grid order, its random-guess entries
+    {(step, shape value): accuracy %}, and with a `cfg.direction_setup` its two-step result.
 
     The shape is prepared once, and each (step, model, setup) is fit at most once: step 1
-    is the NN-D3 cell, and step 2 the LSTM cell of `setup`, fit here where the grid has none.
+    is the NN-D3 cell, and step 2 the LSTM cell of the setup, fit here where the grid has none.
     """
     state = _prepare_shape(records, shape, cfg)
     cells: dict = {}  # (step, model, setup) -> CellResult, in grid order
     random_guess: dict = {}
-    for step in [name for name in _STEPS if steps in (name, "all")]:
+    for step in [name for name in _STEPS if cfg.steps in (name, "all")]:
         model_names, setups, num_classes = _STEPS[step]
         # the chance level of the window rows that D2..D8 are scored on
         random_guess[(step, shape.value)] = random_guess_accuracy(getattr(state.features, step), num_classes)
@@ -416,7 +412,7 @@ def run_shape(
                 key = (step, model_name, setup_id)
                 cells[key] = state.step1 if key == _STEP1_CELL else _fit_cell(cfg, shape, *key, matrix)
 
-    two_step = None
+    two_step, setup = None, cfg.direction_setup
     if setup is not None:
         key = ("direction", "LSTM", setup)
         step2 = cells.get(key) or _fit_cell(cfg, shape, *key, state.setup_matrix(setup))
@@ -425,22 +421,26 @@ def run_shape(
     return list(cells.values()), random_guess, two_step
 
 
-def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: TwoStepConfig) -> PipelineResult:
+def run(records: list[ParticipantRecord], cfg: RunConfig) -> tuple[GridReport | None, list[PipelineResult]]:
+    """A run's grid report (None without grid steps) and two-step results, the shapes side by side, in shape order."""
+    runs = map_tasks(partial(run_shape, records, cfg=cfg), cfg.shapes)
+    report = None
+    if cfg.steps:
+        report = GridReport(
+            cells=[cell for cells, _guesses, _two_step in runs for cell in cells],
+            random_guess={key: acc for _cells, guesses, _two_step in runs for key, acc in guesses.items()},
+        )
+    return report, [two_step for *_grid, two_step in runs if two_step is not None]
+
+
+def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: RunConfig) -> PipelineResult:
     """Step 1: gaze -> segment probabilities, scored as step 2 reads them. Step 2: direction LSTM on the setup."""
-    return run_shape(records, shape, cfg, setup=cfg.direction_setup)[2]
+    return run_shape(records, shape, replace(cfg, steps=""))[2]
 
 
-def grid_report(runs: list[tuple]) -> GridReport:
-    """The grid report of the shapes' `run_shape` results, in shape order."""
-    return GridReport(
-        cells=[cell for cells, _guesses, _two_step in runs for cell in cells],
-        random_guess={key: acc for _cells, guesses, _two_step in runs for key, acc in guesses.items()},
-    )
-
-
-def run_grid(records: list[ParticipantRecord], cfg: GridConfig) -> GridReport:
+def run_grid(records: list[ParticipantRecord], cfg: RunConfig) -> GridReport:
     """Train and score every requested (model, setup, shape) cell independently, the shapes side by side."""
-    return grid_report(map_tasks(partial(run_shape, records, cfg=cfg, steps=cfg.steps), cfg.shapes))
+    return run(records, replace(cfg, direction_setup=None))[0]
 
 
 # --- reporting -------------------------------------------------------------------

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from intent_bench import dataset, pool
-from intent_bench.cli import _run_configs, _shapes, build_parser, load_config_file, main, resolve_config
+from intent_bench.cli import _run_config, build_parser, load_config_file, main, resolve_config
 from intent_bench.dataset import TaskShape
 from intent_bench.errors import InvalidConfig
 from intent_bench.features import SetupId
+from intent_bench.pipeline import TrainParams
 
 FAST_TRAIN = """
 [train]
@@ -96,12 +97,32 @@ two_step = false
         path.write_text(examples[0])
         assert load_config_file(path)
         cfg = resolve_config(build_parser().parse_args(["run", "--config", str(path)]))
-        two_step, grid = _run_configs(cfg, _shapes(cfg))
-        assert two_step.seed == grid.seed == 42
-        assert two_step.direction_setup is SetupId.D6
-        assert grid.steps == "all"
-        assert grid.shapes == (TaskShape.DIAMOND, TaskShape.CIRCLE)
-        assert grid.train == two_step.train
+        run_cfg = _run_config(cfg)
+        assert run_cfg.seed == 42
+        assert run_cfg.direction_setup is SetupId.D6
+        assert run_cfg.steps == "all"
+        assert run_cfg.shapes == (TaskShape.DIAMOND, TaskShape.CIRCLE)
+        assert run_cfg.train == TrainParams(mlp_epochs=50, lstm_epochs=50, window_len=5)
+
+    @pytest.mark.parametrize(
+        "text, key, lines",
+        [
+            pytest.param("seed = 1\nseed = 2\n", "seed", (1, 2), id="top-level"),
+            pytest.param(
+                "[data]\nparticipants = 4\n[run]\ntwo_step = true\n[data]\nparticipants = 5\n",
+                "data.participants", (2, 6), id="repeated-section",
+            ),
+        ],
+    )
+    def test_a_key_given_twice_is_refused(self, tmp_path, capsys, text, key, lines):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(InvalidConfig, match=f"'{key}' is given twice, on lines {lines[0]} and {lines[1]}$"):
+            load_config_file(path)
+        out = tmp_path / "o"
+        assert main(["run", "--synthetic", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error[InvalidConfig]: {path}: config key '{key}'")
+        assert not out.exists()
 
 
 class TestSynthCommand:
@@ -425,7 +446,7 @@ class TestRunCommand:
             pytest.param("[train]\nlstm_epochs = 0\n", True, id="lstm_epochs"),
             pytest.param('[run]\ndirection_setup = "D9"\n', True, id="direction_setup"),
             pytest.param("[data]\namplitude_ohm = nan\n", True, id="amplitude_ohm"),
-            pytest.param('[run]\ntwo_step = true\n[grid]\nsteps = "bogus"\n', False, id="grid_steps"),
+            pytest.param('[grid]\nsteps = "bogus"\n', False, id="grid_steps"),
         ],
     )
     def test_bad_setting_fails_before_any_training(self, tmp_path, capsys, setting, grid):

@@ -19,12 +19,12 @@ from intent_bench.dataset import (
     SynthConfig,
     TaskShape,
     assign_segment_label,
+    build_record,
     derive_seed,
     load_gaze_csv,
     load_hits_csv,
     load_participants_csv,
     load_resistance_csv,
-    raw_at_hits,
     records_from_csv_dir,
     segment_trace,
     synth_cohort,
@@ -63,7 +63,7 @@ def _uniform_trace(samples_per_span=10, spans=39, step=1.0):
 class TestSegmentTrace:
     def test_uniform_partition(self):
         trace, hit_times = _uniform_trace()
-        windows = segment_trace(trace, hit_times)
+        windows, _hit_values = segment_trace(trace, hit_times)
         assert len(windows) == 39
         # window k holds the samples from hit k up to, not including, hit k + 1
         for k, w in enumerate(windows):
@@ -85,11 +85,13 @@ class TestSegmentTrace:
         repeated[5] = repeated[4]
         with_nan = hit_times.copy()
         with_nan[20] = np.nan
+        gaze = np.zeros((40, 8))
         for bad in (hit_times[:39], np.append(hit_times, 1e9), hit_times[None, :], swapped, repeated, with_nan):
             with pytest.raises(DataError, match="hit time"):
                 segment_trace(trace, bad)
+            # a record's windows and hit values come from that one cut
             with pytest.raises(DataError, match="hit time"):
-                raw_at_hits(trace, bad)
+                build_record("p0", TaskShape.DIAMOND, Direction.CW, trace, bad, gaze)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))
@@ -102,7 +104,7 @@ class TestSegmentTrace:
         trace = ResistanceTrace("p", TaskShape.CIRCLE, times, values)
         in_task = (times >= 0.0) & (times < 3900.0)
         try:
-            windows = segment_trace(trace, hit_times)
+            windows, _hit_values = segment_trace(trace, hit_times)
         except DataError:
             return  # sparse draw; contract allows rejection
         merged = np.concatenate(windows)
@@ -115,12 +117,13 @@ class TestSegmentTrace:
 
 class TestRawAtHits:
     def test_nearest_with_tie_to_earlier(self):
-        times = np.array([0.0, 4.0, 6.0, 10.0, 20.0, 30.0])
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        # the selection rule needs only the first three hits and the samples at 0..10; every
+        # window holds at least 2 samples, and the other 37 hits follow in order
+        times = np.concatenate([[0.0, 4.0, 6.0, 7.0], 10.0 + 0.25 * np.arange(161)])
+        values = np.concatenate([[1.0, 2.0, 3.0, 9.0, 4.0], np.full(160, 5.0)])
         trace = ResistanceTrace("p", TaskShape.DIAMOND, times, values)
-        # the selection rule needs only the first three hits; the other 37 follow in order
         hit_times = np.concatenate([[0.0, 5.0, 9.0], 9.0 + np.arange(4, 41)])
-        out = raw_at_hits(trace, hit_times)
+        _windows, out = segment_trace(trace, hit_times)
         assert out[0] == 1.0  # exact
         assert out[1] == 2.0  # tie between 4.0 and 6.0 -> earlier
         assert out[2] == 4.0  # nearest is 10.0

@@ -75,6 +75,15 @@ class TestSplit:
             with pytest.raises(InvalidConfig, match="train_fraction"):
                 RunConfig(train_fraction=fraction)
 
+    def test_run_config_refuses_unknown_steps_and_nothing_to_run(self):
+        with pytest.raises(InvalidConfig, match="^unknown grid steps 'bogus'$"):
+            RunConfig(steps="bogus")
+        with pytest.raises(InvalidConfig, match="^nothing to run: "):
+            RunConfig(steps="", direction_setup=None)
+        assert RunConfig(steps="").direction_setup is SetupId.D6
+        assert RunConfig(steps="segment", direction_setup=None).steps == "segment"
+        assert TwoStepConfig is GridConfig is RunConfig
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=5, max_value=500), st.integers(min_value=0, max_value=2**31))
     def test_partition_property(self, n, seed):
@@ -330,6 +339,39 @@ class TestGrid:
         cores(1)  # serial: the counting wrapper sees only the calls made in this process
         run_grid(cohort4, GridConfig(seed=3, steps="segment", train=FAST))
         assert len(mlp_fits) == 8  # NN x D1/D2/D3/D5 per shape; no setup reads step-1 probabilities
+
+    def test_a_two_step_run_fits_only_its_two_cells(self, cohort4, mlp_fits, cores, monkeypatch):
+        cores(1)
+        lstm_fits = count_calls(monkeypatch, "train_lstm")
+        run_two_step(cohort4, TaskShape.DIAMOND, RunConfig(seed=3, steps="all", train=FAST))
+        assert (len(mlp_fits), len(lstm_fits)) == (1, 1)  # the NN-D3 and LSTM-D6 cells, not the grid's
+
+    def test_a_segment_grid_fits_no_lstm(self, cohort4, mlp_fits, cores, monkeypatch):
+        cores(1)
+        lstm_fits = count_calls(monkeypatch, "train_lstm")
+        report = run_grid(cohort4, RunConfig(seed=3, steps="segment", direction_setup=SetupId.D6, train=FAST))
+        assert (len(mlp_fits), len(lstm_fits)) == (8, 0)
+        assert {c.step for c in report.cells} == {"segment"}
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_a_run_is_the_grid_and_the_two_step_results(self, cohort4, cores, n_cores):
+        cores(n_cores)
+        cfg = RunConfig(seed=3, steps="all", direction_setup=SetupId.D6, train=FAST)
+        report, two_step = pipeline.run(cohort4, cfg)
+        grid = run_grid(cohort4, cfg)
+        assert [(c.step, c.shape, c.model, c.setup, c.seed) for c in report.cells] == [
+            (c.step, c.shape, c.model, c.setup, c.seed) for c in grid.cells
+        ]
+        for got, want in zip(report.cells, grid.cells):
+            np.testing.assert_array_equal(got.metrics.confusion, want.metrics.confusion)
+        assert report.random_guess == grid.random_guess
+        assert [r.shape for r in two_step] == list(BOTH)
+        for result in two_step:
+            alone = run_two_step(cohort4, result.shape, cfg)
+            assert (result.direction_setup, result.seeds) == (alone.direction_setup, alone.seeds)
+            np.testing.assert_array_equal(result.step1.confusion, alone.step1.confusion)
+            np.testing.assert_array_equal(result.step2.confusion, alone.step2.confusion)
+        assert multiprocessing.active_children() == []
 
     def test_direction_grid_trains_the_step1_mlp_once_per_shape(self, cohort4, mlp_fits, cores):
         cores(1)

@@ -89,7 +89,7 @@ def load_config_file(path) -> dict:
         name, raw = stripped.split("=", 1)
         key = f"{section}.{name.strip()}" if section else name.strip()
         if key not in CONFIG_KEYS:
-            raise InvalidConfig(f"unknown config key '{key}'")
+            raise InvalidConfig(f"{path}:{line_no}: unknown config key '{key}'")
         if key in lines:
             raise InvalidConfig(f"{path}: config key '{key}' is given twice, on lines {lines[key]} and {line_no}")
         lines[key] = line_no

@@ -8,7 +8,7 @@ values, features, gaze and the segment model's probability outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -163,7 +163,7 @@ SETUP_PARTS = {
 
 @dataclass
 class DataMatrix:
-    """A labeled sample matrix for one shape: values plus per-row labels."""
+    """A labeled sample matrix for one shape: values plus per-row labels, and the rows a model fits on."""
 
     values: np.ndarray  # (n, d)
     segment: np.ndarray  # (n,) int 0..3
@@ -171,6 +171,13 @@ class DataMatrix:
     participant: np.ndarray  # (n,) str
     hit: np.ndarray  # (n,) destination hit for window rows, hit index for raw rows
     shape: TaskShape
+    train: np.ndarray | None = None  # (n,) bool, True on the training rows; None for an unsplit table
+
+    def __post_init__(self):
+        train = self.train
+        if train is not None and (getattr(train, "dtype", None) != bool or train.shape != (self.n_rows,)):
+            raise BadArgument(f"the training mask must be a bool array of {self.n_rows} entries, got "
+                              f"{type(train).__name__} {np.shape(train)} of {np.asarray(train).dtype}")
 
     @property
     def n_rows(self) -> int:
@@ -179,7 +186,7 @@ class DataMatrix:
     def with_values(self, values: np.ndarray) -> "DataMatrix":
         if values.shape[0] != self.n_rows:
             raise BadArgument(f"{values.shape[0]} value rows for {self.n_rows} labels")
-        return DataMatrix(values, self.segment, self.direction, self.participant, self.hit, self.shape)
+        return replace(self, values=values)
 
 
 def assemble_setup(setup: SetupId, rows: DataMatrix, parts: dict) -> DataMatrix:

@@ -158,27 +158,27 @@ def raw_table(records: list[ParticipantRecord]) -> DataMatrix:
     return DataMatrix(values=values, **_row_labels(records, hits))
 
 
-def scale_on_train(dm: DataMatrix, train_idx: np.ndarray) -> DataMatrix:
+def _train_rows(dm: DataMatrix) -> np.ndarray:
+    """The training mask of a split table; an unsplit one cannot be fit on."""
+    if dm.train is None:
+        raise BadArgument(f"the {dm.shape.value} table has no training mask to fit on")
+    return dm.train
+
+
+def scale_on_train(dm: DataMatrix) -> DataMatrix:
     """Min-max scale every column on the training rows only, apply everywhere."""
-    scaler = fit_scaler(dm.values[train_idx])
+    scaler = fit_scaler(dm.values[_train_rows(dm)])
     return dm.with_values(apply_scaler(scaler, dm.values))
 
 
-def sequences_from_matrix(dm: DataMatrix, train_idx: np.ndarray) -> list[SequenceData]:
+def sequences_from_matrix(dm: DataMatrix) -> list[SequenceData]:
     """Per-participant ordered sequences with per-step direction labels and split flags."""
-    train_mask = np.zeros(dm.n_rows, dtype=bool)
-    train_mask[train_idx] = True
+    train_mask = _train_rows(dm)
     seqs = []
     for pid in sorted(set(dm.participant)):
         rows = np.flatnonzero(dm.participant == pid)
         rows = rows[np.argsort(dm.hit[rows], kind="stable")]
-        seqs.append(
-            SequenceData(
-                x=dm.values[rows],
-                labels=dm.direction[rows],
-                train_mask=train_mask[rows],
-            )
-        )
+        seqs.append(SequenceData(x=dm.values[rows], labels=dm.direction[rows], train_mask=train_mask[rows]))
     return seqs
 
 
@@ -189,20 +189,20 @@ _BASELINES = {"KNN": "knn", "SVM": "svm", "LR": "logreg"}  # model name -> Basel
 
 @dataclass(frozen=True)
 class TrainParams:
-    mlp_epochs: int = 50
-    mlp_batch: int = 32
-    mlp_lr: float = 0.001
-    lstm_epochs: int = 50
-    lstm_batch: int = 32
-    lstm_lr: float = 0.001
-    lstm_l2: float = 0.01
-    lstm_hidden: int = 50
-    lstm_layers: int = 2
-    window_len: int = 5
-    baseline_epochs: int = 200
-    knn_k: int = 5
-    svm_lambda: float = 0.01
-    logreg_lr: float = 0.1
+    mlp_epochs: int = MlpConfig.epochs
+    mlp_batch: int = MlpConfig.batch_size
+    mlp_lr: float = MlpConfig.lr
+    lstm_epochs: int = LstmConfig.epochs
+    lstm_batch: int = LstmConfig.batch_size
+    lstm_lr: float = LstmConfig.lr
+    lstm_l2: float = LstmConfig.l2
+    lstm_hidden: int = LstmConfig.hidden_size
+    lstm_layers: int = LstmConfig.hidden_layers
+    window_len: int = LstmConfig.window_len
+    baseline_epochs: int = BaselineKind.epochs
+    knn_k: int = BaselineKind.k
+    svm_lambda: float = BaselineKind.lam
+    logreg_lr: float = BaselineKind.lr
 
     def __post_init__(self):
         # build every model config these values feed once, so that a bad value fails here
@@ -229,9 +229,7 @@ class TrainParams:
         )
 
 
-def fit_eval(
-    model_name: str, step: str, dm: DataMatrix, train_idx, test_idx, params: TrainParams, seed: int
-) -> Metrics:
+def fit_eval(model_name: str, step: str, dm: DataMatrix, params: TrainParams, seed: int) -> Metrics:
     """Train a grid model on a setup matrix's training rows and score it on the held-out rows of `step`'s labels.
 
     The LSTM, a direction model, reads each participant's rows in hit order and
@@ -239,17 +237,17 @@ def fit_eval(
     """
     num_classes = _STEPS[step][2]
     if model_name == "LSTM":
-        seqs = sequences_from_matrix(dm, train_idx)
+        seqs = sequences_from_matrix(dm)
         cfg = params.lstm(dm.values.shape[1], seed)
         model = train_lstm(seqs, cfg)
         x, y, train = lstm_rows(seqs, cfg)
         return evaluate(model.predict(x[~train]), y[~train], num_classes)
-    x, labels = dm.values, getattr(dm, step)
+    x, labels, train = dm.values, getattr(dm, step), _train_rows(dm)
     if model_name == "NN":
-        model = train_mlp(x[train_idx], labels[train_idx], params.mlp(x.shape[1], num_classes, seed))
+        model = train_mlp(x[train], labels[train], params.mlp(x.shape[1], num_classes, seed))
     else:
-        model = train_baseline(params.baseline(model_name), x[train_idx], labels[train_idx], num_classes, seed)
-    return evaluate(model.predict(x[test_idx]), labels[test_idx], num_classes)
+        model = train_baseline(params.baseline(model_name), x[train], labels[train], num_classes, seed)
+    return evaluate(model.predict(x[~train]), labels[~train], num_classes)
 
 
 # --- runs: the grid and the two-step result ---------------------------------------
@@ -272,7 +270,8 @@ class RunConfig:
         if self.steps not in ("", *_STEPS, "all"):
             raise InvalidConfig(f"unknown grid steps '{self.steps}'")
         if not self.steps and self.direction_setup is None:
-            raise InvalidConfig("nothing to run: run.two_step is false and no grid is requested (--grid or grid.steps)")
+            raise InvalidConfig("nothing to run: steps is empty and direction_setup is None (on the command line: "
+                                "request a grid with --grid or grid.steps, or set run.two_step = true)")
 
 
 # the former names of the two-step run's and the grid's configs, kept for the callers that import them
@@ -324,69 +323,60 @@ def _cell_seed(cfg: RunConfig, shape: TaskShape, step: str, model_name: str, set
     return derive_seed(cfg.seed, "cell", step, shape.value, model_name, setup.value)
 
 
-def _split(dm: DataMatrix, cfg: RunConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
-    return split_indices(dm.n_rows, cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value))
+def _split(dm: DataMatrix, cfg: RunConfig, name: str) -> np.ndarray:
+    """The training mask of `dm`'s rows, drawn from the seed stream `name`."""
+    train_idx, _test_idx = split_indices(dm.n_rows, cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value))
+    return np.isin(np.arange(dm.n_rows), train_idx)
 
 
 @dataclass(frozen=True)
 class ShapeState:
-    """What one shape's setups read (the tables scaled on their training rows), their partitions, and step 1."""
+    """What one shape's setups read (the tables scaled on their training rows, each with its mask), and step 1."""
 
     features: DataMatrix
     gaze: DataMatrix
     raw: DataMatrix
     probs: np.ndarray  # step 1's segment probabilities of the window rows
     step1: CellResult  # the NN-D3 cell, scored on the held-out rows of `probs`
-    train_idx: np.ndarray  # window partition, shared by D2..D8
-    test_idx: np.ndarray
-    raw_train: np.ndarray  # hit partition of the raw table (D1)
-    raw_test: np.ndarray
 
-    def setup_matrix(self, setup: SetupId) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
-        """A setup's matrix and its train and test rows: the hit rows for D1, the window rows for the rest."""
-        if setup is SetupId.D1:
-            rows, train_idx, test_idx = self.raw, self.raw_train, self.raw_test
-        else:
-            rows, train_idx, test_idx = self.features, self.train_idx, self.test_idx
+    def setup_matrix(self, setup: SetupId) -> DataMatrix:
+        """A setup's matrix, with the rows and mask of the hit table for D1 and of the window tables for the rest."""
+        rows = self.raw if setup is SetupId.D1 else self.features
         parts = dict(raw=self.raw.values, features=self.features.values, gaze=self.gaze.values, probs=self.probs)
-        return assemble_setup(setup, rows, parts), train_idx, test_idx
+        return assemble_setup(setup, rows, parts)
 
 
 def _prepare_shape(records, shape: TaskShape, cfg: RunConfig) -> ShapeState:
-    """One shape's scaled tables and partitions, and step 1: the NN-D3 cell's MLP, whose probabilities step 2 reads."""
+    """One shape's scaled tables and masks, and step 1: the NN-D3 cell's MLP, whose probabilities step 2 reads."""
     subset = records_for_shape(records, shape)
     feats_dm, gaze_dm = window_tables(subset)
     raw_dm = raw_table(subset)
-    train_idx, test_idx = _split(feats_dm, cfg, "split")
-    raw_train, raw_test = _split(raw_dm, cfg, "raw-split")
-    gaze = scale_on_train(gaze_dm, train_idx)
+    window_train = _split(feats_dm, cfg, "split")  # shared by the features and gaze tables
+    raw_train = _split(raw_dm, cfg, "raw-split")
+    gaze = scale_on_train(replace(gaze_dm, train=window_train))
 
     step, model_name, setup = _STEP1_CELL
     seed = _cell_seed(cfg, shape, *_STEP1_CELL)
     started = time.perf_counter()
     mlp_cfg = cfg.train.mlp(gaze.values.shape[1], SEGMENT_COUNT, seed)
-    probs = train_mlp(gaze.values[train_idx], gaze.segment[train_idx], mlp_cfg).predict_proba(gaze.values)
-    metrics = evaluate(np.argmax(probs[test_idx], axis=1), gaze.segment[test_idx], SEGMENT_COUNT)
+    probs = train_mlp(gaze.values[window_train], gaze.segment[window_train], mlp_cfg).predict_proba(gaze.values)
+    metrics = evaluate(np.argmax(probs[~window_train], axis=1), gaze.segment[~window_train], SEGMENT_COUNT)
     step1 = CellResult(step, shape.value, model_name, setup.value, metrics, seed, time.perf_counter() - started)
 
     return ShapeState(
-        features=scale_on_train(feats_dm, train_idx),
+        features=scale_on_train(replace(feats_dm, train=window_train)),
         gaze=gaze,
-        raw=scale_on_train(raw_dm, raw_train),
+        raw=scale_on_train(replace(raw_dm, train=raw_train)),
         probs=probs,
         step1=step1,
-        train_idx=train_idx,
-        test_idx=test_idx,
-        raw_train=raw_train,
-        raw_test=raw_test,
     )
 
 
 def _fit_cell(cfg: RunConfig, shape: TaskShape, step: str, model_name: str, setup: SetupId, matrix) -> CellResult:
-    """The grid cell of (step, shape, model, setup), fit on `matrix` (a setup's matrix and its train and test rows)."""
+    """The grid cell of (step, shape, model, setup), fit on `matrix`, a setup's matrix with its training mask."""
     seed = _cell_seed(cfg, shape, step, model_name, setup)
     started = time.perf_counter()
-    metrics = fit_eval(model_name, step, *matrix, cfg.train, seed)
+    metrics = fit_eval(model_name, step, matrix, cfg.train, seed)
     return CellResult(step, shape.value, model_name, setup.value, metrics, seed, time.perf_counter() - started)
 
 

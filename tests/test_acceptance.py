@@ -187,17 +187,19 @@ def test_criterion_8_chance_floor(cohort4):
     started = time.perf_counter()
     state = _prepare_shape(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=5))
     gaze = state.gaze
-    d6, _train_idx, _test_idx = state.setup_matrix(SetupId.D6)
+    d6 = state.setup_matrix(SetupId.D6)
     accs = {name: [] for name in ("NN", "KNN", "SVM", "LR", "LSTM")}
     params = TrainParams()
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
-        train_idx, test_idx = split_indices(gaze.n_rows, 0.8, seed)
+        train_idx, _test_idx = split_indices(gaze.n_rows, 0.8, seed)
+        mask = np.zeros(gaze.n_rows, dtype=bool)
+        mask[train_idx] = True
         seg_shuffled = replace(gaze, segment=rng.permutation(gaze.segment))
         for name in ("NN", "KNN", "SVM", "LR"):
-            accs[name].append(fit_eval(name, "segment", seg_shuffled, train_idx, test_idx, params, seed).accuracy)
+            accs[name].append(fit_eval(name, "segment", replace(seg_shuffled, train=mask), params, seed).accuracy)
         dir_shuffled = replace(d6, direction=rng.permutation(d6.direction))
-        accs["LSTM"].append(fit_eval("LSTM", "direction", dir_shuffled, train_idx, test_idx, params, seed).accuracy)
+        accs["LSTM"].append(fit_eval("LSTM", "direction", replace(dir_shuffled, train=mask), params, seed).accuracy)
 
     lines = []
     for name, values in accs.items():

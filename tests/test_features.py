@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,11 +260,25 @@ class TestAssembly:
         rows.segment = np.arange(624) % 4
         rows.direction = np.arange(624) % 2
         rows.participant = np.array([f"p{i % 16:02d}" for i in range(624)], dtype=object)
+        rows.train = np.arange(624) % 5 != 0
         for setup in SetupId:
             dm = assemble_setup(setup, rows, self.parts | {"raw": self.features.values[:, :1]})
-            for column in ("segment", "direction", "participant", "hit"):
+            for column in ("segment", "direction", "participant", "hit", "train"):
                 np.testing.assert_array_equal(getattr(dm, column), getattr(rows, column))
             assert dm.shape is rows.shape
+
+
+@pytest.mark.parametrize("train", [
+    np.ones(5, dtype=int),  # integer, not bool
+    np.ones(4, dtype=bool),  # one entry short
+    np.ones((5, 1), dtype=bool),  # a column, not a vector
+    [True] * 5,  # a list, not an array
+])
+def test_a_training_mask_is_a_bool_array_with_one_entry_per_row(train):
+    rows = _labeled(np.zeros((5, 11)))
+    with pytest.raises(BadArgument, match="^the training mask must be a bool array of 5 entries, got "):
+        replace(rows, train=train)
+    assert replace(rows, train=np.arange(5) < 4).train.sum() == 4
 
 
 def test_export_features_csv_header(tmp_path):

@@ -91,8 +91,8 @@ def diamond_state(cohort8):
 
 
 def _setup_sequences(state, setup):
-    dm, train_idx, _test_idx = state.setup_matrix(setup)
-    return dm, sequences_from_matrix(dm, train_idx)
+    dm = state.setup_matrix(setup)
+    return dm, sequences_from_matrix(dm)
 
 
 class TestLstm:

@@ -78,7 +78,7 @@ class TestSplit:
     def test_run_config_refuses_unknown_steps_and_nothing_to_run(self):
         with pytest.raises(InvalidConfig, match="^unknown grid steps 'bogus'$"):
             RunConfig(steps="bogus")
-        with pytest.raises(InvalidConfig, match="^nothing to run: "):
+        with pytest.raises(InvalidConfig, match="^nothing to run: steps is empty and direction_setup is None "):
             RunConfig(steps="", direction_setup=None)
         assert RunConfig(steps="").direction_setup is SetupId.D6
         assert RunConfig(steps="segment", direction_setup=None).steps == "segment"
@@ -174,6 +174,13 @@ class TestTrainParams:
         for model_name, kind in (("KNN", "knn"), ("SVM", "svm"), ("LR", "logreg")):
             assert params.baseline(model_name) == BaselineKind(kind, k=2, lam=0.05, lr=0.06, epochs=13)
 
+    def test_the_defaults_are_the_model_configs_defaults(self):
+        params = TrainParams()
+        assert params.mlp(10, 3, 21) == MlpConfig(input_width=10, output=3, seed=21)
+        assert params.lstm(12, 22) == LstmConfig(input_width=12, seed=22)
+        for model_name, kind in (("KNN", "knn"), ("SVM", "svm"), ("LR", "logreg")):
+            assert params.baseline(model_name) == BaselineKind(kind)
+
 
 class TestTwoStep:
     def test_deterministic(self, cohort4):
@@ -198,22 +205,30 @@ class TestTwoStep:
         cfg = TwoStepConfig(seed=5, train=FAST)
         state = _prepare_shape(cohort4, TaskShape.CIRCLE, cfg)
         result = run_two_step(cohort4, TaskShape.CIRCLE, cfg)
-        d4, _train_idx, test_idx = state.setup_matrix(SetupId.D4)
+        d4 = state.setup_matrix(SetupId.D4)
         np.testing.assert_array_equal(d4.values, state.probs)
-        want = evaluate(np.argmax(state.probs[test_idx], axis=1), state.gaze.segment[test_idx], 4)
+        want = evaluate(np.argmax(state.probs[~d4.train], axis=1), state.gaze.segment[~d4.train], 4)
         np.testing.assert_array_equal(result.step1.confusion, want.confusion)
 
     def test_d1_lies_on_the_hit_rows_and_the_rest_on_the_window_rows(self, cohort4):
         state = _prepare_shape(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=5, train=FAST))
+        # the gaze table, which step 1 fits on, shares the window mask
+        np.testing.assert_array_equal(state.gaze.train, state.features.train)
         for setup in SetupId:
-            dm, train_idx, test_idx = state.setup_matrix(setup)
+            dm = state.setup_matrix(setup)
             on_hits = setup is SetupId.D1
             # 40 hit rows per participant, in participant order; the windows end on hits 2..40
             np.testing.assert_array_equal(dm.hit, np.tile(np.arange(1 if on_hits else 2, 41), 4))
-            np.testing.assert_array_equal(train_idx, state.raw_train if on_hits else state.train_idx)
-            np.testing.assert_array_equal(test_idx, state.raw_test if on_hits else state.test_idx)
-            assert (train_idx.size, test_idx.size) == ((128, 32) if on_hits else (124, 32))
-            np.testing.assert_array_equal(np.sort(np.concatenate([train_idx, test_idx])), np.arange(dm.n_rows))
+            np.testing.assert_array_equal(dm.train, (state.raw if on_hits else state.features).train)
+            assert dm.train.dtype == bool
+            assert (dm.train.sum(), (~dm.train).sum()) == ((128, 32) if on_hits else (124, 32))
+
+    @pytest.mark.parametrize("model_name, step", [("NN", "segment"), ("KNN", "segment"), ("LSTM", "direction")])
+    def test_an_unsplit_table_cannot_be_fit(self, cohort4, model_name, step):
+        features_dm, _gaze = window_tables(records_for_shape(cohort4, TaskShape.DIAMOND))
+        assert features_dm.train is None
+        with pytest.raises(BadArgument, match="^the diamond table has no training mask to fit on$"):
+            pipeline.fit_eval(model_name, step, features_dm, FAST, 0)
 
 
 @pytest.fixture(scope="module")

@@ -161,9 +161,9 @@ SETUP_PARTS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataMatrix:
-    """A labeled sample matrix for one shape: values plus per-row labels, and the rows a model fits on."""
+    """A labeled sample matrix for one shape: values plus per-row labels, and the rows a model fits on; checked once."""
 
     values: np.ndarray  # (n, d)
     segment: np.ndarray  # (n,) int 0..3
@@ -174,6 +174,9 @@ class DataMatrix:
     train: np.ndarray | None = None  # (n,) bool, True on the training rows; None for an unsplit table
 
     def __post_init__(self):
+        for name in ("segment", "direction", "participant", "hit"):
+            if (got := np.shape(getattr(self, name))) != (self.n_rows,):
+                raise BadArgument(f"the {name} column must have shape ({self.n_rows},), got {got}")
         train = self.train
         if train is not None and (getattr(train, "dtype", None) != bool or train.shape != (self.n_rows,)):
             raise BadArgument(f"the training mask must be a bool array of {self.n_rows} entries, got "

@@ -229,8 +229,8 @@ class TrainParams:
         )
 
 
-def fit_eval(model_name: str, step: str, dm: DataMatrix, params: TrainParams, seed: int) -> Metrics:
-    """Train a grid model on a setup matrix's training rows and score it on the held-out rows of `step`'s labels.
+def fit_eval(model_name: str, step: str, dm: DataMatrix, params: TrainParams, seed: int) -> tuple[Metrics, object]:
+    """(Metrics on the held-out rows of `step`'s labels, model) of a grid model fit on a setup matrix's training rows.
 
     The LSTM, a direction model, reads each participant's rows in hit order and
     is scored on the windows that end on a held-out row; the others read single rows.
@@ -240,14 +240,14 @@ def fit_eval(model_name: str, step: str, dm: DataMatrix, params: TrainParams, se
         seqs = sequences_from_matrix(dm)
         cfg = params.lstm(dm.values.shape[1], seed)
         model = train_lstm(seqs, cfg)
-        x, y, train = lstm_rows(seqs, cfg)
-        return evaluate(model.predict(x[~train]), y[~train], num_classes)
-    x, labels, train = dm.values, getattr(dm, step), _train_rows(dm)
-    if model_name == "NN":
-        model = train_mlp(x[train], labels[train], params.mlp(x.shape[1], num_classes, seed))
+        x, labels, train = lstm_rows(seqs, cfg)
     else:
-        model = train_baseline(params.baseline(model_name), x[train], labels[train], num_classes, seed)
-    return evaluate(model.predict(x[~train]), labels[~train], num_classes)
+        x, labels, train = dm.values, getattr(dm, step), _train_rows(dm)
+        if model_name == "NN":
+            model = train_mlp(x[train], labels[train], params.mlp(x.shape[1], num_classes, seed))
+        else:
+            model = train_baseline(params.baseline(model_name), x[train], labels[train], num_classes, seed)
+    return evaluate(model.predict(x[~train]), labels[~train], num_classes), model
 
 
 # --- runs: the grid and the two-step result ---------------------------------------
@@ -272,6 +272,10 @@ class RunConfig:
         if not self.steps and self.direction_setup is None:
             raise InvalidConfig("nothing to run: steps is empty and direction_setup is None (on the command line: "
                                 "request a grid with --grid or grid.steps, or set run.two_step = true)")
+        if not self.shapes:
+            raise InvalidConfig("nothing to run: shapes is empty")
+        if len(set(self.shapes)) != len(self.shapes):
+            raise InvalidConfig(f"a shape is listed twice in shapes {[s.value for s in self.shapes]}")
 
 
 # the former names of the two-step run's and the grid's configs, kept for the callers that import them
@@ -319,10 +323,6 @@ class GridReport:
 _STEP1_CELL = ("segment", "NN", SetupId.D3)
 
 
-def _cell_seed(cfg: RunConfig, shape: TaskShape, step: str, model_name: str, setup: SetupId) -> int:
-    return derive_seed(cfg.seed, "cell", step, shape.value, model_name, setup.value)
-
-
 def _split(dm: DataMatrix, cfg: RunConfig, name: str) -> np.ndarray:
     """The training mask of `dm`'s rows, drawn from the seed stream `name`."""
     train_idx, _test_idx = split_indices(dm.n_rows, cfg.train_fraction, derive_seed(cfg.seed, name, dm.shape.value))
@@ -337,7 +337,7 @@ class ShapeState:
     gaze: DataMatrix
     raw: DataMatrix
     probs: np.ndarray  # step 1's segment probabilities of the window rows
-    step1: CellResult  # the NN-D3 cell, scored on the held-out rows of `probs`
+    step1: CellResult  # the NN-D3 cell, whose model gave `probs`
 
     def setup_matrix(self, setup: SetupId) -> DataMatrix:
         """A setup's matrix, with the rows and mask of the hit table for D1 and of the window tables for the rest."""
@@ -355,29 +355,24 @@ def _prepare_shape(records, shape: TaskShape, cfg: RunConfig) -> ShapeState:
     raw_train = _split(raw_dm, cfg, "raw-split")
     gaze = scale_on_train(replace(gaze_dm, train=window_train))
 
-    step, model_name, setup = _STEP1_CELL
-    seed = _cell_seed(cfg, shape, *_STEP1_CELL)
-    started = time.perf_counter()
-    mlp_cfg = cfg.train.mlp(gaze.values.shape[1], SEGMENT_COUNT, seed)
-    probs = train_mlp(gaze.values[window_train], gaze.segment[window_train], mlp_cfg).predict_proba(gaze.values)
-    metrics = evaluate(np.argmax(probs[~window_train], axis=1), gaze.segment[~window_train], SEGMENT_COUNT)
-    step1 = CellResult(step, shape.value, model_name, setup.value, metrics, seed, time.perf_counter() - started)
-
+    step1, model = _fit_cell(cfg, shape, *_STEP1_CELL, gaze)
     return ShapeState(
         features=scale_on_train(replace(feats_dm, train=window_train)),
         gaze=gaze,
         raw=scale_on_train(replace(raw_dm, train=raw_train)),
-        probs=probs,
+        probs=model.predict_proba(gaze.values),
         step1=step1,
     )
 
 
-def _fit_cell(cfg: RunConfig, shape: TaskShape, step: str, model_name: str, setup: SetupId, matrix) -> CellResult:
-    """The grid cell of (step, shape, model, setup), fit on `matrix`, a setup's matrix with its training mask."""
-    seed = _cell_seed(cfg, shape, step, model_name, setup)
+def _fit_cell(
+    cfg: RunConfig, shape: TaskShape, step: str, model_name: str, setup: SetupId, matrix
+) -> tuple[CellResult, object]:
+    """The grid cell of (step, shape, model, setup) and its model, fit on `matrix`, a setup's matrix with its mask."""
+    seed = derive_seed(cfg.seed, "cell", step, shape.value, model_name, setup.value)
     started = time.perf_counter()
-    metrics = fit_eval(model_name, step, matrix, cfg.train, seed)
-    return CellResult(step, shape.value, model_name, setup.value, metrics, seed, time.perf_counter() - started)
+    metrics, model = fit_eval(model_name, step, matrix, cfg.train, seed)
+    return CellResult(step, shape.value, model_name, setup.value, metrics, seed, time.perf_counter() - started), model
 
 
 def run_shape(
@@ -400,12 +395,12 @@ def run_shape(
             matrix = state.setup_matrix(setup_id)
             for model_name in model_names:
                 key = (step, model_name, setup_id)
-                cells[key] = state.step1 if key == _STEP1_CELL else _fit_cell(cfg, shape, *key, matrix)
+                cells[key] = state.step1 if key == _STEP1_CELL else _fit_cell(cfg, shape, *key, matrix)[0]
 
     two_step, setup = None, cfg.direction_setup
     if setup is not None:
         key = ("direction", "LSTM", setup)
-        step2 = cells.get(key) or _fit_cell(cfg, shape, *key, state.setup_matrix(setup))
+        step2 = cells.get(key) or _fit_cell(cfg, shape, *key, state.setup_matrix(setup))[0]
         seeds = {"root": cfg.seed, "step1": state.step1.seed, "step2": step2.seed}
         two_step = PipelineResult(shape, state.step1.metrics, step2.metrics, setup, seeds)
     return list(cells.values()), random_guess, two_step
@@ -424,7 +419,7 @@ def run(records: list[ParticipantRecord], cfg: RunConfig) -> tuple[GridReport | 
 
 
 def run_two_step(records: list[ParticipantRecord], shape: TaskShape, cfg: RunConfig) -> PipelineResult:
-    """Step 1: gaze -> segment probabilities, scored as step 2 reads them. Step 2: direction LSTM on the setup."""
+    """Step 1: the NN-D3 cell, whose gaze -> segment probabilities step 2 reads. Step 2: direction LSTM on the setup."""
     return run_shape(records, shape, replace(cfg, steps=""))[2]
 
 

@@ -197,9 +197,9 @@ def test_criterion_8_chance_floor(cohort4):
         mask[train_idx] = True
         seg_shuffled = replace(gaze, segment=rng.permutation(gaze.segment))
         for name in ("NN", "KNN", "SVM", "LR"):
-            accs[name].append(fit_eval(name, "segment", replace(seg_shuffled, train=mask), params, seed).accuracy)
+            accs[name].append(fit_eval(name, "segment", replace(seg_shuffled, train=mask), params, seed)[0].accuracy)
         dir_shuffled = replace(d6, direction=rng.permutation(d6.direction))
-        accs["LSTM"].append(fit_eval("LSTM", "direction", replace(dir_shuffled, train=mask), params, seed).accuracy)
+        accs["LSTM"].append(fit_eval("LSTM", "direction", replace(dir_shuffled, train=mask), params, seed)[0].accuracy)
 
     lines = []
     for name, values in accs.items():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -256,11 +256,13 @@ class TestAssembly:
             assemble_setup(SetupId.D5, self.features, self.parts | {"gaze": np.ones((100, 24))})
 
     def test_labels_carried_through(self):
-        rows = _labeled(self.features.values)
-        rows.segment = np.arange(624) % 4
-        rows.direction = np.arange(624) % 2
-        rows.participant = np.array([f"p{i % 16:02d}" for i in range(624)], dtype=object)
-        rows.train = np.arange(624) % 5 != 0
+        rows = replace(
+            _labeled(self.features.values),
+            segment=np.arange(624) % 4,
+            direction=np.arange(624) % 2,
+            participant=np.array([f"p{i % 16:02d}" for i in range(624)], dtype=object),
+            train=np.arange(624) % 5 != 0,
+        )
         for setup in SetupId:
             dm = assemble_setup(setup, rows, self.parts | {"raw": self.features.values[:, :1]})
             for column in ("segment", "direction", "participant", "hit", "train"):
@@ -288,3 +290,16 @@ def test_export_features_csv_header(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.endswith(",".join(FEATURE_NAMES))
     assert len(path.read_text().splitlines()) == 6
+
+
+def test_a_table_cannot_change_after_it_is_checked():
+    rows = replace(_labeled(np.zeros((40, 11))), train=np.arange(40) % 2 == 0)
+    with pytest.raises(FrozenInstanceError):
+        rows.train = np.arange(40) % 2
+
+
+@pytest.mark.parametrize("column", ["segment", "direction", "participant", "hit"])
+def test_a_label_column_has_one_entry_per_row(column):
+    rows = _labeled(np.zeros((40, 11)))
+    with pytest.raises(BadArgument, match=rf"^the {column} column must have shape \(40,\), got \(36,\)$"):
+        replace(rows, **{column: getattr(rows, column)[:36]})

@@ -21,7 +21,7 @@ from intent_bench.dataset import (
 )
 from intent_bench.errors import BadArgument, DataError, InvalidConfig, TooFewRows
 from intent_bench.features import SetupId
-from intent_bench.models import BaselineKind, LstmConfig, MlpConfig
+from intent_bench.models import BaselineKind, KnnModel, LstmConfig, LstmModel, MlpConfig, MlpModel
 from intent_bench.pipeline import (
     CellResult,
     GridConfig,
@@ -83,6 +83,14 @@ class TestSplit:
         assert RunConfig(steps="").direction_setup is SetupId.D6
         assert RunConfig(steps="segment", direction_setup=None).steps == "segment"
         assert TwoStepConfig is GridConfig is RunConfig
+
+    def test_run_config_refuses_no_shapes(self):
+        with pytest.raises(InvalidConfig, match="^nothing to run: shapes is empty$"):
+            RunConfig(steps="segment", direction_setup=None, shapes=())
+
+    def test_run_config_refuses_a_shape_listed_twice(self):
+        with pytest.raises(InvalidConfig, match=r"^a shape is listed twice in shapes \['diamond', 'diamond'\]$"):
+            RunConfig(shapes=(TaskShape.DIAMOND, TaskShape.DIAMOND))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=5, max_value=500), st.integers(min_value=0, max_value=2**31))
@@ -223,6 +231,23 @@ class TestTwoStep:
             assert dm.train.dtype == bool
             assert (dm.train.sum(), (~dm.train).sum()) == ((128, 32) if on_hits else (124, 32))
 
+    def test_step1_probs_are_the_nn_d3_cells_model(self, cohort4):
+        state = _prepare_shape(cohort4, TaskShape.CIRCLE, TwoStepConfig(seed=5, train=FAST))
+        metrics, model = pipeline.fit_eval("NN", "segment", state.gaze, FAST, state.step1.seed)
+        np.testing.assert_array_equal(state.probs, model.predict_proba(state.gaze.values))
+        np.testing.assert_array_equal(state.step1.metrics.confusion, metrics.confusion)
+
+    @pytest.mark.parametrize("model_name, step, model_class", [
+        ("NN", "segment", MlpModel), ("KNN", "segment", KnnModel), ("LSTM", "direction", LstmModel),
+    ])
+    def test_fit_eval_returns_the_metrics_and_the_model(self, cohort4, model_name, step, model_class):
+        dm = _prepare_shape(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=5, train=FAST)).setup_matrix(SetupId.D2)
+        metrics, model = pipeline.fit_eval(model_name, step, dm, FAST, 0)
+        assert isinstance(metrics, Metrics) and isinstance(model, model_class)
+        if model_name != "LSTM":  # the row models are scored on the matrix's held-out rows
+            want = evaluate(model.predict(dm.values[~dm.train]), dm.segment[~dm.train], 4)
+            np.testing.assert_array_equal(metrics.confusion, want.confusion)
+
     @pytest.mark.parametrize("model_name, step", [("NN", "segment"), ("KNN", "segment"), ("LSTM", "direction")])
     def test_an_unsplit_table_cannot_be_fit(self, cohort4, model_name, step):
         features_dm, _gaze = window_tables(records_for_shape(cohort4, TaskShape.DIAMOND))
@@ -323,12 +348,12 @@ class TestShapeWorker:
 
 
 def count_calls(monkeypatch, name: str) -> list:
-    """A list that grows by one at each call of `pipeline.<name>` made in this process."""
+    """A list that grows by the positional arguments of each call of `pipeline.<name>` made in this process."""
     calls = []
     original = getattr(pipeline, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, name, counting)
@@ -360,6 +385,15 @@ class TestGrid:
         lstm_fits = count_calls(monkeypatch, "train_lstm")
         run_two_step(cohort4, TaskShape.DIAMOND, RunConfig(seed=3, steps="all", train=FAST))
         assert (len(mlp_fits), len(lstm_fits)) == (1, 1)  # the NN-D3 and LSTM-D6 cells, not the grid's
+
+    def test_a_two_step_only_run_is_two_fit_eval_calls(self, cohort4, cores, monkeypatch):
+        cores(1)
+        fits = count_calls(monkeypatch, "fit_eval")
+        run_two_step(cohort4, TaskShape.DIAMOND, RunConfig(seed=3, direction_setup=SetupId.D8, train=FAST))
+        # step 1 is the NN-D3 cell (24 gaze columns), step 2 the LSTM-D8 cell (11 + 24 + 4 columns)
+        assert [(args[0], args[1], args[2].values.shape[1]) for args in fits] == [
+            ("NN", "segment", 24), ("LSTM", "direction", 39),
+        ]
 
     def test_a_segment_grid_fits_no_lstm(self, cohort4, mlp_fits, cores, monkeypatch):
         cores(1)

@@ -358,22 +358,26 @@ def _columnar_runs(handle, cols: _Columns):
 
 
 def _walk_runs(handle, path: Path, cols: _Columns):
-    """The per-row parse: the first bad row raises its typed error, else the same runs as the columnar pass."""
+    """The per-row parse: the first bad row raises its typed error, which names the file and the row, else the
+    same runs as the columnar pass."""
     reader = csv.reader(handle)
     next(reader)  # the header, checked already
     keys, rows, last = [], [], {}
     for row_no, row in enumerate(reader, start=2):
         if len(row) != cols.width:
             raise DataError(f"{path}: row {row_no} has {len(row)} fields, header has {cols.width}")
-        key = (row[cols.pid], _parse_label(cols.label_name, row[cols.label], row_no))
-        values = [
-            _parse_hit(row[i], row_no) if cols.integral and j == 0 else _parse_float(row[i], row_no)
-            for j, i in enumerate(cols.floats)
-        ]
-        if cols.monotonic:
-            if key in last and values[0] < last[key]:
-                raise DataError(f"timestamp decreases at file row {row_no}")
-            last[key] = values[0]
+        try:
+            key = (row[cols.pid], _parse_label(cols.label_name, row[cols.label], row_no))
+            values = [
+                _parse_hit(row[i], row_no) if cols.integral and j == 0 else _parse_float(row[i], row_no)
+                for j, i in enumerate(cols.floats)
+            ]
+            if cols.monotonic:
+                if key in last and values[0] < last[key]:
+                    raise DataError(f"timestamp decreases at file row {row_no}")
+                last[key] = values[0]
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         keys.append(key)
         rows.append(values)
     block = np.array(rows, dtype=float).reshape(len(rows), len(cols.floats))
@@ -491,13 +495,40 @@ def load_participants_csv(path) -> dict[str, Direction]:
     return directions
 
 
-def write_csv(path, header, rows) -> None:
-    """Write one UTF-8 CSV file: the header, then each of `rows`; a path that cannot be written is an IoError."""
+class _Line:
+    """A file whose `write` returns its text, so that a `csv.writer` over it returns each row's line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+_CSV_LINE = csv.writer(_Line())  # `_CSV_LINE.writerow(fields)` is the line csv.writer writes, "\r\n" included
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write one UTF-8 CSV file: the header, then the rows of each `(key, columns)` block in `blocks`.
+
+    Row i of a block is its key fields, then entry i of each column; a block
+    with no columns is one row of its key. The bytes are those of
+    `csv.writer` on the same rows: the header and each key go through `csv`,
+    which quotes them where needed, and each entry is written as its `repr`.
+    Entries must be Python ints and floats, whose `repr` needs no quoting and
+    reloads bit for bit (a numpy scalar's does not). A path that cannot be
+    written is an IoError.
+    """
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            w = csv.writer(handle)
-            w.writerow(header)
-            w.writerows(rows)
+            handle.write(_CSV_LINE.writerow(header))
+            for key, columns in blocks:
+                line = _CSV_LINE.writerow(key)
+                if not columns:
+                    handle.write(line)
+                    continue
+                # the key is formatted once; the rows are joined in C, without a csv call per row
+                rows = "\r\n".join(map(",".join, zip(itertools.repeat(line[:-2]), *(map(repr, c) for c in columns))))
+                if rows:
+                    handle.write(rows + "\r\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -508,11 +539,13 @@ def write_dataset_csvs(
 ) -> dict[str, Path]:
     """Write resistance/hits/gaze/participants CSVs for a list of generated tasks.
 
-    `resistance.csv`, about two thirds of the fields, is written in this
-    process while hits, gaze and participants are written in that order in
-    the pool's worker, so the error raised is that of the first file that
-    fails in the order resistance, hits, gaze, participants, on any core
-    count. Files later in that order may be written by then.
+    Each file is one `write_csv` block per task, keyed by participant and
+    shape; `participants.csv` is one key-only block per participant.
+    `resistance.csv` is written in this process while hits, gaze and
+    participants are written in that order in the pool's worker, so the
+    error raised is that of the first file that fails in the order
+    resistance, hits, gaze, participants, on any core count. Files later in
+    that order may be written by then.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -520,19 +553,18 @@ def write_dataset_csvs(
     directions = {}
     for pid, _shape, direction, *_ in tasks:
         directions.setdefault(pid, direction)
-    # rows zip a task's key columns with its value columns; csv.writer formats a Python float with repr,
-    # so each array goes through tolist() once and keeps its bytes
+    # each array goes through tolist() once, so that its entries are Python floats, whose repr keeps every bit
     tables = {
-        "resistance": (RESISTANCE_COLUMNS, itertools.chain.from_iterable(
-            zip(itertools.repeat(pid), itertools.repeat(shape.value), trace.times.tolist(), trace.values.tolist())
+        "resistance": (RESISTANCE_COLUMNS, (
+            ((pid, shape.value), (trace.times.tolist(), trace.values.tolist()))
             for pid, shape, _, trace, _, _ in tasks)),
-        "hits": (HITS_COLUMNS, itertools.chain.from_iterable(
-            zip(itertools.repeat(pid), itertools.repeat(shape.value), range(1, len(hit_times) + 1), hit_times.tolist())
+        "hits": (HITS_COLUMNS, (
+            ((pid, shape.value), (range(1, len(hit_times) + 1), hit_times.tolist()))
             for pid, shape, _, _, hit_times, _ in tasks)),
-        "gaze": (GAZE_KEY_COLUMNS + tuple(f"g{i + 1}" for i in range(width)), itertools.chain.from_iterable(
-            zip(itertools.repeat(pid), itertools.repeat(shape.value), range(1, len(gaze) + 1), *gaze.T.tolist())
+        "gaze": (GAZE_KEY_COLUMNS + tuple(f"g{i + 1}" for i in range(width)), (
+            ((pid, shape.value), (range(1, len(gaze) + 1), *gaze.T.tolist()))
             for pid, shape, _, _, _, gaze in tasks)),
-        "participants": (PARTICIPANTS_COLUMNS, ([pid, d.value] for pid, d in directions.items())),
+        "participants": (PARTICIPANTS_COLUMNS, (((pid, d.value), ()) for pid, d in directions.items())),
     }
     paths = {name: outdir / f"{name}.csv" for name in tables}
     map_tasks(

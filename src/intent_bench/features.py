@@ -206,10 +206,16 @@ def assemble_setup(setup: SetupId, rows: DataMatrix, parts: dict) -> DataMatrix:
 
 
 def export_features_csv(dm: DataMatrix, path) -> None:
-    """Write a window-level feature table with the canonical 11-column header."""
+    """Write a window-level feature table with the canonical 11-column header.
+
+    Each run of one participant's rows is one `write_csv` block keyed by
+    participant and shape: `dest_hit`, `segment` and `direction` as ints,
+    then the 11 features as floats written by `repr`.
+    """
     if dm.values.shape[1] != FEATURE_COUNT:
         raise BadArgument(f"expected {FEATURE_COUNT} feature columns, got {dm.values.shape[1]}")
+    columns = [*np.stack([dm.hit, dm.segment, dm.direction]).astype(int).tolist(), *dm.values.T.tolist()]
+    pids = np.asarray(dm.participant)
+    bounds = [0, *(np.flatnonzero(pids[1:] != pids[:-1]) + 1).tolist(), dm.n_rows] if dm.n_rows else []
     write_csv(path, ("participant_id", "shape", "dest_hit", "segment", "direction") + FEATURE_NAMES, (
-        [dm.participant[i], dm.shape.value, int(dm.hit[i]), int(dm.segment[i]), int(dm.direction[i])]
-        + [repr(v) for v in dm.values[i].tolist()]
-        for i in range(dm.n_rows)))
+        ((pids[lo], dm.shape.value), [c[lo:hi] for c in columns]) for lo, hi in zip(bounds, bounds[1:])))

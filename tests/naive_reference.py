@@ -8,7 +8,7 @@ The one-vs-rest SVM trains one class at a time, and multinomial LR one row
 at a time, each with separate weights and bias. The synthetic trace is
 built one inter-hit span at a time. The dataset CSV loaders parse one row at
 a time with `csv` and Python's `float`, checking each row as it is read, and
-the writer formats one row at a time with `repr(float(...))`.
+the writers format one row at a time with `repr`.
 """
 
 import csv
@@ -273,6 +273,20 @@ def naive_write_dataset_csvs(tasks, outdir):
             writer.writerows(rows)
 
 
+def naive_export_features_csv(dm, path):
+    """The features CSV of `dm`, one row at a time, each label by `int(...)` and each feature by `repr`."""
+    header = ["participant_id", "shape", "dest_hit", "segment", "direction"]
+    header += ["iav", "mav", "mmav1", "mmav2", "ssi", "var", "rms", "wl", "log", "skew", "kurt"]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(
+            [dm.participant[i], dm.shape.value, int(dm.hit[i]), int(dm.segment[i]), int(dm.direction[i])]
+            + [repr(v) for v in dm.values[i].tolist()]
+            for i in range(dm.n_rows)
+        )
+
+
 # --- per-row CSV loaders ---------------------------------------------------
 
 
@@ -298,27 +312,27 @@ def _rows(path, required):
             yield row_no, row
 
 
-def _float(raw, row):
+def _float(path, raw, row):
     try:
         value = float(raw)
     except ValueError:
-        raise DataError(f"cannot parse '{raw}' as a number at file row {row}") from None
+        raise DataError(f"{path}: cannot parse '{raw}' as a number at file row {row}") from None
     if not math.isfinite(value):
-        raise DataError(f"non-finite value '{raw}' at file row {row}")
+        raise DataError(f"{path}: non-finite value '{raw}' at file row {row}")
     return value
 
 
-def _shape(raw, row):
+def _shape(path, raw, row):
     try:
         return TaskShape(raw)
     except ValueError:
-        raise DataError(f"unknown shape '{raw}' at file row {row}") from None
+        raise DataError(f"{path}: unknown shape '{raw}' at file row {row}") from None
 
 
-def _hit(raw, row):
-    value = _float(raw, row)
+def _hit(path, raw, row):
+    value = _float(path, raw, row)
     if not value.is_integer():
-        raise DataError(f"hit_index '{raw}' is not an integer at file row {row}")
+        raise DataError(f"{path}: hit_index '{raw}' is not an integer at file row {row}")
     return int(value)
 
 
@@ -328,12 +342,12 @@ def naive_load_resistance_csv(path):
     idx = next(rows)
     for row_no, row in rows:
         pid = row[idx["participant_id"]]
-        shape = _shape(row[idx["shape"]], row_no)
-        t = _float(row[idx["timestamp_ms"]], row_no)
-        r = _float(row[idx["resistance_ohm"]], row_no)
+        shape = _shape(path, row[idx["shape"]], row_no)
+        t = _float(path, row[idx["timestamp_ms"]], row_no)
+        r = _float(path, row[idx["resistance_ohm"]], row_no)
         times, values = grouped.setdefault((pid, shape), ([], []))
         if times and t < times[-1]:
-            raise DataError(f"timestamp decreases at file row {row_no}")
+            raise DataError(f"{path}: timestamp decreases at file row {row_no}")
         times.append(t)
         values.append(r)
     return [ResistanceTrace(pid, shape, np.asarray(ts), np.asarray(vs)) for (pid, shape), (ts, vs) in grouped.items()]
@@ -360,9 +374,9 @@ def naive_load_hits_csv(path):
     idx = next(rows)
     for row_no, row in rows:
         pid = row[idx["participant_id"]]
-        shape = _shape(row[idx["shape"]], row_no)
-        hit = _hit(row[idx["hit_index"]], row_no)
-        t = _float(row[idx["timestamp_ms"]], row_no)
+        shape = _shape(path, row[idx["shape"]], row_no)
+        hit = _hit(path, row[idx["hit_index"]], row_no)
+        t = _float(path, row[idx["timestamp_ms"]], row_no)
         grouped.setdefault((pid, shape), []).append((hit, t))
     times = {}
     for key, rows in grouped.items():
@@ -382,9 +396,9 @@ def naive_load_gaze_csv(path):
         raise DataError(f"{path}: no gaze feature columns")
     for row_no, row in rows:
         pid = row[idx["participant_id"]]
-        shape = _shape(row[idx["shape"]], row_no)
-        hit = _hit(row[idx["hit_index"]], row_no)
-        grouped.setdefault((pid, shape), []).append((hit, [_float(row[i], row_no) for i in gcols]))
+        shape = _shape(path, row[idx["shape"]], row_no)
+        hit = _hit(path, row[idx["hit_index"]], row_no)
+        grouped.setdefault((pid, shape), []).append((hit, [_float(path, row[i], row_no) for i in gcols]))
     tables = {}
     for key, rows in grouped.items():
         _check_hit_numbers(path, key, [hit for hit, _values in rows])
@@ -400,7 +414,7 @@ def naive_load_participants_csv(path):
         try:
             listed.append((row[idx["participant_id"]], Direction(row[idx["direction"]])))
         except ValueError:
-            raise DataError(f"unknown direction '{row[idx['direction']]}' at file row {row_no}") from None
+            raise DataError(f"{path}: unknown direction '{row[idx['direction']]}' at file row {row_no}") from None
     directions = {}
     for pid, direction in listed:
         if pid in directions:

@@ -1,8 +1,11 @@
+import csv
+import itertools
 import json
 import multiprocessing
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from intent_bench import dataset, pool
@@ -612,3 +615,79 @@ class TestShapesSideBySide:
             assert multiprocessing.active_children() == []
             errs.append(capsys.readouterr().err)
         assert errs == ["error[DataError]: skew undefined on a constant window (zero second moment)\n"] * 2
+
+
+# --- input relations: dataset edits that must not change a run's report -------------------------------------
+
+
+def _shuffled_rows(name, header, rows, rng):
+    """The rows of hits.csv and gaze.csv in a random order."""
+    return header, [rows[i] for i in rng.permutation(len(rows))] if name in ("hits", "gaze") else rows
+
+
+def _permuted_columns(name, header, rows, rng):
+    """Every file's columns reversed, except that the gaze columns g1..gG keep their order."""
+    gaze = [c for c in header if re.fullmatch(r"g\d+", c)]
+    kept = iter(gaze)
+    order = [next(kept) if c in gaze else c for c in header[::-1]]
+    pick = [header.index(c) for c in order]
+    return order, [[row[i] for i in pick] for row in rows]
+
+
+def _shuffled_blocks(name, header, rows, rng):
+    """Each task's block of rows moved whole to a random place; participants.csv's rows shuffled."""
+    if name == "participants":
+        return header, [rows[i] for i in rng.permutation(len(rows))]
+    blocks = [list(run) for _key, run in itertools.groupby(rows, key=lambda row: row[:2])]
+    return header, [row for i in rng.permutation(len(blocks)) for row in blocks[i]]
+
+
+def _renamed(name, header, rows, rng):
+    """Participant p0k renamed q0k, which keeps the participants' sort order."""
+    return header, [["q" + row[0][1:], *row[1:]] for row in rows]
+
+
+class TestInputRelations:
+    """Edits to the dataset files under which `run --grid all` writes the same report.csv, byte for byte.
+
+    Two edits change the report by design and are not pinned: a renaming that
+    reverses the participants' sort order (the split draws by row position,
+    and rows are in participant order), and an offset on every resistance
+    sample (amplitude features are not offset-invariant).
+    """
+
+    FILES = ("resistance", "hits", "gaze", "participants")
+
+    @staticmethod
+    def _report(root, data, out):
+        assert main(["run", "--data", str(data), "--config", str(root / "quick.cfg"), "--grid", "all", "--out",
+                     str(out)]) == 0
+        return (out / "report.csv").read_bytes()
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("relations")
+        (root / "quick.cfg").write_text(FAST_TRAIN)
+        assert main(["synth", "--seed", "42", "--participants", "6", "--out", str(root / "data")]) == 0
+        tables = {}
+        for name in self.FILES:
+            with open(root / "data" / f"{name}.csv", newline="", encoding="utf-8") as handle:
+                header, *rows = csv.reader(handle)
+            tables[name] = (header, rows)
+        return root, tables, self._report(root, root / "data", root / "base")
+
+    @pytest.mark.parametrize("edit", [_shuffled_rows, _permuted_columns, _shuffled_blocks, _renamed],
+                             ids=["shuffled-hit-and-gaze-rows", "permuted-columns", "shuffled-blocks", "renamed"])
+    def test_the_report_is_unchanged(self, base, tmp_path, edit):
+        root, tables, report = base
+        rng = np.random.default_rng(0)
+        edited = {name: edit(name, *table, rng) for name, table in tables.items()}
+        assert edited != tables
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, (header, rows) in edited.items():
+            with open(data / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                writer.writerows(rows)
+        assert self._report(root, data, tmp_path / "out") == report

@@ -31,6 +31,7 @@ from intent_bench.dataset import (
     synth_participant,
     synth_tasks,
     synth_trace,
+    write_csv,
     write_dataset_csvs,
 )
 from intent_bench.errors import BadArgument, DataError, IntentBenchError, InvalidConfig, IoError
@@ -400,6 +401,50 @@ class TestWriterOnThePool:
         assert str(err.value).startswith(f"cannot write {tmp_path / f'{first}.csv'}: ")
 
 
+WRITER_VALUES = [0.0, -0.0, 1e-7, 1e16, float("nan"), float("inf"), float("-inf"), 0, -3, 40]
+
+
+def _assert_writes_per_row_bytes(tmp_path, header, blocks, rows):
+    """`write_csv` of `blocks` writes the bytes of `csv.writer` on `header`, then `rows`, one row at a time."""
+    write_csv(tmp_path / "blocks.csv", header, blocks)
+    with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+class TestBlockWriter:
+    # the LF and CR keys need csv's quoting, which a writer without a line terminator leaves out
+    @pytest.mark.parametrize(
+        "key",
+        ["p,1", 'p"1', "p\n1", "p\r1", "", "p\u00e9\u2713", " p1 "],
+        ids=["comma", "quote", "lf", "cr", "empty", "non-ascii", "spaces"],
+    )
+    def test_a_key_is_formatted_as_csv_formats_it(self, tmp_path, key):
+        blocks = [((key, "diamond"), (WRITER_VALUES, WRITER_VALUES[::-1])), ((key, "cw"), ())]
+        rows = [[key, "diamond", a, b] for a, b in zip(WRITER_VALUES, WRITER_VALUES[::-1])] + [[key, "cw"]]
+        _assert_writes_per_row_bytes(tmp_path, ("id", "label", "a", "b"), blocks, rows)
+
+    @pytest.mark.parametrize("value", WRITER_VALUES, ids=map(repr, WRITER_VALUES))
+    def test_a_value_is_written_as_csv_writes_it(self, tmp_path, value):
+        rows = [["p0", value, 1.5], ["p0", value, value]]
+        _assert_writes_per_row_bytes(tmp_path, ("id", "v", "w"), [(("p0",), ([value, value], [1.5, value]))], rows)
+
+    def test_a_block_of_no_rows_writes_nothing_and_one_of_no_columns_its_key(self, tmp_path):
+        blocks = [(("p0", "diamond"), ([], [])), (("p1", "circle"), ([2.5], [7])), (("p2", "cw"), ())]
+        _assert_writes_per_row_bytes(tmp_path, ("id", "label", "t", "k"), blocks, [["p1", "circle", 2.5, 7], ["p2", "cw"]])
+        assert (tmp_path / "blocks.csv").read_bytes() == b"id,label,t,k\r\np1,circle,2.5,7\r\np2,cw\r\n"
+
+    def test_a_path_that_cannot_be_written_is_an_io_error(self, tmp_path):
+        path = tmp_path / "taken.csv"
+        path.mkdir()
+        with pytest.raises(IoError) as err:
+            write_csv(path, ("id",), [(("p0",), ([1.0],))])
+        assert type(err.value) is IoError
+        assert str(err.value).startswith(f"cannot write {path}: ")
+
+
 class TestLoaderErrors:
     def test_missing_column(self, tmp_path):
         p = tmp_path / "resistance.csv"
@@ -412,7 +457,7 @@ class TestLoaderErrors:
         rows = ["participant_id,shape,timestamp_ms,resistance_ohm"]
         rows += [f"p0,diamond,{t},1000.0" for t in (0.0, 10.0, 5.0)]
         p.write_text("\n".join(rows) + "\n")
-        with pytest.raises(DataError, match="^timestamp decreases at file row 4$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: timestamp decreases at file row 4$"):
             load_resistance_csv(p)
 
     def test_non_numeric_value_reports_row(self, tmp_path):
@@ -421,7 +466,7 @@ class TestLoaderErrors:
         rows += [f"p0,diamond,{float(t)},1000.0" for t in range(15)]
         rows.append("p0,diamond,15.0,NaN")  # file row 17
         p.write_text("\n".join(rows) + "\n")
-        with pytest.raises(DataError, match="^non-finite value 'NaN' at file row 17$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: non-finite value 'NaN' at file row 17$"):
             load_resistance_csv(p)
 
     @pytest.mark.parametrize(
@@ -444,11 +489,11 @@ class TestLoaderErrors:
         hits = tmp_path / "hits.csv"
         rows = ["participant_id,shape,hit_index,timestamp_ms"]
         hits.write_text("\n".join(rows + [f"p0,diamond,{k + 0.5},{k * 10.0}" for k in range(1, 41)]) + "\n")
-        with pytest.raises(DataError, match="^hit_index '1.5' is not an integer at file row 2$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(hits))}: hit_index '1.5' is not an integer at file row 2$"):
             load_hits_csv(hits)
         gaze = tmp_path / "gaze.csv"
         gaze.write_text("participant_id,shape,hit_index,g1\np0,diamond,1.5,0.5\n")
-        with pytest.raises(DataError, match="^hit_index '1.5' is not an integer at file row 2$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(gaze))}: hit_index '1.5' is not an integer at file row 2$"):
             load_gaze_csv(gaze)
         # an integral value written with a decimal point still loads
         hits.write_text("\n".join(rows + [f"p0,diamond,{float(k)},{k * 10.0}" for k in range(1, 41)]) + "\n")
@@ -472,7 +517,7 @@ class TestLoaderErrors:
     def test_participants_bad_direction(self, tmp_path):
         p = tmp_path / "participants.csv"
         p.write_text("participant_id,direction\np0,sideways\n")
-        with pytest.raises(DataError, match="^unknown direction 'sideways' at file row 2$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: unknown direction 'sideways' at file row 2$"):
             load_participants_csv(p)
 
     def test_hits_must_be_complete(self, tmp_path):
@@ -586,7 +631,7 @@ class TestColumnarLoader:
         circle = [r for r in rows if r.startswith("p00,circle,")]
         mixed = [diamond[0], circle[0], diamond[2], circle[1], diamond[1], *diamond[3:], *circle[2:]]
         path.write_text("\n".join([header, *mixed]) + "\n")
-        with pytest.raises(DataError, match="^timestamp decreases at file row 6$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: timestamp decreases at file row 6$"):
             load_resistance_csv(path)
         _assert_loads_as_per_row(csv_dir, ["resistance"])
 

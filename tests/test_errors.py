@@ -56,16 +56,16 @@ SEGMENT_CELLS = [(m, s) for m in ("NN", "KNN", "SVM", "LR") for s in ("D1", "D2"
 KNN = BaselineKind("knn", k=3)
 
 # Each class that one of the five replaced, by its old name: the fix it is now, a call
-# that raised it, and the message, which is unchanged. `path` is the file the call reads.
+# that raised it, and the message. `path` is the file the call reads; a load error names it first.
 RETIRED = {
     "MissingColumn": (
         DataError, _load("participant_id,shape,timestamp_ms\n"), "{path}: missing column 'resistance_ohm'"
     ),
     "NonMonotonicTimestamp": (
         DataError, _load(HEADER + "p0,diamond,0.0,1.0\np0,diamond,10.0,1.0\np0,diamond,5.0,1.0\n"),
-        "timestamp decreases at file row 4",
+        "{path}: timestamp decreases at file row 4",
     ),
-    "NonNumericValue": (DataError, _load(HEADER + "p0,diamond,0.0,NaN\n"), "non-finite value 'NaN' at file row 2"),
+    "NonNumericValue": (DataError, _load(HEADER + "p0,diamond,0.0,NaN\n"), "{path}: non-finite value 'NaN' at file row 2"),
     "RowWidthMismatch": (
         DataError, _load(HEADER + "p0,diamond,0.0,1.0,7\n"), "{path}: row 2 has 5 fields, header has 4"
     ),

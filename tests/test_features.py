@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from intent_bench.dataset import TaskShape
+from intent_bench.dataset import TaskShape, synth_cohort
 from intent_bench.errors import BadArgument, DataError, TooFewRows
 from intent_bench.features import (
     FEATURE_NAMES,
@@ -20,7 +20,9 @@ from intent_bench.features import (
     fit_scaler,
 )
 
-from naive_reference import naive_features
+from intent_bench.pipeline import window_tables
+
+from naive_reference import naive_export_features_csv, naive_features
 
 window_values = st.lists(
     st.floats(min_value=-10.0, max_value=10.0).filter(lambda v: abs(v) > 1e-6),
@@ -290,6 +292,22 @@ def test_export_features_csv_header(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.endswith(",".join(FEATURE_NAMES))
     assert len(path.read_text().splitlines()) == 6
+
+
+@pytest.mark.parametrize("rename, order", [
+    ({}, slice(None)),
+    ({"p00": "p,01", "p01": 'p"02'}, slice(None)),  # ids that csv quotes
+    ({}, np.random.default_rng(0).permutation(3 * 39)),  # each participant in many runs of rows
+    ({}, slice(0)),  # no rows: the header alone
+], ids=["three-participants", "quoted-ids", "shuffled-rows", "no-rows"])
+def test_export_features_csv_writes_the_per_row_reference_bytes(tmp_path, rename, order):
+    dm, _gaze = window_tables(synth_cohort(4, participants=3, shapes=(TaskShape.DIAMOND,)))
+    pids = np.array([rename.get(p, p) for p in dm.participant[order]], dtype=object)
+    dm = replace(dm, values=dm.values[order], segment=dm.segment[order], direction=dm.direction[order],
+                 participant=pids, hit=dm.hit[order])
+    export_features_csv(dm, tmp_path / "blocks.csv")
+    naive_export_features_csv(dm, tmp_path / "per_row.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
 
 def test_a_table_cannot_change_after_it_is_checked():

@@ -25,15 +25,13 @@ CONFIG_KEYS = {
     "seed": (int, 0),
     "out": (str, "runs/latest"),
     "shape": (str, "both"),
-    "data.source": (str, "synthetic"),
-    "data.dir": (str, ""),
+    "data.dir": (str, ""),  # the directory of the dataset CSVs; empty for the synthetic cohort
     "data.participants": (int, 16),
     # one data.<field> key per SynthConfig field, with its type and default
     **{f"data.{f.name}": (type(f.default), f.default) for f in fields(SynthConfig)},
     "split.train_fraction": (float, 0.8),
     "grid.steps": (str, ""),
-    "run.two_step": (bool, True),
-    "run.direction_setup": (str, "D6"),
+    "run.direction_setup": (str, "D6"),  # empty for no two-step result
     # one train.<field> key per TrainParams field, with its type and default
     **{f"train.{f.name}": (type(f.default), f.default) for f in fields(TrainParams)},
 }
@@ -41,12 +39,6 @@ CONFIG_KEYS = {
 
 def _parse_value(raw: str, typ, key: str):
     raw = raw.strip()
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise InvalidConfig(f"config key '{key}': cannot parse '{raw}' as a boolean")
     if typ is str:
         return raw.strip("\"'")
     try:
@@ -107,15 +99,12 @@ def resolve_config(args) -> dict:
         "shape": getattr(args, "shape", None),
         "data.participants": getattr(args, "participants", None),
         "grid.steps": getattr(args, "grid", None),
+        # --synthetic clears a configured data.dir, and --data sets one even beside --synthetic
+        "data.dir": getattr(args, "data", None) or ("" if getattr(args, "synthetic", False) else None),
     }
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    if getattr(args, "synthetic", False):
-        cfg["data.source"] = "synthetic"
-    if getattr(args, "data", None):
-        cfg["data.source"] = "csv"
-        cfg["data.dir"] = args.data
     return cfg
 
 
@@ -144,15 +133,9 @@ def _make_out(cfg) -> None:
 
 
 def _load_records(cfg):
-    """The records of the configured data source, read once the source is checked and the output directory made."""
-    if cfg["data.source"] not in ("synthetic", "csv"):
-        raise InvalidConfig(f"unknown data source '{cfg['data.source']}'")
-    if cfg["data.source"] == "csv":
-        if not cfg["data.dir"]:
-            raise InvalidConfig("csv data source needs --data DIR (or data.dir in the config)")
-        load = partial(dataset.records_from_csv_dir, cfg["data.dir"])
-    else:
-        load = partial(dataset.synth_cohort, cfg["seed"], cfg["data.participants"], _synth_config(cfg))
+    """The records of `data.dir`'s CSVs, or without one the synthetic cohort, read once the output directory is made."""
+    load = (partial(dataset.records_from_csv_dir, cfg["data.dir"]) if cfg["data.dir"]
+            else partial(dataset.synth_cohort, cfg["seed"], cfg["data.participants"], _synth_config(cfg)))
     _make_out(cfg)
     return load()
 
@@ -190,7 +173,7 @@ def _run_config(cfg) -> RunConfig:
     """The run config of a resolved config; building it checks every run setting."""
     shapes = _shapes(cfg)
     try:
-        setup = SetupId(cfg["run.direction_setup"])
+        setup = SetupId(cfg["run.direction_setup"]) if cfg["run.direction_setup"] else None
     except ValueError:
         raise InvalidConfig(f"unknown direction setup '{cfg['run.direction_setup']}'") from None
     return RunConfig(
@@ -198,7 +181,7 @@ def _run_config(cfg) -> RunConfig:
         train_fraction=cfg["split.train_fraction"],
         train=TrainParams(**{f.name: cfg[f"train.{f.name}"] for f in fields(TrainParams)}),
         steps=cfg["grid.steps"],
-        direction_setup=setup if cfg["run.two_step"] else None,
+        direction_setup=setup,
         shapes=shapes,
     )
 
@@ -225,7 +208,7 @@ def cmd_run(cfg) -> int:
     run_meta = {
         "root_seed": cfg["seed"],
         "config_hash": pipeline.config_hash({k: v for k, v in cfg.items() if k != "out"}),
-        "data_source": cfg["data.source"],
+        "data_source": "csv" if cfg["data.dir"] else "synthetic",
         "shapes": [s.value for s in run_cfg.shapes],
     }
     pipeline.write_run_outputs(cfg["out"], report, two_step_results, run_meta, notes)
@@ -251,7 +234,7 @@ _FLAGS = {
     "config": dict(help="key-value config file"),
     "seed": dict(type=int, help="root seed (fallback: the config's seed, else 0)"),
     "out": dict(help="output directory"),
-    "synthetic": dict(action="store_true", help="use the synthetic data source"),
+    "synthetic": dict(action="store_true", help="use the synthetic cohort (clears data.dir)"),
     "data": dict(help="directory holding the dataset CSVs"),
     "participants": dict(type=int, help="synthetic cohort size"),
     "shape": dict(choices=["diamond", "circle", "both"], help="task shape(s)"),

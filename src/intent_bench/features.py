@@ -174,8 +174,11 @@ class DataMatrix:
     train: np.ndarray | None = None  # (n,) bool, True on the training rows; None for an unsplit table
 
     def __post_init__(self):
-        for name in ("segment", "direction", "participant", "hit"):
-            if (got := np.shape(getattr(self, name))) != (self.n_rows,):
+        if np.ndim(self.values) != 2:
+            raise BadArgument(f"values must be a 2-D (rows, columns) array, got shape {np.shape(self.values)}")
+        for name in ("values", "segment", "direction", "participant", "hit"):  # a list would compare as one value
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+            if name != "values" and (got := getattr(self, name).shape) != (self.n_rows,):
                 raise BadArgument(f"the {name} column must have shape ({self.n_rows},), got {got}")
         train = self.train
         if train is not None and (getattr(train, "dtype", None) != bool or train.shape != (self.n_rows,)):

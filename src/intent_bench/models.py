@@ -38,10 +38,12 @@ def _batches(rng: np.random.Generator, epochs: int, batch_size: int, *arrays: np
             yield [a[start : start + batch_size] for a in shuffled]
 
 
-def _check_labels(y: np.ndarray, num_classes: int) -> None:
-    """Training labels must index the output classes; checked once per fit, as the loss kernel checks none."""
-    if np.any((y < 0) | (y >= num_classes)):
-        raise BadArgument(f"training label outside 0..{num_classes - 1}")
+def check_labels(values: np.ndarray, num_classes: int, what: str = "training label") -> None:
+    """Every value must be a class index, a whole number in 0..num_classes - 1; the loss kernel checks no label."""
+    if np.any((values < 0) | (values >= num_classes)):
+        raise BadArgument(f"{what} outside 0..{num_classes - 1}")
+    if (fractional := values[values != np.trunc(values)]).size:
+        raise BadArgument(f"{what} {fractional[0]} is not a whole number")
 
 
 def _check_adam(cfg) -> None:
@@ -90,11 +92,12 @@ def _adam_fit(
 
 # --- segment MLP ------------------------------------------------------------
 
+MLP_HIDDEN = (64, 32)  # the widths of the segment MLP's two hidden layers
+
 
 @dataclass(frozen=True)
 class MlpConfig:
     input_width: int
-    hidden: tuple[int, int] = (64, 32)
     output: int = 4
     lr: float = 0.001
     epochs: int = 50
@@ -106,7 +109,7 @@ class MlpConfig:
 
 
 def mlp_init(rng: np.random.Generator, cfg: MlpConfig) -> nn.Params:
-    widths = (cfg.input_width, *cfg.hidden, cfg.output)
+    widths = (cfg.input_width, *MLP_HIDDEN, cfg.output)
     params = {}
     for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]), start=1):
         params[f"w{i}"] = nn.glorot_uniform(rng, n_in, n_out, (n_out, n_in))
@@ -167,7 +170,7 @@ def train_mlp(x: np.ndarray, y: np.ndarray, cfg: MlpConfig) -> MlpModel:
         raise TooFewRows("no training rows")
     if x.shape[1] != cfg.input_width:
         raise BadArgument(f"data width {x.shape[1]} != cfg.input_width {cfg.input_width}")
-    _check_labels(y, cfg.output)
+    check_labels(y, cfg.output)
     rng = np.random.default_rng(cfg.seed)
     params = _adam_fit(rng, mlp_init(rng, cfg), cfg, mlp_loss_grad, x, y)
     return MlpModel(params=params, cfg=cfg)
@@ -175,13 +178,14 @@ def train_mlp(x: np.ndarray, y: np.ndarray, cfg: MlpConfig) -> MlpModel:
 
 # --- direction LSTM ----------------------------------------------------------
 
+DIRECTION_CLASSES = 2  # cw and ccw: the classes of the LSTM head and of the direction step
+
 
 @dataclass(frozen=True)
 class LstmConfig:
     input_width: int
     hidden_layers: int = 2
     hidden_size: int = 50
-    output: int = 2
     l2: float = 0.01
     lr: float = 0.001
     epochs: int = 50
@@ -232,8 +236,8 @@ def lstm_init(rng: np.random.Generator, cfg: LstmConfig) -> nn.Params:
         params[f"lstm{layer}_w"] = cell.w_gates
         params[f"lstm{layer}_b"] = cell.b_gates
         n_in = cfg.hidden_size
-    params["head_w"] = nn.glorot_uniform(rng, cfg.hidden_size, cfg.output, (cfg.output, cfg.hidden_size))
-    params["head_b"] = np.zeros(cfg.output)
+    params["head_w"] = nn.glorot_uniform(rng, cfg.hidden_size, DIRECTION_CLASSES, (DIRECTION_CLASSES, cfg.hidden_size))
+    params["head_b"] = np.zeros(DIRECTION_CLASSES)
     return params
 
 
@@ -326,7 +330,7 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
     x, y, train = lstm_rows(seqs, cfg)
     if not train.any():
         raise TooFewRows("no training windows")
-    _check_labels(y[train], cfg.output)
+    check_labels(y[train], DIRECTION_CLASSES)
     rng = np.random.default_rng(cfg.seed)
     params = lstm_init(rng, cfg)
     params = _adam_fit(
@@ -338,6 +342,8 @@ def train_lstm(seqs: list[SequenceData], cfg: LstmConfig) -> LstmModel:
 
 # --- baselines ---------------------------------------------------------------
 
+BASELINE_BATCH = 32  # the mini-batch size of the SVM and LR fits
+
 
 @dataclass(frozen=True)
 class BaselineKind:
@@ -346,15 +352,12 @@ class BaselineKind:
     lam: float = 0.01
     lr: float = 0.1
     epochs: int = 200
-    batch_size: int = 32
 
     def __post_init__(self):
         if self.name not in ("knn", "svm", "logreg"):
             raise InvalidConfig(f"unknown baseline '{self.name}'")
         if not (self.k > 0 and self.epochs > 0 and 0 < self.lam < np.inf and 0 < self.lr < np.inf):
             raise InvalidConfig("baseline hyperparameters must be positive and finite")
-        if self.batch_size < 1:
-            raise InvalidConfig(f"baseline batch size ({self.batch_size}) must be at least 1")
 
 
 @dataclass
@@ -412,7 +415,7 @@ def train_svm(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> Line
     signs = np.where(y[:, None] == np.arange(num_classes), 1.0, -1.0)  # (n, K) one-vs-rest targets
     w = np.zeros((num_classes, x.shape[1] + 1))
     kernel = w[:, :-1]  # the decayed columns: the bias carries no regularization
-    for step, (xb, t) in enumerate(_batches(rng, kind.epochs, kind.batch_size, _with_ones(x), signs), start=1):
+    for step, (xb, t) in enumerate(_batches(rng, kind.epochs, BASELINE_BATCH, _with_ones(x), signs), start=1):
         eta = 1.0 / (kind.lam * step)
         viol = t * (xb @ w.T) < 1.0
         scale = eta / np.maximum(1, np.add.reduce(viol, axis=0))  # over the violators of each class
@@ -430,7 +433,7 @@ def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> L
     """
     rng = np.random.default_rng(seed)
     w = np.zeros((num_classes, x.shape[1] + 1))
-    for xb, tb in _batches(rng, kind.epochs, kind.batch_size, _with_ones(x), nn.one_hot(y, num_classes)):
+    for xb, tb in _batches(rng, kind.epochs, BASELINE_BATCH, _with_ones(x), nn.one_hot(y, num_classes)):
         w -= kind.lr * (nn.batch_softmax_cross_entropy(xb @ w.T, tb)[1].T @ xb)
     return _linear_model(w, num_classes, "logreg")
 
@@ -441,7 +444,7 @@ def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
     y = np.asarray(y)
     if x.shape[0] == 0:
         raise TooFewRows("no training rows")
-    _check_labels(y, num_classes)
+    check_labels(y, num_classes)
     if kind.name == "knn":
         if x.shape[0] < kind.k:
             raise TooFewRows(f"{x.shape[0]} rows < k={kind.k}")

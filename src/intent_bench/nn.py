@@ -203,18 +203,17 @@ def lstm_sequence_backward(cell: LstmCell, cache: _LstmCache, d_hs: np.ndarray, 
 
 # --- Adam -----------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
-    """Step count and moments of one flat parameter vector.
+    """Step count and moments of one flat parameter vector; the betas and eps are the ADAM_* constants.
 
     `moments` is (2, N): row 0 the first moment m, row 1 the second moment v.
     """
 
     alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     moments: np.ndarray | None = None
     _work: np.ndarray | None = field(default=None, repr=False)  # (2, N) scratch
@@ -240,12 +239,12 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, decay: np.n
     if state._work is None:
         state._work = np.empty_like(state.moments)
         # 1 - beta in Python floats, then cast: the rounding of the scalar rule
-        state._rates = np.array([[state.beta1, 1.0 - state.beta1, 0.0], [state.beta2, 1.0 - state.beta2, 0.0]],
+        state._rates = np.array([[ADAM_BETA1, 1.0 - ADAM_BETA1, 0.0], [ADAM_BETA2, 1.0 - ADAM_BETA2, 0.0]],
                                 dtype=state.moments.dtype)
     state.t += 1
     rates, work, moments = state._rates, state._work, state.moments
-    rates[0, 2] = 1.0 - state.beta1**state.t
-    rates[1, 2] = 1.0 - state.beta2**state.t
+    rates[0, 2] = 1.0 - ADAM_BETA1**state.t
+    rates[1, 2] = 1.0 - ADAM_BETA2**state.t
     g, g2 = work
     if decay is None:
         np.copyto(g, grad)
@@ -260,7 +259,7 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, decay: np.n
     step, denom = work
     step *= state.alpha
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     theta -= step
 

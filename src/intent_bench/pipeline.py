@@ -29,8 +29,9 @@ from .dataset import (
     assign_segment_label,
     derive_seed,
 )
-from .errors import BadArgument, InvalidConfig, IoError, TooFewRows
+from .errors import BadArgument, DataError, InvalidConfig, IoError, TooFewRows
 from .features import (
+    FEATURE_NAMES,
     DataMatrix,
     SetupId,
     apply_scaler,
@@ -39,10 +40,12 @@ from .features import (
     fit_scaler,
 )
 from .models import (
+    DIRECTION_CLASSES,
     BaselineKind,
     LstmConfig,
     MlpConfig,
     SequenceData,
+    check_labels,
     lstm_rows,
     random_guess_accuracy,
     train_baseline,
@@ -50,8 +53,6 @@ from .models import (
     train_mlp,
 )
 from .pool import map_tasks
-
-DIRECTION_CLASSES = 2
 
 # grid step -> (models, setups, number of classes), each in the order of its report table
 _STEPS = {
@@ -99,9 +100,8 @@ def evaluate(predictions, labels, num_classes: int) -> Metrics:
         raise BadArgument(f"{predictions.shape[0]} predictions for {labels.shape[0]} labels")
     if labels.shape[0] == 0:
         raise TooFewRows("cannot score zero rows")
-    for name, values in (("label", labels), ("prediction", predictions)):
-        if np.any((values < 0) | (values >= num_classes)):
-            raise BadArgument(f"{name} outside 0..{num_classes - 1}")
+    check_labels(labels, num_classes, "label")
+    check_labels(predictions, num_classes, "prediction")
     cells = labels.astype(int) * num_classes + predictions.astype(int)
     return metrics_from_confusion(np.bincount(cells, minlength=num_classes**2).reshape(num_classes, num_classes))
 
@@ -146,7 +146,12 @@ def _row_labels(records: list[ParticipantRecord], hits: list[np.ndarray]) -> dic
 def window_tables(records: list[ParticipantRecord]) -> tuple[DataMatrix, DataMatrix]:
     """Window-level feature and gaze tables: one row per (participant, dest hit 2..40)."""
     labels = _row_labels(records, [np.arange(2, HITS_PER_TASK + 1)] * len(records))
-    features_dm = DataMatrix(values=np.vstack([feature_matrix(rec.windows) for rec in records]), **labels)
+    with np.errstate(over="ignore", invalid="ignore"):  # a feature that overflows is refused below
+        features_dm = DataMatrix(values=feature_matrix([w for rec in records for w in rec.windows]), **labels)
+    if not (finite := np.isfinite(features_dm.values)).all():
+        row, column = np.argwhere(~finite)[0]
+        raise DataError(f"participant {features_dm.participant[row]}, {features_dm.shape.value}, destination hit "
+                        f"{features_dm.hit[row]}: feature {FEATURE_NAMES[column]} overflows")
     gaze_dm = DataMatrix(values=np.vstack([rec.gaze[1:] for rec in records]), **labels)
     return features_dm, gaze_dm
 
@@ -166,9 +171,15 @@ def _train_rows(dm: DataMatrix) -> np.ndarray:
 
 
 def scale_on_train(dm: DataMatrix) -> DataMatrix:
-    """Min-max scale every column on the training rows only, apply everywhere."""
+    """Min-max scale every column on the training rows only, apply everywhere; a column that overflows is refused."""
     scaler = fit_scaler(dm.values[_train_rows(dm)])
-    return dm.with_values(apply_scaler(scaler, dm.values))
+    with np.errstate(over="ignore", invalid="ignore"):  # a training range that overflows scales its maximum to NaN
+        scaled = apply_scaler(scaler, dm.values)
+    if not (finite := np.isfinite(scaled).all(axis=0)).all():
+        column = int(np.argmin(finite))
+        raise DataError(f"{dm.shape.value}, column {column}: scaling on the training range {scaler.mins[column]:g} "
+                        f"to {scaler.maxs[column]:g} overflows")
+    return dm.with_values(scaled)
 
 
 def sequences_from_matrix(dm: DataMatrix) -> list[SequenceData]:
@@ -271,7 +282,7 @@ class RunConfig:
             raise InvalidConfig(f"unknown grid steps '{self.steps}'")
         if not self.steps and self.direction_setup is None:
             raise InvalidConfig("nothing to run: steps is empty and direction_setup is None (on the command line: "
-                                "request a grid with --grid or grid.steps, or set run.two_step = true)")
+                                "request a grid with --grid or grid.steps, or name a setup in run.direction_setup)")
         if not self.shapes:
             raise InvalidConfig("nothing to run: shapes is empty")
         if len(set(self.shapes)) != len(self.shapes):

@@ -15,10 +15,8 @@ from intent_bench.dataset import TaskShape
 from intent_bench.features import FeatureKind, SetupId, compute_feature, feature_matrix
 from intent_bench.models import (
     LstmConfig,
-    MlpConfig,
     lstm_init,
     lstm_loss_grad,
-    mlp_init,
     mlp_loss_grad,
     random_guess_accuracy,
 )
@@ -91,8 +89,11 @@ def test_criterion_3_gradient_verification():
     worst_dense = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        cfg = MlpConfig(input_width=5, hidden=(8, 6), output=3, seed=seed)
-        params = mlp_init(rng, cfg)
+        # mlp_init's layers at widths 5-8-6-3: a small net keeps the central differences cheap
+        params = {}
+        for i, (n_in, n_out) in enumerate(zip((5, 8, 6), (8, 6, 3)), start=1):
+            params[f"w{i}"] = nn.glorot_uniform(rng, n_in, n_out, (n_out, n_in))
+            params[f"b{i}"] = np.zeros(n_out)
         x = rng.normal(size=(4, 5))
         y = rng.integers(0, 3, size=4)
         worst_dense = max(worst_dense, nn.grad_check(lambda p: mlp_loss_grad(p, x, y), params, h=1e-5))
@@ -101,7 +102,7 @@ def test_criterion_3_gradient_verification():
     worst_lstm = 0.0
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
-        cfg = LstmConfig(input_width=4, hidden_layers=1, hidden_size=6, output=2, window_len=3, seed=seed)
+        cfg = LstmConfig(input_width=4, hidden_layers=1, hidden_size=6, window_len=3, seed=seed)
         params = lstm_init(rng, cfg)
         x = rng.normal(size=(4, 3, 4))
         y = rng.integers(0, 2, size=4)
@@ -154,7 +155,7 @@ def test_criterion_6_reference_comparison_is_informational(tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(
         "[train]\nmlp_epochs = 3\nlstm_epochs = 3\nbaseline_epochs = 20\nlstm_hidden = 8\n"
-        "[run]\ntwo_step = false\n"
+        '[run]\ndirection_setup = ""\n'
     )
     out = tmp_path / "run"
     code = main(

@@ -55,7 +55,7 @@ out = "runs/x"  # trailing comment
 participants = 4
 noise_std = 1.5
 [run]
-two_step = false
+direction_setup = ""
 """
         )
         values = load_config_file(path)
@@ -63,7 +63,7 @@ two_step = false
         assert values["out"] == "runs/x"
         assert values["data.participants"] == 4
         assert values["data.noise_std"] == 1.5
-        assert values["run.two_step"] is False
+        assert values["run.direction_setup"] == ""
 
     def test_hash_inside_quoted_value_is_kept(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -77,6 +77,16 @@ two_step = false
         path.write_text("[data]\nwat = 3\n")
         with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}:2: unknown config key 'data.wat'$"):
             load_config_file(path)
+
+    @pytest.mark.parametrize("value", ["false", "true"])
+    def test_the_two_step_key_is_refused_with_its_file_and_line(self, tmp_path, capsys, value):
+        # direction_setup = "" turns the two-step result off
+        path = tmp_path / "c.cfg"
+        path.write_text(f"seed = 1\n[run]\ntwo_step = {value}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--synthetic", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error[InvalidConfig]: {path}:3: unknown config key 'run.two_step'\n"
+        assert not out.exists()
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -112,7 +122,7 @@ two_step = false
         [
             pytest.param("seed = 1\nseed = 2\n", "seed", (1, 2), id="top-level"),
             pytest.param(
-                "[data]\nparticipants = 4\n[run]\ntwo_step = true\n[data]\nparticipants = 5\n",
+                '[data]\nparticipants = 4\n[run]\ndirection_setup = "D6"\n[data]\nparticipants = 5\n',
                 "data.participants", (2, 6), id="repeated-section",
             ),
         ],
@@ -174,9 +184,9 @@ class TestSynthCommand:
         assert not out.exists()
 
     def test_the_data_source_is_not_read(self, tmp_path):
-        # synth makes its data, so a csv source without a directory is no error
+        # synth makes its data, so a data.dir that does not exist is no error
         cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text('[data]\nsource = "csv"\nparticipants = 2\n')
+        cfgfile.write_text(f'[data]\ndir = "{tmp_path / "nowhere"}"\nparticipants = 2\n')
         assert main(["synth", "--config", str(cfgfile), "--out", str(tmp_path / "data")]) == 0
         assert (tmp_path / "data" / "resistance.csv").exists()
 
@@ -254,6 +264,51 @@ class TestFeaturesCommand:
         err = capsys.readouterr().err
         assert err.startswith("error[IoError]")
         assert "resistance.csv" in err
+
+
+class TestOverflow:
+    """Finite inputs whose features or scaled values leave the float range are a DataError, not inf/nan tables."""
+
+    @staticmethod
+    def _edit(data, name, edit):
+        path = data / f"{name}.csv"
+        rows = [row.split(",") for row in path.read_bytes().decode().split("\r\n")]
+        edit(rows)
+        path.write_bytes("\r\n".join(",".join(row) for row in rows).encode())
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "1", "--participants", "3", "--out", str(data)]) == 0
+        return data
+
+    def test_a_resistance_value_whose_features_overflow(self, tmp_path, capsys, data):
+        self._edit(data, "resistance", lambda rows: rows[5].__setitem__(3, "1e300"))
+        capsys.readouterr()
+        message = "error[DataError]: participant p00, diamond, destination hit 2: feature ssi overflows\n"
+        assert main(["features", "--data", str(data), "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "f" / "features_diamond.csv").exists()
+        assert main(["run", "--data", str(data), "--config", write_config(tmp_path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_a_gaze_column_whose_range_overflows(self, tmp_path, capsys, data):
+        main(["features", "--data", str(data), "--out", str(tmp_path / "clean")])
+
+        def edit(rows):
+            for i in range(1, 41):  # g4 of p00's diamond rows, hits 1..40
+                rows[i][6] = "1e308" if i % 2 else "-1e308"
+
+        self._edit(data, "gaze", edit)
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--config", write_config(tmp_path), "--out", str(tmp_path / "r")]) == 2
+        err = "error[DataError]: diamond, column 3: scaling on the training range -1e+308 to 1e+308 overflows\n"
+        assert capsys.readouterr().err == err
+        # the feature tables hold no gaze value, so they are written as from the unedited files
+        assert main(["features", "--data", str(data), "--out", str(tmp_path / "f")]) == 0
+        for shape in ("diamond", "circle"):
+            name = f"features_{shape}.csv"
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -374,11 +429,47 @@ class TestRunCommand:
         assert (out / "report.txt").read_bytes() == written
 
     def test_a_run_with_nothing_to_run_is_refused(self, tmp_path, capsys):
-        cfgfile = write_config(tmp_path, "[run]\ntwo_step = false\n")
+        cfgfile = write_config(tmp_path, '[run]\ndirection_setup = ""\n')
         out = tmp_path / "o"
         assert main(["run", "--synthetic", "--participants", "4", "--config", cfgfile, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error[InvalidConfig]: nothing to run")
+        assert capsys.readouterr().err == (
+            "error[InvalidConfig]: nothing to run: steps is empty and direction_setup is None (on the command line: "
+            "request a grid with --grid or grid.steps, or name a setup in run.direction_setup)\n"
+        )
         assert not out.exists()
+
+    def test_no_direction_setup_runs_the_grid_alone(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, '[run]\ndirection_setup = ""\n')
+        out = tmp_path / "run"
+        args = ["run", "--synthetic", "--seed", "2", "--participants", "4", "--grid", "segment", "--config", cfgfile]
+        assert main(args + ["--out", str(out)]) == 0
+        assert "two-step" not in capsys.readouterr().out
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["two_step"] == []
+        assert len(doc["cells"]) == 32 and {c["step"] for c in doc["cells"]} == {"segment"}
+        assert "two-step" not in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "config_dir, flags, source",
+        [
+            pytest.param(True, [], "csv", id="config-dir"),
+            pytest.param(True, ["--synthetic"], "synthetic", id="config-dir-and-synthetic"),
+            pytest.param(False, ["--synthetic", "--data", "DIR"], "csv", id="synthetic-and-data"),
+            pytest.param(False, ["--data", "DIR", "--synthetic"], "csv", id="data-and-synthetic"),
+            pytest.param(False, [], "synthetic", id="neither"),
+        ],
+    )
+    def test_a_data_dir_selects_the_csv_source(self, tmp_path, monkeypatch, config_dir, flags, source):
+        # --synthetic clears a config's data.dir, and --data is applied after it
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "3", "--participants", "3", "--out", str(data)]) == 0
+        load, read = dataset.records_from_csv_dir, []
+        monkeypatch.setattr(dataset, "records_from_csv_dir", lambda d: read.append(d) or load(d))
+        cfgfile = write_config(tmp_path, f'[data]\ndir = "{data}"\n' if config_dir else "")
+        argv = ["run", "--participants", "3", "--shape", "diamond", "--config", cfgfile, "--out", str(tmp_path / "run")]
+        assert main(argv + [str(data) if flag == "DIR" else flag for flag in flags]) == 0
+        assert json.loads((tmp_path / "run" / "run.json").read_text())["data_source"] == source
+        assert read == ([str(data)] if source == "csv" else [])
 
     def test_grid_and_report_roundtrip(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path)
@@ -453,11 +544,11 @@ class TestRunCommand:
         ],
     )
     def test_bad_setting_fails_before_any_training(self, tmp_path, capsys, setting, grid):
-        # the LSTM and direction settings are refused even when no LSTM or two-step run would read them
+        # the LSTM settings are refused even when no LSTM or two-step run would read them
         cfgfile = tmp_path / "c.cfg"
+        no_two_step = "" if "direction_setup" in setting else '[run]\ndirection_setup = ""\n'
         cfgfile.write_text(
-            "[train]\nmlp_epochs = 1\nlstm_epochs = 1\nlstm_hidden = 8\nbaseline_epochs = 1\n"
-            f"[run]\ntwo_step = false\n{setting}"
+            f"[train]\nmlp_epochs = 1\nlstm_epochs = 1\nlstm_hidden = 8\nbaseline_epochs = 1\n{no_two_step}{setting}"
         )
         out = tmp_path / "o"
         args = ["run", "--synthetic", "--seed", "1", "--participants", "4", "--shape", "diamond"]
@@ -469,18 +560,20 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_csv_source_without_dir(self, tmp_path, capsys):
+        # a data.dir selects the CSV source, so there is no source key to set without one
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("[data]\nsource = \"csv\"\n")
         code = main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "error[InvalidConfig]" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error[InvalidConfig]: {cfgfile}:2: unknown config key 'data.source'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_data_source(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text('[data]\nsource = "parquet"\n')
         code = main(["features", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "unknown data source 'parquet'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error[InvalidConfig]: {cfgfile}:2: unknown config key 'data.source'\n"
 
     def test_report_without_csv(self, tmp_path, capsys):
         code = main(["report", "--out", str(tmp_path)])
@@ -563,8 +656,9 @@ class TestShapesSideBySide:
         assert len(cells[0]) == 96  # 4 x 4 segment and 4 x 8 direction cells per shape
         assert cells[0] == cells[1]
 
-    @pytest.mark.parametrize("two_step", ["true", "false"])
-    def test_an_error_in_the_workers_shape_exits_as_on_one_core(self, tmp_path, capsys, monkeypatch, two_step):
+    # the ids say whether the run has a two-step result
+    @pytest.mark.parametrize("direction_setup", [pytest.param("D6", id="true"), pytest.param("", id="false")])
+    def test_an_error_in_the_workers_shape_exits_as_on_one_core(self, tmp_path, capsys, monkeypatch, direction_setup):
         # p01 traced the diamond only, so the circle, the shape the worker runs, has too few participants
         data = tmp_path / "data"
         main(["synth", "--seed", "1", "--participants", "2", "--out", str(data)])
@@ -572,7 +666,7 @@ class TestShapesSideBySide:
             path = data / f"{name}.csv"
             lines = path.read_text().splitlines(keepends=True)
             path.write_text("".join(line for line in lines if not line.startswith("p01,circle,")))
-        cfgfile = write_config(tmp_path, f"[run]\ntwo_step = {two_step}\n")
+        cfgfile = write_config(tmp_path, f'[run]\ndirection_setup = "{direction_setup}"\n')
         errs = []
         for cores in (1, 2):
             monkeypatch.setattr(pool, "usable_cores", lambda: cores)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from intent_bench.features import (
     fit_scaler,
 )
 
-from intent_bench.pipeline import window_tables
+from intent_bench.pipeline import sequences_from_matrix, window_tables
 
 from naive_reference import naive_export_features_csv, naive_features
 
@@ -321,3 +322,36 @@ def test_a_label_column_has_one_entry_per_row(column):
     rows = _labeled(np.zeros((40, 11)))
     with pytest.raises(BadArgument, match=rf"^the {column} column must have shape \(40,\), got \(36,\)$"):
         replace(rows, **{column: getattr(rows, column)[:36]})
+
+
+def test_a_list_label_column_is_stored_as_an_array():
+    # a list would compare with each participant id as one value, and give empty sequences
+    dm = DataMatrix(np.arange(20.0).reshape(10, 2), [0] * 10, [1] * 10, ["p0"] * 5 + ["p1"] * 5, list(range(10)),
+                    TaskShape.DIAMOND, train=np.ones(10, bool))
+    assert all(isinstance(getattr(dm, name), np.ndarray) for name in ("segment", "direction", "participant", "hit"))
+    seqs = sequences_from_matrix(dm)
+    assert [seq.x.shape for seq in seqs] == [(5, 2), (5, 2)]
+    np.testing.assert_array_equal(seqs[1].x, np.arange(10.0, 20.0).reshape(5, 2))
+
+
+@pytest.mark.parametrize("values", [np.zeros(10), np.zeros((10, 2, 1))], ids=["1-D", "3-D"])
+def test_values_must_be_two_dimensional(values):
+    shape = re.escape(str(values.shape))
+    with pytest.raises(BadArgument, match=rf"^values must be a 2-D \(rows, columns\) array, got shape {shape}$"):
+        _labeled(values)
+
+
+def test_window_tables_compute_the_per_record_features():
+    records = synth_cohort(7, participants=4, shapes=(TaskShape.CIRCLE,))
+    features_dm, _gaze = window_tables(records)
+    np.testing.assert_array_equal(features_dm.values, np.vstack([feature_matrix(rec.windows) for rec in records]))
+
+
+def test_a_window_whose_features_overflow_is_refused():
+    records = synth_cohort(7, participants=2, shapes=(TaskShape.DIAMOND,))
+    windows = [w.copy() for w in records[1].windows]
+    windows[4][2] = 1e300  # finite, but its square is not
+    records[1] = replace(records[1], windows=windows)
+    message = "participant p01, diamond, destination hit 6: feature ssi overflows"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        window_tables(records)

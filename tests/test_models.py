@@ -309,6 +309,22 @@ def two_blobs(seed=0, rows=200):
     return x, y
 
 
+@pytest.mark.parametrize("model", ["knn", "svm", "logreg", "mlp", "lstm"])
+def test_a_training_label_must_be_a_whole_number(model):
+    # unchecked, 0.5 matches no one-vs-rest column of the SVM, and indexes the one-hot rows of LR and the MLP
+    x, y = two_blobs(rows=40)
+    y = y.astype(float)
+    y[7] = 0.5
+    with pytest.raises(BadArgument, match="^training label 0.5 is not a whole number$"):
+        if model == "mlp":
+            train_mlp(x, y, MlpConfig(input_width=2, output=2, epochs=1))
+        elif model == "lstm":
+            seq = SequenceData(x=x, labels=y, train_mask=np.ones(40, bool))
+            train_lstm([seq], LstmConfig(input_width=2, hidden_size=4, epochs=1))
+        else:
+            train_baseline(BaselineKind(model, epochs=1), x, y, 2)
+
+
 class TestBaselines:
     def test_knn_self_accuracy(self):
         rng = np.random.default_rng(1)
@@ -331,12 +347,6 @@ class TestBaselines:
         with pytest.raises(TooFewRows, match="^3 rows < k=5$"):
             train_baseline(BaselineKind("knn", k=5), np.ones((3, 2)), np.zeros(3, dtype=int), 2)
 
-    @pytest.mark.parametrize("name, batch_size", [("svm", 0), ("logreg", -3)])
-    def test_batch_size_below_one_is_refused(self, name, batch_size):
-        # 0 would fail mid-fit in range(), and a negative size would train no batch at all
-        with pytest.raises(InvalidConfig, match=rf"^baseline batch size \({batch_size}\) must be at least 1$"):
-            BaselineKind(name, batch_size=batch_size)
-
     def test_svm_separable(self):
         x, y = two_blobs()
         model = train_baseline(BaselineKind("svm"), x[:160], y[:160], 2, seed=0)
@@ -350,7 +360,7 @@ class TestBaselines:
         rng = np.random.default_rng(classes * 100 + dims)
         y = np.arange(70) % classes
         x = rng.normal(0, 0.5, size=(classes, dims))[y] + rng.normal(0, 1.0, size=(70, dims))
-        kind = BaselineKind("svm", lam=lam, epochs=4, batch_size=32)
+        kind = BaselineKind("svm", lam=lam, epochs=4)
         model = train_baseline(kind, x, y, classes, seed=11)
         w, b, idle = naive_svm(x, y, classes, lam, epochs=4, batch_size=32, seed=11)
         if dims == 35:  # the classes separate, so some (batch, class) steps have no margin violator
@@ -371,7 +381,7 @@ class TestBaselines:
         rng = np.random.default_rng(classes * 100 + dims)
         y = np.arange(70) % classes
         x = rng.normal(0, 0.5, size=(classes, dims))[y] + rng.normal(0, 1.0, size=(70, dims))
-        kind = BaselineKind("logreg", epochs=4, batch_size=32)
+        kind = BaselineKind("logreg", epochs=4)
         model = train_baseline(kind, x, y, classes, seed=11)
         w, b = naive_logreg(x, y, classes, kind.lr, epochs=4, batch_size=32, seed=11)
         np.testing.assert_allclose(model.weights, w, rtol=1e-10, atol=1e-12)
@@ -379,9 +389,12 @@ class TestBaselines:
         np.testing.assert_array_equal(model.predict(x), np.argmax(x @ w.T + b, axis=1))
 
     @pytest.mark.parametrize("name", ["svm", "logreg"])
-    @pytest.mark.parametrize("rows, batch_size, epochs", [(70, 32, 3), (64, 32, 2), (5, 32, 4), (33, 1, 2)])
-    def test_linear_fits_walk_every_batch(self, monkeypatch, name, rows, batch_size, epochs):
-        """Each fit walks epochs * ceil(n / batch_size) batches, one permutation of all rows per epoch."""
+    # the ids read rows-batch size-epochs; every fit's batch size is BASELINE_BATCH, 32
+    @pytest.mark.parametrize(
+        "rows, epochs", [(70, 3), (64, 2), (5, 4), (33, 2)], ids=["70-32-3", "64-32-2", "5-32-4", "33-32-2"]
+    )
+    def test_linear_fits_walk_every_batch(self, monkeypatch, name, rows, epochs):
+        """Each fit walks epochs * ceil(n / BASELINE_BATCH) batches, one permutation of all rows per epoch."""
         walked = []
 
         class CountingRng:
@@ -402,12 +415,12 @@ class TestBaselines:
         rng = np.random.default_rng(rows)
         y = np.arange(rows) % 3
         x = rng.normal(size=(rows, 4)) + y[:, None]
-        kind = BaselineKind(name, epochs=epochs, batch_size=batch_size)
+        kind = BaselineKind(name, epochs=epochs)
         plain = train_baseline(kind, x, y, 3, seed=6)
         monkeypatch.setattr(models, "_batches", spy)
         spied = train_baseline(kind, x, y, 3, seed=6)
         [(counting, sizes)] = walked
-        per_epoch = math.ceil(rows / batch_size)
+        per_epoch = math.ceil(rows / models.BASELINE_BATCH)
         assert counting.permutations == epochs
         assert len(sizes) == epochs * per_epoch
         assert all(sum(sizes[e * per_epoch : (e + 1) * per_epoch]) == rows for e in range(epochs))

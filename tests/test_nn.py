@@ -24,7 +24,7 @@ class TestDense:
 
     def test_shape_mismatch(self):
         params = {"w1": np.ones((2, 3)), "b1": np.zeros(2)}
-        model = MlpModel(params=params, cfg=MlpConfig(input_width=3, hidden=(), output=2))
+        model = MlpModel(params=params, cfg=MlpConfig(input_width=3, output=2))  # one layer: the params set the depth
         with pytest.raises(BadArgument, match="input width 4"):
             model.predict_proba(np.ones((1, 4)))
 

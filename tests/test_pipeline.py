@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import tempfile
 import time
 
@@ -41,6 +42,7 @@ from intent_bench.pipeline import (
     render_csv,
     render_text,
     run_grid,
+    scale_on_train,
     run_two_step,
     split_indices,
     window_tables,
@@ -144,8 +146,33 @@ class TestEvaluate:
         with pytest.raises(BadArgument, match="outside 0..1$"):
             evaluate(predictions, labels, 2)
 
+    @pytest.mark.parametrize(
+        "predictions, labels, message",
+        [([0, 1], [0.5, 1], "label 0.5"), ([0, 1.0, 1.5], [0, 1, 1], "prediction 1.5"),
+         ([0, 1], [np.nan, 1], "label nan")],
+        ids=["label", "prediction", "nan-label"],
+    )
+    def test_a_class_must_be_a_whole_number(self, predictions, labels, message):
+        # unchecked, astype(int) truncates 0.5 to class 0 and scores [0.5, 1] against [0, 1] as 100.0
+        with pytest.raises(BadArgument, match=f"^{message} is not a whole number$"):
+            evaluate(np.array(predictions), np.array(labels), 2)
+        assert evaluate(np.array([0.0, 1.0]), np.array([0, 1]), 2).accuracy == 100.0
+
 
 class TestTables:
+    @pytest.mark.parametrize("train_rows", [slice(None), slice(2, None)], ids=["in-training", "held-out"])
+    def test_a_column_that_overflows_when_scaled_is_refused(self, cohort4, train_rows):
+        _features, gaze_dm = window_tables(records_for_shape(cohort4, TaskShape.CIRCLE))
+        values = gaze_dm.values.copy()
+        values[:, 3] *= 1e-3  # a training range below 1, so a held-out 1e308 scales past the float range
+        values[:2, 3] = [1e308, -1e308]  # each finite; their difference is not
+        train = np.zeros(gaze_dm.n_rows, bool)
+        train[train_rows] = True
+        lo, hi = values[train, 3].min(), values[train, 3].max()
+        message = f"circle, column 3: scaling on the training range {lo:g} to {hi:g} overflows"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            scale_on_train(dataclasses.replace(gaze_dm, values=values, train=train))
+
     def test_window_table_shapes(self, cohort4):
         subset = records_for_shape(cohort4, TaskShape.DIAMOND)
         feats, gaze = window_tables(subset)

@@ -14,34 +14,3 @@ import os
 # would otherwise contend for the cores.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
-
-from .dataset import (  # noqa: E402, F401
-    Direction,
-    ParticipantRecord,
-    ResistanceTrace,
-    SynthConfig,
-    TaskShape,
-    assign_segment_label,
-    segment_trace,
-    synth_cohort,
-    synth_participant,
-)
-from .features import (  # noqa: E402, F401
-    FEATURE_NAMES,
-    FeatureKind,
-    Scaler,
-    SetupId,
-    apply_scaler,
-    assemble_setup,
-    compute_feature,
-    fit_scaler,
-)
-from .pipeline import (  # noqa: E402, F401
-    GridConfig,
-    Metrics,
-    RunConfig,
-    TwoStepConfig,
-    evaluate,
-    run_grid,
-    run_two_step,
-)

@@ -118,32 +118,24 @@ def _shapes(cfg) -> tuple[TaskShape, ...]:
         raise InvalidConfig(f"unknown shape '{choice}'") from None
 
 
-def _synth_config(cfg) -> SynthConfig:
-    if cfg["data.participants"] < 1:
-        raise InvalidConfig(f"data.participants must be at least 1, got {cfg['data.participants']}")
+def _synth_config(cfg, least: int = 1) -> SynthConfig:
+    if cfg["data.participants"] < least:
+        raise InvalidConfig(f"data.participants must be at least {least}, got {cfg['data.participants']}")
     return SynthConfig(**{f.name: cfg[f"data.{f.name}"] for f in fields(SynthConfig)})
-
-
-def _make_out(cfg) -> None:
-    """Create the output directory; called once every setting is checked, before any data is read or made."""
-    try:
-        Path(cfg["out"]).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {cfg['out']}: {exc}") from exc
 
 
 def _load_records(cfg):
     """The records of `data.dir`'s CSVs, or without one the synthetic cohort, read once the output directory is made."""
     load = (partial(dataset.records_from_csv_dir, cfg["data.dir"]) if cfg["data.dir"]
             else partial(dataset.synth_cohort, cfg["seed"], cfg["data.participants"], _synth_config(cfg)))
-    _make_out(cfg)
+    dataset.make_dir(cfg["out"])  # once every setting is checked, before any data is read or made
     return load()
 
 
 def cmd_synth(cfg) -> int:
     """Write resistance/hits/gaze/participants CSVs for a synthetic cohort."""
     synth_cfg, shapes = _synth_config(cfg), _shapes(cfg)
-    _make_out(cfg)
+    dataset.make_dir(cfg["out"])
     tasks = dataset.synth_tasks(cfg["seed"], cfg["data.participants"], synth_cfg, shapes)
     paths = dataset.write_dataset_csvs(tasks, cfg["out"])
     for name, path in sorted(paths.items()):
@@ -172,6 +164,8 @@ def cmd_features(cfg) -> int:
 def _run_config(cfg) -> RunConfig:
     """The run config of a resolved config; building it checks every run setting."""
     shapes = _shapes(cfg)
+    if not cfg["data.dir"]:
+        _synth_config(cfg, least=2)  # a run splits each shape's participants; a CSV dataset's are counted once read
     try:
         setup = SetupId(cfg["run.direction_setup"]) if cfg["run.direction_setup"] else None
     except ValueError:
@@ -194,10 +188,7 @@ def cmd_run(cfg) -> int:
 
     report, two_step_results = pipeline.run(records, run_cfg)
     for result in two_step_results:
-        print(
-            f"two-step {result.shape.value}: step-1 {pipeline.format_cell(result.step1)} | "
-            f"step-2 {pipeline.format_cell(result.step2)} on {result.direction_setup.value}"
-        )
+        print(pipeline.two_step_line(result))
 
     notes = None
     if report is not None:

@@ -25,6 +25,7 @@ HITS_PER_TASK = 40
 WINDOWS_PER_TASK = HITS_PER_TASK - 1
 SEGMENT_COUNT = 4
 HITS_PER_SEGMENT = HITS_PER_TASK // SEGMENT_COUNT
+HIT_NUMBERS = np.arange(1, HITS_PER_TASK + 1)  # a task's hits, in traversal order
 
 
 class TaskShape(Enum):
@@ -59,11 +60,12 @@ class ParticipantRecord:
     hit_values: np.ndarray  # (40,) resistance sampled at each hit instant
 
 
-def assign_segment_label(hit_index: int) -> int:
-    """Segment of a hit point: four contiguous arcs of 10 hits each."""
-    if not 1 <= hit_index <= HITS_PER_TASK:
-        raise BadArgument(f"hit_index {hit_index} outside 1..{HITS_PER_TASK}")
-    return (hit_index - 1) // HITS_PER_SEGMENT
+def assign_segment_label(hits):
+    """Segment of a hit point, or of each hit in an array: four contiguous arcs of 10 hits each."""
+    hits = np.asarray(hits)
+    if (bad := hits[~((hits >= 1) & (hits <= HITS_PER_TASK))]).size:  # NaN is refused too
+        raise BadArgument(f"hit_index {bad[0]} outside 1..{HITS_PER_TASK}")
+    return (hits - 1) // HITS_PER_SEGMENT
 
 
 def _check_hit_times(ts: np.ndarray) -> None:
@@ -168,7 +170,7 @@ def synth_trace(
 
     gaze = np.empty((HITS_PER_TASK, cfg.gaze_width))
     gaze[:, SEGMENT_COUNT:] = rng.normal(0.0, 1.0, size=(HITS_PER_TASK, cfg.gaze_width - SEGMENT_COUNT))
-    gaze[:, :SEGMENT_COUNT] = np.eye(SEGMENT_COUNT)[np.arange(HITS_PER_TASK) // HITS_PER_SEGMENT]
+    gaze[:, :SEGMENT_COUNT] = np.eye(SEGMENT_COUNT)[assign_segment_label(HIT_NUMBERS)]
     if cfg.gaze_noise > 0:
         gaze[:, :SEGMENT_COUNT] += rng.normal(0.0, cfg.gaze_noise, size=(HITS_PER_TASK, SEGMENT_COUNT))
 
@@ -195,19 +197,6 @@ def build_record(
         gaze=np.asarray(gaze, dtype=float),
         hit_values=hit_values,
     )
-
-
-def synth_participant(
-    seed: int,
-    shape: TaskShape,
-    direction: Direction,
-    cfg: SynthConfig | None = None,
-    participant_id: str | None = None,
-) -> ParticipantRecord:
-    """Deterministic synthetic participant-task; identical (seed, cfg) gives an identical record."""
-    cfg = cfg or SynthConfig()
-    pid = participant_id if participant_id is not None else f"s{seed}"
-    return build_record(pid, shape, direction, *synth_trace(seed, pid, shape, direction, cfg))
 
 
 def synth_tasks(
@@ -243,7 +232,6 @@ RESISTANCE_COLUMNS = ("participant_id", "shape", "timestamp_ms", "resistance_ohm
 HITS_COLUMNS = ("participant_id", "shape", "hit_index", "timestamp_ms")
 GAZE_KEY_COLUMNS = ("participant_id", "shape", "hit_index")  # followed by the gaze columns
 PARTICIPANTS_COLUMNS = ("participant_id", "direction")
-_HIT_NUMBERS = np.arange(1, HITS_PER_TASK + 1)
 
 
 _LABELS = {"shape": TaskShape, "direction": Direction}  # the enum of each label column
@@ -423,14 +411,12 @@ def _parse_hit(raw: str, row: int) -> int:
 
 def _hit_order(path: Path, key, hits: np.ndarray):
     """The order that sorts one task's rows by `hits`, which must number hits 1..40 once each."""
-    if np.array_equal(hits, _HIT_NUMBERS):
-        return slice(None)
     order = np.argsort(hits, kind="stable")
-    if not np.array_equal(hits[order], _HIT_NUMBERS):
+    if not np.array_equal(hits[order], HIT_NUMBERS):
         seen = [int(h) for h in hits.tolist()]
         found = {
             "repeated": sorted({h for h in seen if seen.count(h) > 1}),
-            "missing": sorted(set(_HIT_NUMBERS.tolist()) - set(seen)),
+            "missing": sorted(set(HIT_NUMBERS.tolist()) - set(seen)),
             f"outside 1..{HITS_PER_TASK}": sorted({h for h in seen if not 1 <= h <= HITS_PER_TASK}),
         }
         detail = "; ".join(f"{what} {hit_list}" for what, hit_list in found.items() if hit_list)
@@ -506,6 +492,15 @@ class _Line:
 _CSV_LINE = csv.writer(_Line())  # `_CSV_LINE.writerow(fields)` is the line csv.writer writes, "\r\n" included
 
 
+def make_dir(path) -> Path:
+    """Create an output directory and its parents, if missing; a path that cannot be one is an IoError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)
+
+
 def write_csv(path, header, blocks) -> None:
     """Write one UTF-8 CSV file: the header, then the rows of each `(key, columns)` block in `blocks`.
 
@@ -547,8 +542,7 @@ def write_dataset_csvs(
     resistance, hits, gaze, participants, on any core count. Files later in
     that order may be written by then.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_dir(outdir)
     width = tasks[0][5].shape[1] if tasks else 0
     directions = {}
     for pid, _shape, direction, *_ in tasks:

@@ -17,6 +17,7 @@ from .dataset import TaskShape, write_csv
 from .errors import BadArgument, DataError, TooFewRows
 
 LOG_EPS = 1e-12  # |x| clamp before log10; raw resistance is positive but synthetic data may not be
+FEATURE_SLICE = 1024  # the most windows `feature_matrix` stacks at once, which bounds its temporaries
 
 
 class FeatureKind(Enum):
@@ -87,17 +88,20 @@ def compute_feature(kind: FeatureKind, window) -> float:
 
 
 def feature_matrix(windows) -> np.ndarray:
-    """One row of 11 features per window of samples, computed per group of equal-length windows."""
+    """One row of 11 features per window of samples, computed per group of equal-length windows,
+    `FEATURE_SLICE` windows of a group at a time."""
     samples = [np.asarray(w, dtype=float).reshape(-1) for w in windows]
     groups: dict[int, list[int]] = {}
     for i, x in enumerate(samples):
         groups.setdefault(x.size, []).append(i)
     out = np.empty((len(samples), FEATURE_COUNT))
-    for rows in groups.values():
-        values, constant = _feature_rows(np.stack([samples[i] for i in rows]))
-        if constant.any():
-            raise DataError(f"{FeatureKind.SKEW.value} undefined on a constant window (zero second moment)")
-        out[rows] = values
+    for group in groups.values():
+        for lo in range(0, len(group), FEATURE_SLICE):
+            rows = group[lo:lo + FEATURE_SLICE]
+            values, constant = _feature_rows(np.stack([samples[i] for i in rows]))
+            if constant.any():
+                raise DataError(f"{FeatureKind.SKEW.value} undefined on a constant window (zero second moment)")
+            out[rows] = values
     return out
 
 

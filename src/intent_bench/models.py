@@ -385,7 +385,6 @@ class LinearModel:
 
     weights: np.ndarray  # (K, d)
     bias: np.ndarray  # (K,)
-    num_classes: int
     kind: str = "linear"
 
     def decision(self, x) -> np.ndarray:
@@ -400,9 +399,9 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return np.hstack((x, np.ones((x.shape[0], 1))))
 
 
-def _linear_model(w: np.ndarray, num_classes: int, kind: str) -> LinearModel:
+def _linear_model(w: np.ndarray, kind: str) -> LinearModel:
     """The model of (K, d + 1) weights whose last column is the bias."""
-    return LinearModel(weights=w[:, :-1], bias=w[:, -1], num_classes=num_classes, kind=kind)
+    return LinearModel(weights=w[:, :-1], bias=w[:, -1], kind=kind)
 
 
 def train_svm(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> LinearModel:
@@ -421,7 +420,7 @@ def train_svm(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> Line
         scale = eta / np.maximum(1, np.add.reduce(viol, axis=0))  # over the violators of each class
         kernel *= 1.0 - eta * kind.lam
         w += scale[:, None] * (np.where(viol, t, 0.0).T @ xb)  # the target sign of each violator, else 0
-    return _linear_model(w, num_classes, "svm")
+    return _linear_model(w, "svm")
 
 
 def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> LinearModel:
@@ -435,7 +434,7 @@ def train_logreg(x, y, num_classes: int, kind: BaselineKind, seed: int = 0) -> L
     w = np.zeros((num_classes, x.shape[1] + 1))
     for xb, tb in _batches(rng, kind.epochs, BASELINE_BATCH, _with_ones(x), nn.one_hot(y, num_classes)):
         w -= kind.lr * (nn.batch_softmax_cross_entropy(xb @ w.T, tb)[1].T @ xb)
-    return _linear_model(w, num_classes, "logreg")
+    return _linear_model(w, "logreg")
 
 
 def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
@@ -456,5 +455,9 @@ def train_baseline(kind: BaselineKind, x, y, num_classes: int, seed: int = 0):
 
 def random_guess_accuracy(labels, num_classes: int) -> float:
     """Expected accuracy (%) of guessing each label from the label distribution p: 100 * sum p_k^2."""
-    probs = np.bincount(np.asarray(labels), minlength=num_classes) / len(labels)
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise TooFewRows("cannot take the label distribution of zero labels")
+    check_labels(labels, num_classes, "label")
+    probs = np.bincount(labels.astype(int), minlength=num_classes) / len(labels)
     return float(100.0 * np.sum(probs * probs))

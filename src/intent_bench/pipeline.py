@@ -22,12 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    HITS_PER_TASK,
+    HIT_NUMBERS,
     SEGMENT_COUNT,
+    WINDOWS_PER_TASK,
     ParticipantRecord,
     TaskShape,
     assign_segment_label,
     derive_seed,
+    make_dir,
 )
 from .errors import BadArgument, DataError, InvalidConfig, IoError, TooFewRows
 from .features import (
@@ -130,22 +132,21 @@ def records_for_shape(records: list[ParticipantRecord], shape: TaskShape, least:
     return subset
 
 
-def _row_labels(records: list[ParticipantRecord], hits: list[np.ndarray]) -> dict:
-    """DataMatrix label columns for one row per (record, hit index in that record's `hits`)."""
+def _row_labels(records: list[ParticipantRecord], hits: np.ndarray) -> dict:
+    """DataMatrix label columns for one row per (record, hit in `hits`), the records in turn."""
+    hit = np.tile(hits, len(records))
     return dict(
-        segment=np.concatenate([[assign_segment_label(h) for h in rec_hits] for rec_hits in hits]),
-        direction=np.concatenate([np.full(h.size, rec.direction.label) for rec, h in zip(records, hits)]),
-        participant=np.concatenate(
-            [np.full(h.size, rec.participant_id, dtype=object) for rec, h in zip(records, hits)]
-        ),
-        hit=np.concatenate(hits),
+        segment=assign_segment_label(hit),
+        direction=np.repeat(np.array([rec.direction.label for rec in records], dtype=np.int64), hits.size),
+        participant=np.repeat(np.array([rec.participant_id for rec in records], dtype=object), hits.size),
+        hit=hit,
         shape=records[0].shape,
     )
 
 
 def window_tables(records: list[ParticipantRecord]) -> tuple[DataMatrix, DataMatrix]:
     """Window-level feature and gaze tables: one row per (participant, dest hit 2..40)."""
-    labels = _row_labels(records, [np.arange(2, HITS_PER_TASK + 1)] * len(records))
+    labels = _row_labels(records, HIT_NUMBERS[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # a feature that overflows is refused below
         features_dm = DataMatrix(values=feature_matrix([w for rec in records for w in rec.windows]), **labels)
     if not (finite := np.isfinite(features_dm.values)).all():
@@ -158,9 +159,8 @@ def window_tables(records: list[ParticipantRecord]) -> tuple[DataMatrix, DataMat
 
 def raw_table(records: list[ParticipantRecord]) -> DataMatrix:
     """Hit-level raw-resistance table: one row per (participant, hit)."""
-    hits = [np.arange(1, HITS_PER_TASK + 1)] * len(records)
     values = np.vstack([rec.hit_values[:, None] for rec in records])
-    return DataMatrix(values=values, **_row_labels(records, hits))
+    return DataMatrix(values=values, **_row_labels(records, HIT_NUMBERS))
 
 
 def _train_rows(dm: DataMatrix) -> np.ndarray:
@@ -216,6 +216,8 @@ class TrainParams:
     logreg_lr: float = BaselineKind.lr
 
     def __post_init__(self):
+        if self.window_len > WINDOWS_PER_TASK:
+            raise InvalidConfig(f"window_len ({self.window_len}) must be at most {WINDOWS_PER_TASK}, a task's windows")
         # build every model config these values feed once, so that a bad value fails here
         self.mlp(1, SEGMENT_COUNT, 0)
         self.lstm(1, 0)
@@ -446,6 +448,12 @@ def format_cell(metrics: Metrics) -> str:
     return f"{metrics.accuracy:.2f} [{metrics.macro_f1:.3f}]"
 
 
+def two_step_line(r: PipelineResult) -> str:
+    """A two-step result's line, as report.txt holds it and `run` prints it."""
+    return (f"two-step ({r.shape.value}, setup {r.direction_setup.value}): "
+            f"step-1 segment {format_cell(r.step1)} | step-2 direction {format_cell(r.step2)}")
+
+
 def _tables(report: GridReport):
     """(step, shape, models, setup names, cells, key of the best cell) of every table that has cells."""
     index = report.by_key()
@@ -577,11 +585,7 @@ def reference_ordering_notes(report: GridReport) -> list[str]:
 
 def report_text(report: GridReport | None, two_step: list[PipelineResult], run_meta: dict) -> str:
     """report.txt: a grid's header (from `run_meta`, run.json's top level) and tables, then the two-step results."""
-    lines = [
-        f"two-step ({r.shape.value}, setup {r.direction_setup.value}): "
-        f"step-1 segment {format_cell(r.step1)} | step-2 direction {format_cell(r.step2)}"
-        for r in two_step
-    ]
+    lines = [two_step_line(r) for r in two_step]
     if report is None:
         return "\n".join(lines) + "\n"
     text = "\n".join([
@@ -612,8 +616,7 @@ def write_run_outputs(
     reference_notes: list[str] | None = None,
 ) -> None:
     """Write report.txt, report.csv, run.json (provenance and every confusion matrix), and notes."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_dir(outdir)
     write_output(outdir / "report.txt", report_text(report, two_step, run_meta))
 
     meta = dict(run_meta)

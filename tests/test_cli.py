@@ -171,6 +171,8 @@ class TestSynthCommand:
             pytest.param(["synth", "--participants", "-1"], id="synth-flag-negative"),
             pytest.param(["synth", "--config", "{cfg}"], id="synth-config-0"),
             pytest.param(["run", "--synthetic", "--config", "{cfg}"], id="run-config-0"),
+            # a run splits each shape's participants, so a synthetic run needs two
+            pytest.param(["run", "--synthetic", "--participants", "1"], id="run-flag-1"),
         ],
     )
     def test_no_participants_is_refused(self, tmp_path, capsys, args):
@@ -385,6 +387,15 @@ class TestRunCommand:
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "report.txt").read_bytes() == written
 
+    def test_each_printed_two_step_line_is_its_report_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["run", "--synthetic", "--seed", "2", "--participants", "4", "--config", write_config(tmp_path)]
+        assert main(args + ["--out", str(out)]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("two-step")]
+        reported = [line for line in (out / "report.txt").read_text().splitlines() if line.startswith("two-step")]
+        assert printed == reported
+        assert [line.split(",")[0] for line in printed] == ["two-step (diamond", "two-step (circle"]
+
     def test_config_hash_ignores_out(self, tmp_path):
         cfgfile = write_config(tmp_path)
         hashes = []
@@ -537,6 +548,7 @@ class TestRunCommand:
         "setting, grid",
         [
             pytest.param("[train]\nwindow_len = 1\n", True, id="window_len"),
+            pytest.param("[train]\nwindow_len = 40\n", True, id="window_len-above-a-task"),
             pytest.param("[train]\nlstm_epochs = 0\n", True, id="lstm_epochs"),
             pytest.param('[run]\ndirection_setup = "D9"\n', True, id="direction_setup"),
             pytest.param("[data]\namplitude_ohm = nan\n", True, id="amplitude_ohm"),

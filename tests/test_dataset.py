@@ -28,7 +28,6 @@ from intent_bench.dataset import (
     records_from_csv_dir,
     segment_trace,
     synth_cohort,
-    synth_participant,
     synth_tasks,
     synth_trace,
     write_csv,
@@ -52,6 +51,17 @@ class TestSegmentLabel:
     def test_destination_histogram(self):
         counts = np.bincount([assign_segment_label(h) for h in range(2, 41)])
         assert counts.tolist() == [9, 10, 10, 10]
+
+    def test_an_array_is_labelled_hit_by_hit(self):
+        for hits in (dataset.HIT_NUMBERS, np.array([40, 1, 11, 10, 21, 30, 31, 2]), np.arange(2, 41).reshape(3, 13)):
+            got = assign_segment_label(hits)
+            assert got.dtype == np.int64 and got.shape == hits.shape
+            assert got.ravel().tolist() == [assign_segment_label(int(h)) for h in hits.ravel()]
+
+    @pytest.mark.parametrize("hits, first", [([5, 0, 41], 0), ([5, 41, 0], 41), ([[1, 2], [41, 0]], 41)])
+    def test_an_array_holding_a_hit_outside_is_refused_naming_the_first(self, hits, first):
+        with pytest.raises(BadArgument, match=f"^hit_index {first} outside 1..40$"):
+            assign_segment_label(np.array(hits))
 
 
 def _uniform_trace(samples_per_span=10, spans=39, step=1.0):
@@ -130,17 +140,23 @@ class TestRawAtHits:
         assert out[2] == 4.0  # nearest is 10.0
 
 
+def _synth_record(seed, shape, direction, cfg=None, participant_id=None):
+    """One synthetic participant-task, built from `synth_trace` as `synth_cohort` builds each record."""
+    pid = participant_id or f"s{seed}"
+    return build_record(pid, shape, direction, *synth_trace(seed, pid, shape, direction, cfg or SynthConfig()))
+
+
 class TestSynth:
     def test_determinism(self):
-        a = synth_participant(7, TaskShape.DIAMOND, Direction.CW)
-        b = synth_participant(7, TaskShape.DIAMOND, Direction.CW)
+        a = _synth_record(7, TaskShape.DIAMOND, Direction.CW)
+        b = _synth_record(7, TaskShape.DIAMOND, Direction.CW)
         assert all(np.array_equal(x, y) for x, y in zip(a.windows, b.windows))
         assert np.array_equal(a.gaze, b.gaze)
         assert np.array_equal(a.hit_values, b.hit_values)
 
     def test_noise_is_drawn_from_the_one_seed_function(self):
         cfg = SynthConfig()
-        rec = synth_participant(7, TaskShape.CIRCLE, Direction.CCW, cfg, participant_id="p03")
+        rec = _synth_record(7, TaskShape.CIRCLE, Direction.CCW, cfg, participant_id="p03")
         rng = np.random.default_rng(derive_seed(7, "synth", "p03", "circle", "ccw"))
         rng.normal(0.0, cfg.noise_std, size=WINDOWS_PER_TASK * cfg.samples_per_window + 1)  # the resistance noise
         np.testing.assert_array_equal(rec.gaze[:, 4:], rng.normal(0.0, 1.0, size=(40, cfg.gaze_width - 4)))
@@ -148,22 +164,22 @@ class TestSynth:
         np.testing.assert_array_equal(rec.gaze[:, :4], onehot + rng.normal(0.0, cfg.gaze_noise, size=(40, 4)))
 
     def test_shape_contract(self):
-        rec = synth_participant(3, TaskShape.CIRCLE, Direction.CCW)
+        rec = _synth_record(3, TaskShape.CIRCLE, Direction.CCW)
         assert len(rec.windows) == 39
         assert rec.gaze.shape == (40, 24)
         assert rec.hit_values.shape == (40,)
 
     def test_noise_free_mirror_symmetry(self):
         cfg = SynthConfig(noise_std=0.0)
-        cw = synth_participant(3, TaskShape.CIRCLE, Direction.CW, cfg)
-        ccw = synth_participant(3, TaskShape.CIRCLE, Direction.CCW, cfg)
+        cw = _synth_record(3, TaskShape.CIRCLE, Direction.CW, cfg)
+        ccw = _synth_record(3, TaskShape.CIRCLE, Direction.CCW, cfg)
         m_cw = np.array([w.mean() for w in cw.windows])
         m_ccw = np.array([w.mean() for w in ccw.windows])
         np.testing.assert_allclose(m_cw, m_ccw[::-1], rtol=1e-12, atol=1e-12)
 
     def test_noise_free_periodicity(self):
         cfg = SynthConfig(noise_std=0.0)
-        rec = synth_participant(9, TaskShape.DIAMOND, Direction.CW, cfg)
+        rec = _synth_record(9, TaskShape.DIAMOND, Direction.CW, cfg)
         for j in range(39 - 13):
             np.testing.assert_allclose(rec.windows[j], rec.windows[j + 13], rtol=1e-12)
 
@@ -189,7 +205,7 @@ class TestSynth:
     def test_non_finite_config(self, name, value):
         # such a cohort would hold all-NaN resistance, silently no noise, or constant windows
         with pytest.raises(InvalidConfig):
-            synth_participant(0, TaskShape.DIAMOND, Direction.CW, SynthConfig(**{name: value}))
+            _synth_record(0, TaskShape.DIAMOND, Direction.CW, SynthConfig(**{name: value}))
 
     @pytest.mark.parametrize("samples_per_window", [2, 7, 20, 33])
     @pytest.mark.parametrize("noise_std", [0.0, SynthConfig().noise_std])
@@ -243,12 +259,19 @@ class TestCsvRoundTrip:
         assert len(records) == 4
         for loaded in records:
             seed = 50 + int(loaded.participant_id[1:])
-            direct = synth_participant(seed, loaded.shape, loaded.direction, participant_id=loaded.participant_id)
+            direct = _synth_record(seed, loaded.shape, loaded.direction, participant_id=loaded.participant_id)
             np.testing.assert_array_equal(loaded.gaze, direct.gaze)
             np.testing.assert_array_equal(loaded.hit_values, direct.hit_values)
             assert len(loaded.windows) == len(direct.windows) == 39
             for a, b in zip(loaded.windows, direct.windows):
                 np.testing.assert_array_equal(a, b)
+
+    def test_an_output_directory_that_is_a_file_is_refused(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        tasks = synth_tasks(1, 1, SynthConfig(), (TaskShape.DIAMOND,))
+        with pytest.raises(IoError, match=f"^cannot create output directory {re.escape(str(taken))}: "):
+            write_dataset_csvs(tasks, taken)
 
     def test_trace_count(self, csv_dir):
         traces = load_resistance_csv(csv_dir / "resistance.csv")

@@ -8,8 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from intent_bench.dataset import TaskShape, synth_cohort
 from intent_bench.errors import BadArgument, DataError, TooFewRows
+from intent_bench import features
 from intent_bench.features import (
     FEATURE_NAMES,
+    FEATURE_SLICE,
     DataMatrix,
     FeatureKind,
     SetupId,
@@ -153,6 +155,23 @@ class TestBatching:
         assert got.shape == (len(windows), 11)
         for row, w in zip(got, windows):
             assert (row == feature_matrix([w])[0]).all()
+
+    def test_groups_longer_than_a_slice_match_single_windows(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        windows = [rng.uniform(900, 1100, size=20 if i % 2 else 7) for i in range(2 * FEATURE_SLICE + 300)]
+        want = np.vstack([feature_matrix([w]) for w in windows])
+        stacked, feature_rows = [], features._feature_rows
+        monkeypatch.setattr(features, "_feature_rows", lambda x: stacked.append(len(x)) or feature_rows(x))
+        got = feature_matrix(windows)
+        assert got.tobytes() == want.tobytes()
+        assert sorted(stacked) == [150, 150, FEATURE_SLICE, FEATURE_SLICE]  # 1,174 windows of each length
+
+    def test_constant_window_in_a_later_slice(self):
+        rng = np.random.default_rng(13)
+        windows = [rng.uniform(900, 1100, size=20) for _ in range(FEATURE_SLICE + 10)]
+        windows[FEATURE_SLICE + 4] = np.full(20, 1000.0)
+        with pytest.raises(DataError, match=r"^skew undefined on a constant window"):
+            feature_matrix(windows)
 
     def test_constant_window_in_batch(self):
         windows = [np.arange(5.0), np.full(5, 7.0), np.arange(6.0)]

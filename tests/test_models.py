@@ -449,6 +449,19 @@ class TestBaselines:
         assert random_guess_accuracy(labels, 4) == pytest.approx(exact, rel=1e-15)
         assert random_guess_accuracy(np.full(7, 2), 3) == 100.0
 
+    @pytest.mark.parametrize(
+        "labels, error, message",
+        [
+            (np.array([0, 5]), BadArgument, "^label outside 0..1$"),
+            (np.array([], dtype=int), TooFewRows, "^cannot take the label distribution of zero labels$"),
+            (np.array([0.5, 1.0]), BadArgument, "^label 0.5 is not a whole number$"),
+        ],
+        ids=["outside", "empty", "fractional"],
+    )
+    def test_random_guess_refuses_labels_that_are_not_class_indices(self, labels, error, message):
+        with pytest.raises(error, match=message):
+            random_guess_accuracy(labels, 2)
+
     def test_empty_training_set(self):
         with pytest.raises(TooFewRows, match="^no training rows$"):
             train_baseline(BaselineKind("svm"), np.empty((0, 2)), np.empty(0, dtype=int), 2)

@@ -20,7 +20,7 @@ from intent_bench.dataset import (
     synth_tasks,
     write_dataset_csvs,
 )
-from intent_bench.errors import BadArgument, DataError, InvalidConfig, TooFewRows
+from intent_bench.errors import BadArgument, DataError, InvalidConfig, IoError, TooFewRows
 from intent_bench.features import SetupId
 from intent_bench.models import BaselineKind, KnnModel, LstmConfig, LstmModel, MlpConfig, MlpModel
 from intent_bench.pipeline import (
@@ -186,6 +186,19 @@ class TestTables:
         raw = raw_table(subset)
         assert raw.values.shape == (160, 1)
         assert np.bincount(raw.segment).tolist() == [40, 40, 40, 40]
+
+    def test_label_columns_hold_one_row_per_record_and_hit(self, cohort4):
+        subset = records_for_shape(cohort4, TaskShape.DIAMOND)
+        feats, gaze = window_tables(subset)
+        for table, first_hit in ((feats, 2), (gaze, 2), (raw_table(subset), 1)):
+            want = [
+                (rec.participant_id, rec.direction.label, hit, (hit - 1) // 10)
+                for rec in subset
+                for hit in range(first_hit, 41)
+            ]
+            columns = (table.participant, table.direction, table.hit, table.segment)
+            assert list(zip(*(c.tolist() for c in columns))) == want
+            assert [c.dtype for c in columns] == [object, np.int64, np.int64, np.int64]
 
     def test_too_few_participants(self, cohort4):
         with pytest.raises(TooFewRows):
@@ -572,6 +585,12 @@ class TestRendering:
         assert two_step == []
         assert render_csv(parsed) == csv_text
         assert render_text(parsed) == render_text(report)
+
+    def test_an_output_directory_that_is_a_file_is_refused(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        with pytest.raises(IoError, match=f"^cannot create output directory {re.escape(str(taken))}: "):
+            write_run_outputs(taken, self._tiny_report(), [], {"root_seed": 1, "config_hash": "x"})
 
     def test_parsed_report_keeps_best_flag_on_rounded_tie(self, tmp_path):
         report = self._confusion_report()

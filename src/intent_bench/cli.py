@@ -8,6 +8,7 @@ flag overrides its config entry. Failures exit nonzero with a single
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields
 from functools import partial
@@ -186,34 +187,29 @@ def cmd_run(cfg) -> int:
     run_cfg = _run_config(cfg)
     records = _load_records(cfg)
 
-    report, two_step_results = pipeline.run(records, run_cfg)
-    for result in two_step_results:
-        print(pipeline.two_step_line(result))
-
-    notes = None
-    if report is not None:
-        notes = pipeline.reference_ordering_notes(report)
-        for note in notes:
-            print(note)
-
     run_meta = {
         "root_seed": cfg["seed"],
         "config_hash": pipeline.config_hash({k: v for k, v in cfg.items() if k != "out"}),
         "data_source": "csv" if cfg["data.dir"] else "synthetic",
         "shapes": [s.value for s in run_cfg.shapes],
     }
-    pipeline.write_run_outputs(cfg["out"], report, two_step_results, run_meta, notes)
+    doc = pipeline.run_document(*pipeline.run(records, run_cfg), run_meta)
+    notes = pipeline.reference_ordering_notes(doc) if "cells" in doc else []
+    for line in [*map(pipeline.two_step_line, doc["two_step"]), *notes]:
+        print(line)
+    pipeline.write_run_outputs(cfg["out"], doc, notes)
     print(f"outputs written to {cfg['out']}")
     return 0
 
 
 def cmd_report(cfg) -> int:
     """Re-render report.txt from the run.json of an earlier run."""
-    if not (Path(cfg["out"]) / "run.json").exists():
+    path = Path(cfg["out"]) / "run.json"
+    if not path.exists():
         raise IoError(f"no run.json in {cfg['out']}")
     try:
         # a grid table with a missing or twice-listed cell is a BadArgument of the renderer
-        text = pipeline.report_text(*pipeline.read_run_outputs(cfg["out"]))
+        text = pipeline.report_text(json.loads(path.read_text(encoding="utf-8")))
     except (KeyError, ValueError, TypeError, AttributeError, OSError, BadArgument) as exc:
         raise IoError(f"{cfg['out']} does not hold the outputs of a run of this version: {exc}") from exc
     pipeline.write_output(Path(cfg["out"]) / "report.txt", text)

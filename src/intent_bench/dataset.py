@@ -262,7 +262,8 @@ def _read_runs(path: Path, required: tuple[str, ...], floats, integral=False, mo
     `required[1]` is the label column, parsed as `TaskShape` or `Direction`;
     `floats(idx)` picks the float columns from the column index by name. The
     header is row 1; it must name every `required` column, and every data row
-    must have exactly the header's field count.
+    must have exactly the header's field count, and may name no column twice.
+    A UTF-8 byte-order mark before the header is skipped.
 
     The rows are parsed column-wise, a chunk at a time. A file that pass cannot
     vouch for (a bad value, a quote, a number that only Python's `float` reads,
@@ -270,7 +271,7 @@ def _read_runs(path: Path, required: tuple[str, ...], floats, integral=False, mo
     first bad row or returns what it read.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     with handle:
@@ -278,6 +279,10 @@ def _read_runs(path: Path, required: tuple[str, ...], floats, integral=False, mo
         if header is None:
             raise DataError(f"{path}: empty file")
         idx = {name: i for i, name in enumerate(header)}
+        if len(idx) != len(header):
+            # `idx` holds each name's last column, so the first column of a repeated name is not its entry
+            name = next(name for i, name in enumerate(header) if idx[name] != i)
+            raise DataError(f"{path}: column '{name}' appears twice in the header")
         for name in required:
             if name not in idx:
                 raise DataError(f"{path}: missing column '{name}'")
@@ -409,15 +414,21 @@ def _parse_hit(raw: str, row: int) -> int:
     return int(value)
 
 
+def _in_task(path: Path, key, exc: DataError) -> DataError:
+    """`exc` of the task `key`, prefixed with the file and the task."""
+    return DataError(f"{path}: participant {key[0]}, shape {key[1].value}: {exc}")
+
+
 def _hit_order(path: Path, key, hits: np.ndarray):
     """The order that sorts one task's rows by `hits`, which must number hits 1..40 once each."""
     order = np.argsort(hits, kind="stable")
     if not np.array_equal(hits[order], HIT_NUMBERS):
-        seen = [int(h) for h in hits.tolist()]
+        values, counts = np.unique(hits, return_counts=True)
+        seen = [int(h) for h in values.tolist()]  # ascending
         found = {
-            "repeated": sorted({h for h in seen if seen.count(h) > 1}),
+            "repeated": [h for h, count in zip(seen, counts) if count > 1],
             "missing": sorted(set(HIT_NUMBERS.tolist()) - set(seen)),
-            f"outside 1..{HITS_PER_TASK}": sorted({h for h in seen if not 1 <= h <= HITS_PER_TASK}),
+            f"outside 1..{HITS_PER_TASK}": [h for h in seen if not 1 <= h <= HITS_PER_TASK],
         }
         detail = "; ".join(f"{what} {hit_list}" for what, hit_list in found.items() if hit_list)
         raise DataError(
@@ -449,7 +460,10 @@ def load_hits_csv(path) -> dict[tuple[str, TaskShape], np.ndarray]:
     grouped = {}
     for key, block in _grouped(runs).items():
         grouped[key] = block[_hit_order(path, key, block[:, 0]), 1].copy()
-        _check_hit_times(grouped[key])
+        try:
+            _check_hit_times(grouped[key])
+        except DataError as exc:
+            raise _in_task(path, key, exc) from None
     return grouped
 
 
@@ -605,14 +619,9 @@ def records_from_csv_dir(data_dir) -> list[ParticipantRecord]:
             raise _missing_task("gaze rows", key, paths["gaze"])
         if trace.participant_id not in directions:
             raise DataError(f"no direction for participant {trace.participant_id}")
-        records.append(
-            build_record(
-                trace.participant_id,
-                trace.shape,
-                directions[trace.participant_id],
-                trace,
-                hits[key],
-                gaze[key],
-            )
-        )
+        try:
+            # the hit times and gaze rows were checked as they were read, so a failure here is the trace's
+            records.append(build_record(*key, directions[key[0]], trace, hits[key], gaze[key]))
+        except DataError as exc:
+            raise _in_task(paths["resistance"], key, exc) from None
     return records

@@ -4,10 +4,10 @@ The two-step run trains the gaze-driven segment classifier, feeds its
 probability outputs into a feature setup, and trains the direction LSTM on
 the same train/test partition. The grid trains every requested
 (model, setup, shape) cell independently with seeds derived from one root
-seed, then renders the comparison tables. A run (`run`, whose `RunConfig`
-states its scope) prepares each shape once (`run_shape`), and its two-step
-result is two of the grid's cells: step 1 is the NN-D3 cell, step 2 the LSTM
-cell of its setup.
+seed. A run (`run`, whose `RunConfig` states its scope) prepares each shape
+once (`run_shape`), and its two-step result is two of the grid's cells:
+step 1 is the NN-D3 cell, step 2 the LSTM cell of its setup. Every report
+renders the run's document (`run_document`), the dict that run.json holds.
 """
 
 from __future__ import annotations
@@ -76,11 +76,13 @@ def config_hash(doc) -> str:
 
 
 def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded disjoint-exhaustive split; train size is floor(fraction * n)."""
+    """Seeded disjoint-exhaustive split; train size is floor(fraction * n), which must be at least 1."""
     if n < 5:
         raise TooFewRows(f"{n} rows is too few to split")
-    perm = np.random.default_rng(seed).permutation(n)
     k = int(train_fraction * n)
+    if k == 0:
+        raise TooFewRows(f"a train_fraction of {train_fraction} leaves no training row of {n}")
+    perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
 
 
@@ -252,8 +254,11 @@ def fit_eval(model_name: str, step: str, dm: DataMatrix, params: TrainParams, se
     if model_name == "LSTM":
         seqs = sequences_from_matrix(dm)
         cfg = params.lstm(dm.values.shape[1], seed)
-        model = train_lstm(seqs, cfg)
         x, labels, train = lstm_rows(seqs, cfg)
+        if train.all():
+            raise TooFewRows(f"{dm.shape.value}: no held-out row ends an LSTM window of {cfg.window_len} rows, "
+                             "so there is nothing to score")
+        model = train_lstm(seqs, cfg)
     else:
         x, labels, train = dm.values, getattr(dm, step), _train_rows(dm)
         if model_name == "NN":
@@ -304,10 +309,6 @@ class PipelineResult:
     seeds: dict
 
 
-# the fields of a cell record in run.json, ahead of its wall time and confusion
-_CELL_FIELDS = ("step", "shape", "model", "setup", "seed")
-
-
 @dataclass
 class CellResult:
     step: str
@@ -323,13 +324,6 @@ class CellResult:
 class GridReport:
     cells: list[CellResult]
     random_guess: dict  # (step, shape value) -> accuracy %
-
-    def by_key(self) -> dict:
-        """The cells by (step, shape, model, setup), in grid order; a key held by two cells is refused."""
-        index = {(c.step, c.shape, c.model, c.setup): c for c in self.cells}
-        if len(index) != len(self.cells):
-            raise BadArgument(f"{len(self.cells) - len(index)} cell(s) listed twice")
-        return index
 
 
 # the (step, model, setup) of the grid cell that is the two-step run's step 1; step 2 is its LSTM cell
@@ -441,39 +435,89 @@ def run_grid(records: list[ParticipantRecord], cfg: RunConfig) -> GridReport:
     return run(records, replace(cfg, direction_setup=None))[0]
 
 
-# --- reporting -------------------------------------------------------------------
+# --- reporting: every renderer reads a run's document, which run.json holds ---------
+
+
+def run_document(report: GridReport | None, two_step: list[PipelineResult], run_meta: dict) -> dict:
+    """run.json's document: `run_meta` (provenance), then every grid cell and two-step result with its confusion."""
+    doc = dict(run_meta)
+    if report is not None:
+        doc["cells"] = [
+            {"step": c.step, "shape": c.shape, "model": c.model, "setup": c.setup, "seed": c.seed,
+             "wall_time_s": c.wall_time, "confusion": c.metrics.confusion.tolist()}
+            for c in report.cells
+        ]
+        doc["random_guess"] = [
+            {"step": step, "shape": shape, "accuracy": acc} for (step, shape), acc in report.random_guess.items()
+        ]
+    doc["two_step"] = [
+        {
+            "shape": r.shape.value,
+            "setup": r.direction_setup.value,
+            "step1_accuracy": r.step1.accuracy,
+            "step2_accuracy": r.step2.accuracy,
+            "seeds": r.seeds,
+            "step1_confusion": r.step1.confusion.tolist(),
+            "step2_confusion": r.step2.confusion.tolist(),
+        }
+        for r in two_step
+    ]
+    return doc
+
+
+def _stored_metrics(rows) -> Metrics:
+    """The metrics of a confusion matrix stored in a run's document, which must be square with a positive total."""
+    cm = np.array(rows)
+    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or not cm.sum() > 0:
+        raise ValueError(f"a confusion matrix must be square with a positive total, got {rows}")
+    return metrics_from_confusion(cm)
 
 
 def format_cell(metrics: Metrics) -> str:
     return f"{metrics.accuracy:.2f} [{metrics.macro_f1:.3f}]"
 
 
-def two_step_line(r: PipelineResult) -> str:
-    """A two-step result's line, as report.txt holds it and `run` prints it."""
-    return (f"two-step ({r.shape.value}, setup {r.direction_setup.value}): "
-            f"step-1 segment {format_cell(r.step1)} | step-2 direction {format_cell(r.step2)}")
+def two_step_line(entry: dict) -> str:
+    """The line of a two-step entry of a run's document, as report.txt holds it and `run` prints it."""
+    shape, setup = TaskShape(entry["shape"]), SetupId(entry["setup"])  # a name of no shape or setup is refused
+    step1, step2 = _stored_metrics(entry["step1_confusion"]), _stored_metrics(entry["step2_confusion"])
+    return (f"two-step ({shape.value}, setup {setup.value}): "
+            f"step-1 segment {format_cell(step1)} | step-2 direction {format_cell(step2)}")
 
 
-def _tables(report: GridReport):
-    """(step, shape, models, setup names, cells, key of the best cell) of every table that has cells."""
-    index = report.by_key()
+def _cell_metrics(doc: dict) -> dict:
+    """The metrics of a document's grid cells by (step, shape, model, setup); a key held by two cells is refused."""
+    index = {(c["step"], c["shape"], c["model"], c["setup"]): _stored_metrics(c["confusion"]) for c in doc["cells"]}
+    if len(index) != len(doc["cells"]):
+        raise BadArgument(f"{len(doc['cells']) - len(index)} cell(s) listed twice")
+    return index
+
+
+def _tables(index: dict):
+    """(step, shape, models, setup names, metrics by (model, setup), key of the best cell) of every table with
+    cells in `index`, which `_cell_metrics` gives."""
     for step, (models_, setup_ids, _num_classes) in _STEPS.items():
         setups = [s.value for s in setup_ids]
         keys = [(m, s) for m in models_ for s in setups]
-        for shape in sorted({c.shape for c in report.cells}):
+        for shape in sorted({shape for _step, shape, *_cell in index}):
             cells = {key: index[(step, shape, *key)] for key in keys if (step, shape, *key) in index}
             if not cells:
                 continue
             if len(cells) != len(keys):
                 raise BadArgument(f"{step}/{shape}: missing cells {[key for key in keys if key not in cells]}")
-            best = max(cells, key=lambda k: (cells[k].metrics.accuracy, cells[k].metrics.macro_f1))
+            best = max(cells, key=lambda k: (cells[k].accuracy, cells[k].macro_f1))
             yield step, shape, models_, setups, cells, best
 
 
-def render_text(report: GridReport) -> str:
-    """Paper-style tables: accuracy (%) [macro F1] per cell, best cell emphasized."""
+def _random_guesses(doc: dict) -> list:
+    """The document's random-guess ((step, shape), accuracy %) entries, by step and shape."""
+    return sorted({(g["step"], g["shape"]): g["accuracy"] for g in doc["random_guess"]}.items())
+
+
+def render_text(doc: dict) -> str:
+    """Paper-style tables of a document's grid: accuracy (%) [macro F1] per cell, best cell emphasized."""
     lines = []
-    for step, shape, models_, setups, cells, best in _tables(report):
+    for step, shape, models_, setups, cells, best in _tables(_cell_metrics(doc)):
         # segment tables list the models down the side, direction tables the setups
         by_model = step == "segment"
         rows, columns = (models_, setups) if by_model else (setups, models_)
@@ -483,78 +527,41 @@ def render_text(report: GridReport) -> str:
             row = [r.ljust(8)]
             for c in columns:
                 key = (r, c) if by_model else (c, r)
-                text = format_cell(cells[key].metrics)
+                text = format_cell(cells[key])
                 if key == best:
                     text = f"**{text}**"
                 row.append(text.ljust(20))
             lines.append("".join(row).rstrip())
         lines.append("")
-    if report.random_guess:
+    if guesses := _random_guesses(doc):
         lines.append("== random-guess baselines (accuracy %) ==")
-        for (step, shape), acc in sorted(report.random_guess.items()):
+        for (step, shape), acc in guesses:
             lines.append(f"{step} prediction for {shape}: {acc:.2f}")
         lines.append("")
     return "\n".join(lines)
 
 
-def render_csv(report: GridReport) -> str:
-    """Flat cells: step,shape,model,setup,accuracy,f1,best."""
+def render_csv(doc: dict) -> str:
+    """A document's grid as flat cells: step,shape,model,setup,accuracy,f1,best."""
     lines = ["step,shape,model,setup,accuracy,f1,best"]
-    bests = {(step, shape): best for step, shape, *_layout, best in _tables(report)}
-    for c in sorted(report.cells, key=lambda c: (c.step, c.shape, c.setup, c.model)):
-        flag = int(bests.get((c.step, c.shape)) == (c.model, c.setup))
-        lines.append(
-            f"{c.step},{c.shape},{c.model},{c.setup},{c.metrics.accuracy:.2f},{c.metrics.macro_f1:.3f},{flag}"
-        )
-    for (step, shape), acc in sorted(report.random_guess.items()):
+    index = _cell_metrics(doc)
+    bests = {(step, shape): best for step, shape, *_layout, best in _tables(index)}
+    for key in sorted(index, key=lambda k: (k[0], k[1], k[3], k[2])):  # by step, shape, setup, model
+        step, shape, model, setup = key
+        flag = int(bests.get((step, shape)) == (model, setup))
+        lines.append(f"{step},{shape},{model},{setup},{index[key].accuracy:.2f},{index[key].macro_f1:.3f},{flag}")
+    for (step, shape), acc in _random_guesses(doc):
         lines.append(f"{step},{shape},RANDOM,,{acc:.2f},,0")
     return "\n".join(lines) + "\n"
 
 
-def _stored_metrics(rows) -> Metrics:
-    """The metrics of a confusion matrix read from run.json, which must be square with a positive total."""
-    cm = np.array(rows)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or not cm.sum() > 0:
-        raise ValueError(f"a confusion matrix must be square with a positive total, got {rows}")
-    return metrics_from_confusion(cm)
-
-
-def read_run_outputs(outdir) -> tuple[GridReport | None, list[PipelineResult], dict]:
-    """The grid report (None for a run without a grid), the two-step results, and the whole document of run.json.
-
-    A document that does not have the layout `write_run_outputs` writes raises
-    KeyError, ValueError, TypeError or AttributeError.
-    """
-    meta = json.loads((Path(outdir) / "run.json").read_text(encoding="utf-8"))
-    report = None
-    if "cells" in meta:
-        report = GridReport(
-            cells=[
-                CellResult(
-                    **{name: c[name] for name in _CELL_FIELDS},
-                    metrics=_stored_metrics(c["confusion"]),
-                    wall_time=c["wall_time_s"],
-                )
-                for c in meta["cells"]
-            ],
-            random_guess={(g["step"], g["shape"]): g["accuracy"] for g in meta["random_guess"]},
-        )
-    two_step = [
-        PipelineResult(
-            TaskShape(r["shape"]), _stored_metrics(r["step1_confusion"]), _stored_metrics(r["step2_confusion"]),
-            SetupId(r["setup"]), r["seeds"],
-        )
-        for r in meta["two_step"]
-    ]
-    return report, two_step, meta
-
-
-def reference_ordering_notes(report: GridReport) -> list[str]:
-    """Informational ordering checks against the published reference results."""
+def reference_ordering_notes(doc: dict) -> list[str]:
+    """Informational ordering checks of a document's grid against the published reference results."""
     notes = []
-    acc = {key: c.metrics.accuracy for key, c in report.by_key().items()}
+    index = _cell_metrics(doc)
+    acc = {key: m.accuracy for key, m in index.items()}
     # each direction table's best cell, by the rule that marks it in report.txt and report.csv
-    best_direction = {shape: best for step, shape, *_, best in _tables(report) if step == "direction"}
+    best_direction = {shape: best for step, shape, *_, best in _tables(index) if step == "direction"}
     for shape in ("diamond", "circle"):
         a_d3, a_d1 = acc.get(("segment", shape, "NN", "D3")), acc.get(("segment", shape, "NN", "D1"))
         if a_d3 is not None and a_d1 is not None:
@@ -583,17 +590,17 @@ def reference_ordering_notes(report: GridReport) -> list[str]:
     return notes
 
 
-def report_text(report: GridReport | None, two_step: list[PipelineResult], run_meta: dict) -> str:
-    """report.txt: a grid's header (from `run_meta`, run.json's top level) and tables, then the two-step results."""
-    lines = [two_step_line(r) for r in two_step]
-    if report is None:
+def report_text(doc: dict) -> str:
+    """report.txt of a run's document: a grid's header (from its provenance) and tables, then the two-step results."""
+    lines = [two_step_line(entry) for entry in doc["two_step"]]
+    if "cells" not in doc:
         return "\n".join(lines) + "\n"
     text = "\n".join([
         "Motion-intention benchmark report",
-        f"root seed: {run_meta['root_seed']} | config: {run_meta['config_hash']}",
+        f"root seed: {doc['root_seed']} | config: {doc['config_hash']}",
         "caveat: the split is per-sample, so context windows can straddle the partition",
         "(within-participant information reuse is part of the protocol).\n",
-        render_text(report),
+        render_text(doc),
     ])
     if not lines:
         return text
@@ -608,44 +615,13 @@ def write_output(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def write_run_outputs(
-    outdir,
-    report: GridReport | None,
-    two_step: list[PipelineResult],
-    run_meta: dict,
-    reference_notes: list[str] | None = None,
-) -> None:
-    """Write report.txt, report.csv, run.json (provenance and every confusion matrix), and notes."""
+def write_run_outputs(outdir, doc: dict, reference_notes: list[str] | None = None) -> None:
+    """Write a run's document as run.json, its report.txt and (with a grid) report.csv, and notes."""
     outdir = make_dir(outdir)
-    write_output(outdir / "report.txt", report_text(report, two_step, run_meta))
-
-    meta = dict(run_meta)
-    if report is not None:
-        write_output(outdir / "report.csv", render_csv(report))
-        meta["cells"] = [
-            {
-                **{name: getattr(c, name) for name in _CELL_FIELDS},
-                "wall_time_s": c.wall_time,
-                "confusion": c.metrics.confusion.tolist(),
-            }
-            for c in report.cells
-        ]
-        meta["random_guess"] = [
-            {"step": step, "shape": shape, "accuracy": acc} for (step, shape), acc in report.random_guess.items()
-        ]
-    meta["two_step"] = [
-        {
-            "shape": r.shape.value,
-            "setup": r.direction_setup.value,
-            "step1_accuracy": r.step1.accuracy,
-            "step2_accuracy": r.step2.accuracy,
-            "seeds": r.seeds,
-            "step1_confusion": r.step1.confusion.tolist(),
-            "step2_confusion": r.step2.confusion.tolist(),
-        }
-        for r in two_step
-    ]
-    write_output(outdir / "run.json", json.dumps(meta, indent=2, default=str))
+    write_output(outdir / "report.txt", report_text(doc))
+    if "cells" in doc:
+        write_output(outdir / "report.csv", render_csv(doc))
+    write_output(outdir / "run.json", json.dumps(doc, indent=2, default=str))
 
     if reference_notes:
         notes = ["informational ordering checks (never gating):", *reference_notes]

@@ -293,7 +293,7 @@ def naive_export_features_csv(dm, path):
 def _rows(path, required):
     """Yield the column index by name, then (file row number, row) of each data row."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     with handle:
@@ -301,6 +301,9 @@ def _rows(path, required):
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")
+        for name in header:
+            if header.count(name) > 1:
+                raise DataError(f"{path}: column '{name}' appears twice in the header")
         idx = {name: i for i, name in enumerate(header)}
         for name in required:
             if name not in idx:
@@ -382,7 +385,10 @@ def naive_load_hits_csv(path):
     for key, rows in grouped.items():
         _check_hit_numbers(path, key, [hit for hit, _t in rows])
         times[key] = np.array([t for _hit, t in sorted(rows, key=lambda r: r[0])])
-        _check_hit_times(times[key])
+        try:
+            _check_hit_times(times[key])
+        except DataError as exc:
+            raise DataError(f"{path}: participant {key[0]}, shape {key[1].value}: {exc}") from None
     return times
 
 

@@ -609,6 +609,10 @@ class TestRunCommand:
                          "square with a positive total", id="zero-confusion"),
             pytest.param({"two_step": [dict(TWO_STEP_ENTRY, step2_confusion=[[1, 0, 0], [0, 1, 0]])]},
                          "square with a positive total", id="non-square-confusion"),
+            pytest.param({"two_step": [dict(TWO_STEP_ENTRY, shape="hexagon")]}, "'hexagon' is not a valid TaskShape",
+                         id="unknown-two-step-shape"),
+            pytest.param({"two_step": [dict(TWO_STEP_ENTRY, setup="D9")]}, "'D9' is not a valid SetupId",
+                         id="unknown-two-step-setup"),
         ],
     )
     def test_report_on_a_malformed_run_json(self, tmp_path, capsys, doc, reason):

@@ -284,10 +284,12 @@ class TestCsvRoundTrip:
 
     def test_one_sample_span(self, csv_dir, capsys):
         _thin_span_7(csv_dir)
-        with pytest.raises(DataError, match="^fewer than 2 samples between hits 7 and 8$"):
+        want = (f"{csv_dir / 'resistance.csv'}: participant p00, shape diamond: "
+                "fewer than 2 samples between hits 7 and 8")
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
             records_from_csv_dir(csv_dir)
         assert main(["features", "--data", str(csv_dir), "--out", str(csv_dir / "features")]) == 2
-        assert capsys.readouterr().err == "error[DataError]: fewer than 2 samples between hits 7 and 8\n"
+        assert capsys.readouterr().err == f"error[DataError]: {want}\n"
 
     def test_gaze_error_before_empty_window(self, csv_dir):
         # every file is read before any trace is segmented
@@ -551,6 +553,16 @@ class TestLoaderErrors:
         with pytest.raises(DataError, match=r"once each: missing \[40\]$"):
             load_hits_csv(p)
 
+    def test_a_long_task_of_repeated_hits_is_refused_naming_each(self, tmp_path):
+        p = tmp_path / "hits.csv"
+        rows = ["participant_id,shape,hit_index,timestamp_ms"]
+        rows += [f"p0,diamond,{1 + k % 40},{k * 10.0}" for k in range(8000)]  # hits 1..40, 200 times over
+        p.write_text("\n".join(rows) + "\n")
+        want = (f"{p}: the rows of participant p0, shape diamond must number hits 1..40 once each: "
+                f"repeated {list(range(1, 41))}")
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            load_hits_csv(p)
+
 
 LOADERS = {
     "resistance": (load_resistance_csv, naive_reference.naive_load_resistance_csv),
@@ -731,6 +743,55 @@ class TestColumnarLoader:
         with pytest.raises(DataError, match=want + re.escape(problem) + "$"):
             LOADERS[name][0](path)
         _assert_loads_as_per_row(csv_dir, [name])
+
+    @pytest.mark.parametrize(
+        "name, column",
+        [
+            ("resistance", "resistance_ohm"), ("hits", "timestamp_ms"), ("gaze", "g1"),
+            ("participants", "participant_id"),
+        ],
+    )
+    def test_a_column_named_twice_is_refused(self, csv_dir, name, column):
+        # the header names `column` once more, and each row gives it a copy of its value
+        path = csv_dir / f"{name}.csv"
+        header, *rows = path.read_text().splitlines()
+        at = header.split(",").index(column)
+        path.write_text("\n".join([f"{header},{column}", *(f"{row},{row.split(',')[at]}" for row in rows)]) + "\n")
+        want = f"^{re.escape(str(path))}: column '{column}' appears twice in the header$"
+        with pytest.raises(DataError, match=want):
+            LOADERS[name][0](path)
+        with pytest.raises(DataError, match=want):
+            records_from_csv_dir(csv_dir)
+        _assert_loads_as_per_row(csv_dir, [name])
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["columnar", "per-row"])
+    def test_a_byte_order_mark_is_skipped(self, csv_dir, request, quoted):
+        if quoted:  # a quoted participant id sends every file to the per-row walk
+            for name in LOADERS:
+                self._edit(csv_dir / f"{name}.csv", lambda text: text.replace("p00,", '"p00",'))
+        else:
+            request.getfixturevalue("per_row_only")
+        plain = {name: LOADERS[name][0](csv_dir / f"{name}.csv") for name in LOADERS}
+        records = records_from_csv_dir(csv_dir)
+        for name in LOADERS:
+            path = csv_dir / f"{name}.csv"
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for name in LOADERS:
+            _assert_same(LOADERS[name][0](csv_dir / f"{name}.csv"), plain[name])
+        _assert_same(records_from_csv_dir(csv_dir), records)
+        _assert_loads_as_per_row(csv_dir)
+
+    def test_decreasing_hit_times_name_the_file_and_task(self, csv_dir, capsys):
+        path = csv_dir / "hits.csv"
+        header, *rows = path.read_text().splitlines()
+        # hit 6 of p01's circle task at 0 ms, the time of its hit 1
+        path.write_text("\n".join([header, *(re.sub(r"^(p01,circle,6,).*", r"\g<1>0.0", r) for r in rows)]) + "\n")
+        want = f"{path}: participant p01, shape circle: hit timestamps must be strictly increasing"
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            load_hits_csv(path)
+        _assert_loads_as_per_row(csv_dir, ["hits"])
+        assert main(["features", "--data", str(csv_dir), "--out", str(csv_dir / "features")]) == 2
+        assert capsys.readouterr().err == f"error[DataError]: {want}\n"
 
     def test_quoted_participant_id_with_comma(self, csv_dir):
         for name in LOADERS:

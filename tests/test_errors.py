@@ -16,7 +16,7 @@ from intent_bench.features import (
     fit_scaler,
 )
 from intent_bench.models import BaselineKind, LstmConfig, SequenceData, lstm_rows, train_baseline
-from intent_bench.pipeline import CellResult, GridReport, Metrics, evaluate, render_text
+from intent_bench.pipeline import CellResult, GridReport, Metrics, evaluate, render_text, run_document
 
 SUBCLASSES = errors.IntentBenchError.__subclasses__()
 ERRORS = [errors.IntentBenchError, *SUBCLASSES]
@@ -49,7 +49,7 @@ def _two_rows():
 
 def _table_without_all_but_its_first_cell():
     cell = CellResult("segment", "diamond", "NN", "D1", Metrics(50.0, 0.5, np.eye(4, dtype=int)), 0, 0.0)
-    return render_text(GridReport(cells=[cell], random_guess={}))
+    return render_text(run_document(GridReport(cells=[cell], random_guess={}), [], {}))
 
 
 SEGMENT_CELLS = [(m, s) for m in ("NN", "KNN", "SVM", "LR") for s in ("D1", "D2", "D3", "D5")]

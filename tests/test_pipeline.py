@@ -36,11 +36,12 @@ from intent_bench.pipeline import (
     format_cell,
     metrics_from_confusion,
     raw_table,
-    read_run_outputs,
     records_for_shape,
     reference_ordering_notes,
     render_csv,
     render_text,
+    report_text,
+    run_document,
     run_grid,
     scale_on_train,
     run_two_step,
@@ -51,6 +52,11 @@ from intent_bench.pipeline import (
 from intent_bench.pool import map_tasks
 
 FAST = TrainParams(mlp_epochs=3, lstm_epochs=3, baseline_epochs=20, lstm_hidden=8)
+
+
+def _doc(report, two_step=(), root_seed=1) -> dict:
+    """The document that `run` builds of a grid report and two-step results."""
+    return run_document(report, list(two_step), {"root_seed": root_seed, "config_hash": "x"})
 
 
 class TestSplit:
@@ -71,6 +77,20 @@ class TestSplit:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             split_indices(4, 0.8, 0)
+
+    def test_a_fraction_that_leaves_no_training_row_is_refused(self):
+        with pytest.raises(TooFewRows, match=r"^a train_fraction of 0\.001 leaves no training row of 117$"):
+            split_indices(117, 0.001, 0)
+        train, test = split_indices(117, 0.009, 0)  # floor(1.053) is one training row
+        assert (train.size, test.size) == (1, 116)
+
+    def test_a_run_whose_split_leaves_no_training_row_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "tiny.cfg"
+        config.write_text("[split]\ntrain_fraction = 0.001\n")
+        args = ["run", "--synthetic", "--participants", "3", "--config", str(config), "--out", str(tmp_path / "run")]
+        assert main(args) == 2
+        # 3 participants hold 117 window rows a shape
+        assert capsys.readouterr().err == "error[TooFewRows]: a train_fraction of 0.001 leaves no training row of 117\n"
 
     def test_bad_spec(self):
         for fraction in (0.0, 1.0, 1.5, float("nan")):
@@ -288,6 +308,26 @@ class TestTwoStep:
             want = evaluate(model.predict(dm.values[~dm.train]), dm.segment[~dm.train], 4)
             np.testing.assert_array_equal(metrics.confusion, want.confusion)
 
+    def test_an_lstm_with_no_held_out_window_is_refused_before_training(self, cohort4, monkeypatch):
+        lstm_fits = count_calls(monkeypatch, "train_lstm")
+        raw_dm = raw_table(records_for_shape(cohort4, TaskShape.DIAMOND))
+        # windows of 39 hit rows end on hits 39 and 40, and only hit 1 is held out
+        dm = dataclasses.replace(raw_dm, train=raw_dm.hit != 1)
+        want = "^diamond: no held-out row ends an LSTM window of 39 rows, so there is nothing to score$"
+        with pytest.raises(TooFewRows, match=want):
+            pipeline.fit_eval("LSTM", "direction", dm, dataclasses.replace(FAST, window_len=39), 0)
+        assert lstm_fits == []
+
+    def test_a_run_with_no_held_out_lstm_window_is_refused(self, tmp_path, capsys):
+        # at seed 0 the circle split of 3 participants trains on hits 39 and 40 of each
+        config = tmp_path / "window.cfg"
+        config.write_text('[train]\nwindow_len = 39\n[run]\ndirection_setup = "D1"\n')
+        args = ["run", "--synthetic", "--participants", "3", "--shape", "circle", "--config", str(config)]
+        assert main(args + ["--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "error[TooFewRows]: circle: no held-out row ends an LSTM window of 39 rows, so there is nothing to score\n"
+        )
+
     @pytest.mark.parametrize("model_name, step", [("NN", "segment"), ("KNN", "segment"), ("LSTM", "direction")])
     def test_an_unsplit_table_cannot_be_fit(self, cohort4, model_name, step):
         features_dm, _gaze = window_tables(records_for_shape(cohort4, TaskShape.DIAMOND))
@@ -377,7 +417,7 @@ class TestShapeWorker:
         cores(2)
         two = run_grid(cohort4, cfg)
         assert multiprocessing.active_children() == []
-        assert render_text(two) == render_text(one)
+        assert render_text(_doc(two)) == render_text(_doc(one))
         assert [(c.seed, c.metrics.confusion.tolist()) for c in two.cells] == [
             (c.seed, c.metrics.confusion.tolist()) for c in one.cells
         ]
@@ -490,16 +530,17 @@ class TestGrid:
         # both fixtures run the diamond grid at seed 3
         result = run_two_step(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=3, train=FAST))
         for report in (segment_report, full_report):
-            step1 = report.by_key()["segment", "diamond", "NN", "D3"]
+            cells = {(c.step, c.shape, c.model, c.setup): c for c in report.cells}
+            step1 = cells["segment", "diamond", "NN", "D3"]
             assert result.seeds["step1"] == step1.seed
             np.testing.assert_array_equal(result.step1.confusion, step1.metrics.confusion)
-        step2 = full_report.by_key()["direction", "diamond", "LSTM", "D6"]
+        step2 = cells["direction", "diamond", "LSTM", "D6"]  # the cells of full_report
         assert result.seeds["step2"] == step2.seed
         np.testing.assert_array_equal(result.step2.confusion, step2.metrics.confusion)
 
     def test_grid_determinism(self, cohort4, segment_report):
         again = run_grid(cohort4, GridConfig(seed=3, steps="segment", shapes=(TaskShape.DIAMOND,), train=FAST))
-        assert render_csv(again) == render_csv(segment_report)
+        assert render_csv(_doc(again)) == render_csv(_doc(segment_report))
 
     def test_random_guess_is_the_window_rows_chance_level(self, cohort16):
         # D2, D3 and D5 score window rows, which hold segments 9/10/10/10 times per participant
@@ -515,7 +556,7 @@ class TestGrid:
         assert len(cohort4) == 8
         shuffled = [cohort4[i] for i in order]
         again = run_grid(shuffled, GridConfig(seed=3, steps="all", shapes=(TaskShape.DIAMOND,), train=FAST))
-        assert render_csv(again) == render_csv(full_report)
+        assert render_csv(_doc(again)) == render_csv(_doc(full_report))
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31), participants=st.integers(min_value=2, max_value=4))
@@ -526,7 +567,8 @@ class TestGrid:
             write_dataset_csvs(synth_tasks(seed, participants, SynthConfig(), shapes), tmp)
             loaded = records_from_csv_dir(tmp)
         cfg = GridConfig(seed=seed, steps="all", shapes=shapes, train=FAST)
-        assert render_csv(run_grid(loaded, cfg)) == render_csv(run_grid(synth_cohort(seed, participants), cfg))
+        in_memory = run_grid(synth_cohort(seed, participants), cfg)
+        assert render_csv(_doc(run_grid(loaded, cfg))) == render_csv(_doc(in_memory))
 
     def test_direction_grid_cells(self, cohort4):
         cfg = GridConfig(seed=3, steps="direction", shapes=(TaskShape.CIRCLE,), train=FAST)
@@ -550,62 +592,80 @@ class TestRendering:
         assert format_cell(Metrics(accuracy=96.7213, macro_f1=0.9456, confusion=np.eye(2, dtype=int))) == "96.72 [0.946]"
 
     def _tiny_report(self):
+        """A segment table whose cell i, in grid order, scores 50 + i % with a macro F1 of 0.5 + i / 100."""
+        keys = [(m, s) for m in ("NN", "KNN", "SVM", "LR") for s in ("D1", "D2", "D3", "D5")]
+        confusions = [np.array([[50 + i, 50 - i], [50 - i, 50 + i]]) for i in range(len(keys))]
         cells = [
-            CellResult("segment", "diamond", m, s, Metrics(50.0 + i, 0.5, np.eye(4, dtype=int)), i, 0.0)
-            for i, (m, s) in enumerate(
-                (m, s) for m in ("NN", "KNN", "SVM", "LR") for s in ("D1", "D2", "D3", "D5")
-            )
+            CellResult("segment", "diamond", m, s, metrics_from_confusion(cm), i, 0.0)
+            for i, ((m, s), cm) in enumerate(zip(keys, confusions))
         ]
         return GridReport(cells=cells, random_guess={("segment", "diamond"): 25.4})
 
     def test_text_flags_best(self):
-        text = render_text(self._tiny_report())
-        assert "**65.00 [0.500]**" in text  # the last cell has the highest accuracy
+        text = render_text(_doc(self._tiny_report()))
+        assert "**65.00 [0.650]**" in text  # the last cell has the highest accuracy
 
     def test_incomplete_table(self):
         report = self._tiny_report()
         report.cells.pop(3)
         with pytest.raises(BadArgument, match="^segment/diamond: missing cells"):
-            render_text(report)
+            render_text(_doc(report))
 
     def _confusion_report(self):
-        """A report whose metrics come from its confusions, as those of a run do."""
+        """A report of 4-class confusions, as those of a segment grid are."""
         report = self._tiny_report()
         for i, cell in enumerate(report.cells):
             cell.metrics = metrics_from_confusion(_confusion(500 + i, 1000))
         return report
 
     def test_csv_schema_and_round_trip(self, tmp_path):
-        report = self._confusion_report()
-        csv_text = render_csv(report)
+        doc = _doc(self._confusion_report())
+        csv_text = render_csv(doc)
         header = csv_text.splitlines()[0].split(",")
         assert header == ["step", "shape", "model", "setup", "accuracy", "f1", "best"]
-        write_run_outputs(tmp_path, report, [], {"root_seed": 1, "config_hash": "x"})
-        parsed, two_step, _meta = read_run_outputs(tmp_path)
-        assert two_step == []
+        write_run_outputs(tmp_path, doc)
+        parsed = json.loads((tmp_path / "run.json").read_text())
+        assert parsed["two_step"] == []
         assert render_csv(parsed) == csv_text
-        assert render_text(parsed) == render_text(report)
+        assert render_text(parsed) == render_text(doc)
+
+    def test_a_document_is_its_own_json_round_trip(self, cohort4, full_report):
+        result = run_two_step(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=3, train=FAST))
+        for doc in (_doc(full_report, [result]), _doc(None, [result]), _doc(self._confusion_report())):
+            assert json.loads(json.dumps(doc)) == doc
+
+    @pytest.mark.parametrize("grid", [["--grid", "all"], []], ids=["grid-all", "two-step-only"])
+    def test_the_report_of_a_run_json_is_the_report_run_wrote(self, tmp_path, grid):
+        config = tmp_path / "fast.cfg"
+        config.write_text("[train]\nmlp_epochs = 3\nlstm_epochs = 3\nbaseline_epochs = 20\nlstm_hidden = 8\n")
+        out = tmp_path / "run"
+        args = ["run", "--synthetic", "--seed", "3", "--participants", "4", "--config", str(config), *grid]
+        assert main(args + ["--out", str(out)]) == 0
+        doc = json.loads((out / "run.json").read_text())
+        assert ("cells" in doc) == bool(grid)
+        assert report_text(doc) == (out / "report.txt").read_text()
 
     def test_an_output_directory_that_is_a_file_is_refused(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("a file")
         with pytest.raises(IoError, match=f"^cannot create output directory {re.escape(str(taken))}: "):
-            write_run_outputs(taken, self._tiny_report(), [], {"root_seed": 1, "config_hash": "x"})
+            write_run_outputs(taken, _doc(self._tiny_report()))
 
     def test_parsed_report_keeps_best_flag_on_rounded_tie(self, tmp_path):
         report = self._confusion_report()
         report.cells[0].metrics = metrics_from_confusion(_confusion(70001, 100000))
         report.cells[1].metrics = metrics_from_confusion(_confusion(70004, 100000))  # the best; both print 70.00
         assert format_cell(report.cells[0].metrics)[:5] == format_cell(report.cells[1].metrics)[:5] == "70.00"
-        write_run_outputs(tmp_path, report, [], {"root_seed": 1, "config_hash": "x"})
-        parsed, _two_step, _meta = read_run_outputs(tmp_path)
-        assert render_text(parsed) == render_text(report)
+        doc = _doc(report)
+        write_run_outputs(tmp_path, doc)
+        parsed = json.loads((tmp_path / "run.json").read_text())
+        assert render_text(parsed) == render_text(doc)
         assert f"**{format_cell(report.cells[1].metrics)}**" in render_text(parsed)
 
 
 class TestReferenceNotes:
     def test_notes_are_informational(self, full_report):
-        notes = reference_ordering_notes(full_report)
+        notes = reference_ordering_notes(_doc(full_report))
         assert notes, "expected ordering notes for a full grid"
         assert all(note.startswith(("ok:", "deviation:")) for note in notes)
 
@@ -619,20 +679,20 @@ class TestReferenceNotes:
             for m in ("LSTM", "KNN", "SVM", "LR")
             for cm in [confusions.get((m, s.value), [[15, 5], [5, 15]])]
         ]
-        report = GridReport(cells=cells, random_guess={})
-        assert reference_ordering_notes(report)[0] == (
+        doc = _doc(GridReport(cells=cells, random_guess={}))
+        assert reference_ordering_notes(doc)[0] == (
             "deviation: direction/diamond: best cell LSTM-D5 at 95.00, LSTM-D6 at 75.00 "
             "(reference expects LSTM-D6 on top)"
         )
-        d5_row = next(line for line in render_text(report).splitlines() if line.startswith("D5 "))
+        d5_row = next(line for line in render_text(doc).splitlines() if line.startswith("D5 "))
         assert d5_row.split()[1] == "**95.00"
-        assert "direction,diamond,LSTM,D5,95.00,0.950,1" in render_csv(report).splitlines()
+        assert "direction,diamond,LSTM,D5,95.00,0.950,1" in render_csv(doc).splitlines()
 
     def test_write_outputs(self, cohort4, tmp_path):
         cfg = GridConfig(seed=3, steps="segment", shapes=(TaskShape.DIAMOND,), train=FAST)
         report = run_grid(cohort4, cfg)
         result = run_two_step(cohort4, TaskShape.DIAMOND, TwoStepConfig(seed=3, train=FAST))
-        write_run_outputs(tmp_path, report, [result], {"root_seed": 3, "config_hash": "x"}, ["ok: something"])
+        write_run_outputs(tmp_path, _doc(report, [result], root_seed=3), ["ok: something"])
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "run.json").exists()
